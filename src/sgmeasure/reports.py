@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 __all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
@@ -22,8 +24,9 @@ __all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
 class AnalysisReport:
     """Scalar summary plus aligned per-row table columns.
 
-    ``table`` maps column name to a list of float-or-None; all columns have
-    equal length.  None marks a value that is undefined (e.g. dB of zero).
+    ``table`` maps column name to a list of builtin float, int or None; all
+    columns have equal length.  None, like a non-finite float, marks a value
+    that is undefined (e.g. dB of zero) and is written as null.
     """
 
     summary: dict
@@ -46,22 +49,43 @@ def _clean(value):
     return value
 
 
-def _clean_report(report: AnalysisReport) -> AnalysisReport:
-    return AnalysisReport(
-        summary={k: _clean(v) for k, v in report.summary.items()},
-        table={k: [_clean(v) for v in col] for k, col in report.table.items()},
-        schema_version=report.schema_version,
-    )
+def _cells(column, null: str) -> list[str]:
+    """One column as text: shortest-repr numbers, ``null`` for None and non-finite.
+
+    ``float.__repr__`` also gives numpy float scalars their builtin repr.
+    """
+    try:
+        cells = list(map(float.__repr__, column))
+    except TypeError:  # ints or None among the cells
+        cells = [float.__repr__(v) if isinstance(v, float) else repr(v) for v in column]
+    for i in np.flatnonzero(~np.isfinite(np.asarray(column, dtype=np.float64))):
+        cells[i] = null
+    return cells
+
+
+def _json_table(table: dict[str, list]) -> str:
+    """The table as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out at depth 1."""
+    if not table:
+        return "{}"
+    items = []
+    for name in sorted(table):
+        cells = _cells(table[name], "null")
+        body = "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
+        items.append(f"    {json.dumps(name)}: {body}")
+    return "{\n" + ",\n".join(items) + "\n  }"
 
 
 def _to_json(report: AnalysisReport) -> str:
-    report = _clean_report(report)
-    doc = {
-        "schema_version": report.schema_version,
-        "summary": report.summary,
-        "table": report.table,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head = json.dumps(
+        {
+            "schema_version": report.schema_version,
+            "summary": {k: _clean(v) for k, v in report.summary.items()},
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    # "table" sorts after "schema_version" and "summary": reopen the object
+    return head[:-2] + f',\n  "table": {_json_table(report.table)}\n}}\n'
 
 
 def _from_json(text: str) -> AnalysisReport:
@@ -73,25 +97,15 @@ def _from_json(text: str) -> AnalysisReport:
     )
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _to_csv(report: AnalysisReport) -> str:
-    report = _clean_report(report)
+    summary = {k: _clean(v) for k, v in report.summary.items()}
+    columns = [_cells(col, "") for col in report.table.values()]
     lines = [
         f"# schema_version: {report.schema_version}",
-        "# summary: " + json.dumps(report.summary, sort_keys=True),
+        "# summary: " + json.dumps(summary, sort_keys=True),
+        ",".join(report.table),
+        *map(",".join, zip(*columns)),
     ]
-    names = list(report.table.keys())
-    lines.append(",".join(names))
-    n_rows = len(report.table[names[0]]) if names else 0
-    for i in range(n_rows):
-        lines.append(",".join(_cell(report.table[name][i]) for name in names))
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,14 @@ time-invariant response from the random/time-varying one; averaging the
 per-signal results over different test signals separates the LTI response
 from the signal-dependent one.  Both spreads are unbiased sample variances
 (denominators M-1 and P-1).
+
+The session analysis works on blocks: a recording's M segments form one
+(M, L) view (:func:`segment_block`), each row is transformed on the bins the
+caller keeps (:func:`segment_spectra`) and divided by X_s
+(:func:`divide_spectra`), and the rows are reduced over axis 0
+(:func:`time_invariant_block`).  The per-segment API
+(:func:`estimate_transfer`, :func:`time_invariant_response`) runs through the
+same excitation check, finiteness check and statistics.
 """
 
 from __future__ import annotations
@@ -66,8 +74,7 @@ class TransferEstimate:
 
     def __post_init__(self):
         bins = np.asarray(self.h_bins, dtype=np.complex128)
-        if not np.all(np.isfinite(bins)):
-            raise ValueError("transfer estimate has non-finite bins")
+        _require_finite(bins)
         object.__setattr__(self, "h_bins", bins)
 
     @property
@@ -79,7 +86,8 @@ class TransferEstimate:
 class SeparationResult:
     """Separated responses for a full session.
 
-    ``h_sti`` and ``d_stv_sq`` are stacked per test signal (shape (P, L));
+    ``h_sti`` and ``d_stv_sq`` are stacked per test signal (shape (P, K) for
+    the K bins analyzed, K = L//2 + 1 in a session analysis);
     ``h_slti`` / ``h_ssdr_sq`` aggregate over signals and are None when
     only one signal was measured.
     """
@@ -111,6 +119,54 @@ def plan_segments(stream_length: int, period_length: int, count: int, skip: int)
     return SegmentPlan(period_length=period_length, starts=starts, skip_preamble=skip)
 
 
+def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int) -> np.ndarray:
+    """The planned segments of a recording as one (count, L) view, no copy."""
+    plan_segments(samples.size, period_length, count, skip)
+    return samples[skip : skip + count * period_length].reshape(count, period_length)
+
+
+def excitation_bins(excitation_spectrum: Spectrum, bins: int | None = None) -> np.ndarray:
+    """The first ``bins`` excitation bins (all by default), checked once for zeros.
+
+    Every |X_s[k]| of the full spectrum must be nonzero, so the excitation
+    must be safeguarded.
+    """
+    x_bins = excitation_spectrum.bins
+    if np.any(x_bins == 0):
+        raise ZeroBinExcitation("excitation has zero bins; safeguard it first")
+    return x_bins[:bins]
+
+
+# Rows per FFT call in segment_spectra: about 1 MiB of complex output at a
+# time, so a long block never materializes all its full-length spectra.
+_FFT_CHUNK_POINTS = 1 << 16
+
+
+def segment_spectra(block: np.ndarray, bins: int) -> np.ndarray:
+    """Forward DFT of each row of an (M, L) block, keeping bins 0..bins-1."""
+    m, L = block.shape
+    rows = max(1, _FFT_CHUNK_POINTS // L)
+    out = np.empty((m, bins), dtype=np.complex128)
+    for i in range(0, m, rows):
+        out[i : i + rows] = forward_dft_raw(block[i : i + rows])[:, :bins]
+    return out
+
+
+def _require_finite(h: np.ndarray) -> None:
+    if not np.all(np.isfinite(h)):
+        raise ValueError("transfer estimate has non-finite bins")
+
+
+def divide_spectra(y_bins: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
+    """Bin-wise H = Y/X_s, one row per segment; a non-finite H raises.
+
+    ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
+    """
+    h = y_bins / x_bins
+    _require_finite(h)
+    return h
+
+
 def estimate_transfer(
     excitation_spectrum: Spectrum,
     recording: SampleStream,
@@ -121,16 +177,14 @@ def estimate_transfer(
 
     Requires a safeguarded excitation: every |X_s[k]| must be nonzero.
     """
-    x_bins = excitation_spectrum.bins
-    L = excitation_spectrum.length
-    if np.any(np.abs(x_bins) == 0):
-        raise ZeroBinExcitation("excitation has zero bins; safeguard it first")
+    x_bins = excitation_bins(excitation_spectrum)
+    L = x_bins.size
     if start < 0 or start + L > len(recording):
         raise SegmentOutOfRange(
             f"segment [{start}, {start + L}) outside recording of {len(recording)}"
         )
     y_bins = forward_dft_raw(recording.samples[start : start + L])
-    return TransferEstimate(
+    return TransferEstimate(  # checks H for non-finite bins, as divide_spectra does
         h_bins=y_bins / x_bins,
         sample_rate=excitation_spectrum.sample_rate,
         source_signal_id=signal_id,
@@ -138,29 +192,25 @@ def estimate_transfer(
     )
 
 
-def _stack(estimates: list[np.ndarray]) -> np.ndarray:
-    lengths = {e.size for e in estimates}
-    if len(lengths) != 1:
-        raise ValueError("estimates have mismatched lengths")
-    return np.vstack(estimates)
-
-
 def _mean_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin-wise mean and unbiased sample variance over the first axis.
 
-    Accumulates row by row with squared magnitudes formed as re^2 + im^2,
-    so the result is bit-identical to a direct summation of the formulas.
+    numpy reduces axis 0 of a C-contiguous array row by row, and squared
+    magnitudes are formed as re^2 + im^2, so the result is bit-identical to
+    a direct summation of the formulas.
     """
     n = rows.shape[0]
-    mean = np.zeros(rows.shape[1], dtype=np.complex128)
-    for row in rows:
-        mean = mean + row
-    mean = mean / n
-    var = np.zeros(rows.shape[1])
-    for row in rows:
-        d = row - mean
-        var = var + (d.real**2 + d.imag**2)
-    return mean, var / (n - 1)
+    mean = rows.sum(axis=0) / n
+    d = rows - mean
+    return mean, (d.real**2 + d.imag**2).sum(axis=0) / (n - 1)
+
+
+def time_invariant_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased variance over the M rows of one signal's (M, K) estimates."""
+    m = h.shape[0]
+    if m < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
+    return _mean_and_variance(h)
 
 
 def time_invariant_response(
@@ -171,20 +221,29 @@ def time_invariant_response(
     Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
     squared absolute random/time-varying response.
     """
-    m = len(estimates)
-    if m < 2:
-        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
+    if len(estimates) < 2:
+        raise InsufficientRepetitions(
+            f"need M >= 2 repeated estimates, got {len(estimates)}"
+        )
     ids = {e.source_signal_id for e in estimates}
     if len(ids) != 1:
         raise ValueError("estimates mix different source signals")
-    return _mean_and_variance(_stack([e.h_bins for e in estimates]))
+    return time_invariant_block(_stack([e.h_bins for e in estimates]))
+
+
+def _stack(estimates: list[np.ndarray]) -> np.ndarray:
+    lengths = {e.size for e in estimates}
+    if len(lengths) != 1:
+        raise ValueError("estimates have mismatched lengths")
+    return np.vstack(estimates)
 
 
 def signal_dependent_response(
-    per_signal_h_sti: list[np.ndarray],
+    per_signal_h_sti: list[np.ndarray] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean response and unbiased per-bin variance over P distinct test signals.
 
+    Takes one h_sti per signal, as a list or as the rows of a (P, K) array.
     Returns ``(h_slti, h_ssdr_sq)``: the LTI response and the squared
     absolute signal-dependent response.
     """
@@ -213,21 +272,28 @@ def fractional_octave_smooth(
     p = np.asarray(power_spectrum, dtype=np.float64)
     if np.any(p < 0):
         raise ValueError("power spectrum must be nonnegative")
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
     L = p.size
     half = L // 2
+    out = np.empty(L)
+    out[: half + 1] = smooth_one_sided(p[: half + 1], fraction)
+    # mirror onto the conjugate half (excludes Nyquist for even L, bin 0 always)
+    mirror = np.arange(half + 1, L)
+    out[mirror] = out[L - mirror]
+    return out
+
+
+def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
+    """:func:`fractional_octave_smooth` on bins 0..L/2 of a power spectrum."""
+    if fraction <= 0:
+        raise ValueError("fraction must be positive")
+    half = power.size - 1
     k = np.arange(1, half + 1)
     factor = 2.0 ** (fraction / 2.0)
     lo = np.maximum(np.ceil(k / factor).astype(np.int64), 1)
     hi = np.minimum(np.floor(k * factor).astype(np.int64), half)
-    csum = np.concatenate(([0.0], np.cumsum(p[1 : half + 1])))
-    smoothed_half = (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
-    out = p.copy()
-    out[1 : half + 1] = smoothed_half
-    # mirror onto the conjugate half (excludes Nyquist for even L, bin 0 always)
-    mirror = np.arange(half + 1, L)
-    out[mirror] = out[L - mirror]
+    csum = np.concatenate(([0.0], np.cumsum(power[1:])))
+    out = power.copy()
+    out[1:] = (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
     return out
 
 

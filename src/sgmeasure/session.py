@@ -3,7 +3,8 @@
 A session manifest lists, per test signal, the safeguarded excitation
 period file and the recording of its repeated playback, plus the segment
 bookkeeping (period length, segments per recording, preamble skip).  The
-analysis pipeline is: plan segments, deconvolve each one, then separate
+analysis pipeline is: view each recording as an (M, L) segment block,
+deconvolve the block on bins 0..L/2 (all the report reads), then separate
 the time-invariant, random, LTI and signal-dependent responses.
 """
 
@@ -21,11 +22,13 @@ from .errors import ManifestError, SampleRateMismatch
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
     SeparationResult,
-    estimate_transfer,
-    fractional_octave_smooth,
-    plan_segments,
+    divide_spectra,
+    excitation_bins,
+    segment_block,
+    segment_spectra,
     signal_dependent_response,
-    time_invariant_response,
+    smooth_one_sided,
+    time_invariant_block,
 )
 from .wavio import read_audio
 
@@ -56,13 +59,27 @@ class SessionManifest:
     schema_version: int = SCHEMA_VERSION
 
 
+MANIFEST_KEYS = frozenset({
+    "schema_version", "sample_rate", "period_length", "segments_per_recording",
+    "skip_preamble", "entries", "background_recording", "seed",
+    "theta_reference_db", "calibration",
+})
+ENTRY_KEYS = frozenset({"excitation", "recording"})
+
+
 def load_manifest(path: str | Path) -> SessionManifest:
-    """Load and validate a session manifest; file paths resolve relative to it."""
+    """Load and validate a session manifest; file paths resolve relative to it.
+
+    Unknown keys, an unsupported schema version and out-of-range segment
+    bookkeeping raise :class:`ManifestError`.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot load manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"invalid manifest {path}: not a JSON object")
     base = path.parent
 
     def resolve(name: str) -> Path:
@@ -71,32 +88,53 @@ def load_manifest(path: str | Path) -> SessionManifest:
             raise ManifestError(f"manifest references missing file: {p}")
         return p
 
+    def entry(e: dict) -> SessionEntry:
+        if set(e) - ENTRY_KEYS:
+            raise ManifestError(f"invalid manifest {path}: unknown entry keys in {e}")
+        return SessionEntry(resolve(e["excitation"]), resolve(e["recording"]))
+
     try:
+        schema_version = int(doc.get("schema_version", SCHEMA_VERSION))
+        if schema_version != SCHEMA_VERSION:
+            raise ManifestError(
+                f"{path}: schema_version {schema_version} is not supported "
+                f"(expected {SCHEMA_VERSION})"
+            )
+        unknown = set(doc) - MANIFEST_KEYS
+        if unknown:
+            raise ManifestError(f"{path}: unknown manifest keys {sorted(unknown)}")
         period_length = int(doc["period_length"])
         sample_rate = int(doc["sample_rate"])
         segments = int(doc["segments_per_recording"])
-        entries = tuple(
-            SessionEntry(resolve(e["excitation"]), resolve(e["recording"]))
-            for e in doc["entries"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        skip = int(doc.get("skip_preamble", period_length))
+        theta_db = doc.get("theta_reference_db")
+        theta_db = float(theta_db) if theta_db is not None else None
+        entries = tuple(entry(e) for e in doc["entries"])
+        background = doc.get("background_recording")
+        background = resolve(background) if background else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"invalid manifest {path}: {exc}") from exc
+    for name, value, least in (
+        ("period_length", period_length, 2),
+        ("sample_rate", sample_rate, 1),
+        ("segments_per_recording", segments, 1),
+        ("skip_preamble", skip, 0),
+    ):
+        if value < least:
+            raise ManifestError(f"{path}: {name} must be >= {least}, got {value}")
     if not entries:
         raise ManifestError("manifest has no entries")
-    skip = int(doc.get("skip_preamble", period_length))
-    background = doc.get("background_recording")
-    theta_db = doc.get("theta_reference_db")
     return SessionManifest(
         sample_rate=sample_rate,
         period_length=period_length,
         segments_per_recording=segments,
         skip_preamble=skip,
         entries=entries,
-        background_recording=resolve(background) if background else None,
+        background_recording=background,
         seed=doc.get("seed"),
-        theta_reference_db=float(theta_db) if theta_db is not None else None,
+        theta_reference_db=theta_db,
         calibration=doc.get("calibration", {}),
-        schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
+        schema_version=schema_version,
     )
 
 
@@ -109,77 +147,79 @@ def _read_checked(path: Path, manifest: SessionManifest) -> SampleStream:
     return stream
 
 
-def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[Spectrum, float]:
+def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndarray, float]:
+    """Bins 0..L/2 of the excitation period's spectrum, and the period's power."""
     stream = _read_checked(path, manifest)
     L = manifest.period_length
     if len(stream) < L:
         raise ManifestError(f"{path}: excitation shorter than period length {L}")
     period = stream.samples[:L]
     spectrum = Spectrum(forward_dft_raw(period), manifest.sample_rate, hermitian=True)
-    return spectrum, float(np.mean(period**2))
+    return excitation_bins(spectrum, L // 2 + 1), float(np.mean(period**2))
 
 
-def separate_session(manifest: SessionManifest) -> tuple[SeparationResult, dict]:
-    """Run the estimation pipeline; returns the separation plus power bookkeeping."""
+def separate_session(
+    manifest: SessionManifest,
+) -> tuple[SeparationResult, dict, list[np.ndarray]]:
+    """Run the estimation pipeline on bins 0..L/2.
+
+    Returns the separation, the power bookkeeping, and the one-sided
+    excitation spectra for the background estimate.
+    """
     L = manifest.period_length
-    h_sti_list, d_stv_list = [], []
+    M = manifest.segments_per_recording
+    excitations, h_sti, d_stv_sq = [], [], []
     output_power, excitation_power = [], []
-    for p, entry in enumerate(manifest.entries):
-        spectrum, exc_power = _excitation_spectrum(entry.excitation, manifest)
+    for entry in manifest.entries:
+        x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
+        excitations.append(x_bins)
         excitation_power.append(exc_power)
         recording = _read_checked(entry.recording, manifest)
-        plan = plan_segments(
-            len(recording), L, manifest.segments_per_recording, manifest.skip_preamble
-        )
-        estimates = [
-            estimate_transfer(spectrum, recording, s, signal_id=p) for s in plan.starts
-        ]
-        output_power.append(
-            float(
-                np.mean(
-                    recording.samples[plan.starts[0] : plan.starts[-1] + L] ** 2
-                )
-            )
-        )
-        h_sti, d_stv_sq = time_invariant_response(estimates)
-        h_sti_list.append(h_sti)
-        d_stv_list.append(d_stv_sq)
+        block = segment_block(recording.samples, L, M, manifest.skip_preamble)
+        output_power.append(float(np.mean(block.ravel() ** 2)))
+        h = divide_spectra(segment_spectra(block, x_bins.size), x_bins)
+        mean, var = time_invariant_block(h)
+        h_sti.append(mean)
+        d_stv_sq.append(var)
+    h_sti, d_stv_sq = np.vstack(h_sti), np.vstack(d_stv_sq)
     p_count = len(manifest.entries)
     if p_count >= 2:
-        h_slti, h_ssdr_sq = signal_dependent_response(h_sti_list)
+        h_slti, h_ssdr_sq = signal_dependent_response(h_sti)
     else:
-        h_slti, h_ssdr_sq = h_sti_list[0], None
+        h_slti, h_ssdr_sq = h_sti[0], None
     result = SeparationResult(
-        h_sti=np.vstack(h_sti_list),
-        d_stv_sq=np.vstack(d_stv_list),
+        h_sti=h_sti,
+        d_stv_sq=d_stv_sq,
         h_slti=h_slti,
         h_ssdr_sq=h_ssdr_sq,
-        m_count=manifest.segments_per_recording,
+        m_count=M,
         p_count=p_count,
     )
     powers = {
         "output_power": float(np.mean(output_power)),
         "excitation_power": float(np.mean(excitation_power)),
     }
-    return result, powers
+    return result, powers, excitations
 
 
-def _background_level(manifest: SessionManifest, spectra: list[Spectrum]) -> np.ndarray:
-    """Mean |noise DFT / X_s|^2 over all signals and available segments."""
+def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) -> np.ndarray:
+    """Mean |noise DFT / X_s|^2 over all signals and available segments.
+
+    The background segments are transformed once; the sum runs signal by
+    signal, segment by segment.
+    """
     recording = _read_checked(manifest.background_recording, manifest)
     L = manifest.period_length
     usable = (len(recording) - manifest.skip_preamble) // L
     if usable < 1:
         raise ManifestError("background recording too short for one segment")
-    plan = plan_segments(len(recording), L, usable, manifest.skip_preamble)
-    acc = np.zeros(L)
-    n = 0
-    for spectrum in spectra:
-        for s in plan.starts:
-            h = estimate_transfer(spectrum, recording, s)
-            acc += np.abs(h.h_bins) ** 2
-            n += 1
-    return acc / n
+    block = segment_block(recording.samples, L, usable, manifest.skip_preamble)
+    y_bins = segment_spectra(block, L // 2 + 1)
+    acc = np.zeros(y_bins.shape[1])
+    for x_bins in excitations:
+        for power in np.abs(divide_spectra(y_bins, x_bins)) ** 2:
+            acc += power
+    return acc / (len(excitations) * usable)
 
 
 def _db_power(values: np.ndarray) -> np.ndarray:
@@ -196,7 +236,7 @@ def analyze_session(
     normalized variants; the normalization constant is recorded in the
     summary.  Smoothing operates on the power quantities.
     """
-    result, powers = separate_session(manifest)
+    result, powers, excitations = separate_session(manifest)
     L = manifest.period_length
     half = L // 2
 
@@ -205,24 +245,21 @@ def analyze_session(
     sdr_power = result.h_ssdr_sq
     background_power = None
     if manifest.background_recording is not None:
-        spectra = [
-            _excitation_spectrum(e.excitation, manifest)[0] for e in manifest.entries
-        ]
-        background_power = _background_level(manifest, spectra)
+        background_power = _background_level(manifest, excitations)
 
     normalization_db = 10.0 * math.log10(
         powers["output_power"] / powers["excitation_power"]
     )
     freq = np.arange(half + 1) * (manifest.sample_rate / L)
-    table: dict[str, list] = {"frequency_hz": [float(f) for f in freq]}
+    table: dict[str, list] = {"frequency_hz": freq.tolist()}
 
     def add_power_column(name: str, power: np.ndarray | None, normalized: bool = False):
         if power is None:
             return
-        col = _db_power(power)[: half + 1]
+        col = _db_power(power)
         if normalized:
             col = col - normalization_db
-        table[name] = [float(v) for v in col]
+        table[name] = col.tolist()
 
     add_power_column("lti_gain_db", lti_power)
     add_power_column("random_level_db", random_power)
@@ -232,7 +269,7 @@ def analyze_session(
     add_power_column("background_level_db", background_power)
 
     if smooth_fraction is not None:
-        smooth = lambda p: fractional_octave_smooth(p, smooth_fraction)
+        smooth = lambda p: smooth_one_sided(p, smooth_fraction)
         add_power_column("lti_gain_smooth_db", smooth(lti_power))
         add_power_column("random_level_smooth_db", smooth(random_power))
         if sdr_power is not None:

@@ -67,6 +67,8 @@ def read_audio(path: str | Path) -> SampleStream:
         ).astype(np.float64) / 2.0**23
     elif audio_format == _FORMAT_FLOAT and bits == 32:
         raw = np.frombuffer(frames, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(raw)):
+            raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
     else:
         raise UnsupportedFormat(
             f"{path}: format code {audio_format} at {bits} bits "

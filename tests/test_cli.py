@@ -150,6 +150,14 @@ def test_analyze_with_background_column(tmp_path):
     assert report.summary["smoothing_fraction"] == pytest.approx(1 / 3)
 
 
+def test_analyze_zero_bin_excitation_exit_code(tmp_path, capsys):
+    manifest = make_session(tmp_path)
+    write_audio(tmp_path / "exc1.wav", SampleStream(np.full(L, 0.25), FS))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ZeroBinExcitation"
+
+
 def test_analyze_missing_file_exit_code(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
@@ -159,6 +167,39 @@ def test_analyze_missing_file_exit_code(tmp_path):
     }))
     rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"skip_preamble": -5},
+        {"period_length": 0},
+        {"period_length": -4096},
+        {"period_length": 1},
+        {"segments_per_recording": 0},
+        {"sample_rate": 0},
+        {"segmnts": 4},
+        {"schema_version": 99},
+        {"period_length": "long"},
+        {"entries": [{"excitation": "exc0.wav", "recording": "rec0.wav", "gain": 2}]},
+    ],
+)
+def test_analyze_invalid_manifest_is_input_error(tmp_path, capsys, change):
+    manifest = make_session(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc.update(change)
+    manifest.write_text(json.dumps(doc))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
+def test_analyze_manifest_not_an_object(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[1, 2]")
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
 def test_analyze_is_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -97,6 +98,42 @@ def test_truncated_data_chunk_rejected(tmp_path):
         read_audio(path)
 
 
+def write_float32(path, samples):
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 3, 1, FS, FS * 4, 4, 32,
+        b"data", len(payload),
+    )
+    path.write_bytes(header + payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_float_sample_is_corrupt_file(tmp_path, bad):
+    path = tmp_path / "nan.wav"
+    samples = sine_stream().samples
+    samples[100] = bad
+    write_float32(path, samples)
+    with pytest.raises(CorruptFile):
+        read_audio(path)
+
+
+def test_nonfinite_float_sample_exits_as_input_error(tmp_path, capsys):
+    from sgmeasure.cli import main
+
+    path = tmp_path / "nan.wav"
+    samples = sine_stream().samples
+    samples[7] = float("nan")
+    write_float32(path, samples)
+    rc = main([
+        "safeguard", "--in", str(path), "--period", "1024",
+        "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 3
+    assert '"CorruptFile"' in capsys.readouterr().err
+
+
 def sample_report():
     return AnalysisReport(
         summary={"m_count": 4, "p_count": 2, "normalization_db": -3.0104, "note": None},
@@ -141,3 +178,46 @@ def test_report_write_is_deterministic(tmp_path):
     write_report(a, sample_report())
     write_report(b, sample_report())
     assert a.read_bytes() == b.read_bytes()
+
+
+def mixed_report():
+    return AnalysisReport(
+        summary={"k": np.float64(1.25), "inf": float("inf"), "nested": {"a": [1, 2]}},
+        table={
+            "z": [0, 1, -2],
+            "a": [0.5, None, float("inf")],
+            "é,\"q": [np.float64(-0.0), np.float64("nan"), -1e-320],
+            "b": [1e300, -float("inf"), 0.1 + 0.2],
+        },
+    )
+
+
+def reference_cell(value):
+    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+        return None
+    return float(value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("report", [mixed_report(), AnalysisReport(summary={}, table={}),
+                                    AnalysisReport(summary={"x": 1}, table={"e": []})])
+def test_report_json_layout_is_json_dumps(tmp_path, report):
+    path = tmp_path / "r.json"
+    write_report(path, report)
+    doc = {
+        "schema_version": report.schema_version,
+        "summary": {k: reference_cell(v) for k, v in report.summary.items()},
+        "table": {k: [reference_cell(v) for v in col] for k, col in report.table.items()},
+    }
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_csv_cells_are_repr_or_empty(tmp_path):
+    path = tmp_path / "r.csv"
+    report = mixed_report()
+    write_report(path, report)
+    rows = path.read_text().splitlines()[3:]
+    cells = [reference_cell(v) for col in report.table.values() for v in col]
+    expected = ["" if v is None else repr(v) for v in cells]
+    n = len(rows)
+    columns = [expected[i * n : (i + 1) * n] for i in range(len(report.table))]
+    assert rows == [",".join(row) for row in zip(*columns)]

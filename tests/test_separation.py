@@ -12,11 +12,17 @@ from sgmeasure.errors import (
 from sgmeasure.safeguard import build_test_stream, default_threshold, safeguard_signal
 from sgmeasure.separation import (
     TransferEstimate,
+    divide_spectra,
     estimate_transfer,
+    excitation_bins,
     fractional_octave_smooth,
     impulse_response,
     plan_segments,
+    segment_block,
+    segment_spectra,
     signal_dependent_response,
+    smooth_one_sided,
+    time_invariant_block,
     time_invariant_response,
 )
 from sgmeasure.simulate import white_noise_period
@@ -119,6 +125,52 @@ def test_segment_out_of_range():
     stream = SampleStream(np.zeros(100) + 1.0, FS)
     with pytest.raises(SegmentOutOfRange):
         estimate_transfer(spectrum, stream, 40)
+
+
+# --- batched block path -------------------------------------------------
+
+
+@pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (64, 70)])
+def test_block_path_matches_per_segment_path_exactly(L, m):
+    excitation, spectrum = safeguarded_excitation(L, seed=36)
+    from sgmeasure.simulate import SimulationConfig, simulate_chain
+
+    stream = simulate_chain(
+        build_test_stream(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
+    )
+    k = L // 2 + 1
+    block = segment_block(stream.samples, L, m, L)
+    assert block.shape == (m, L) and np.shares_memory(block, stream.samples)
+    h = divide_spectra(segment_spectra(block, k), excitation_bins(spectrum, k))
+    estimates = [estimate_transfer(spectrum, stream, s) for s in range(L, (m + 1) * L, L)]
+    assert np.array_equal(h, np.vstack([e.h_bins[:k] for e in estimates]))
+    mean, var = time_invariant_block(h)
+    full_mean, full_var = time_invariant_response(estimates)
+    assert np.array_equal(mean, full_mean[:k]) and np.array_equal(var, full_var[:k])
+
+
+def test_segment_block_checks_capacity():
+    with pytest.raises(StreamTooShort):
+        segment_block(np.zeros(250), 100, count=2, skip=100)
+
+
+def test_excitation_bins_rejects_zero_bin():
+    spectrum = Spectrum(np.fft.fft(np.ones(8)), FS, hermitian=True)
+    with pytest.raises(ZeroBinExcitation):
+        excitation_bins(spectrum, 5)
+
+
+def test_time_invariant_block_needs_two_rows():
+    with pytest.raises(InsufficientRepetitions):
+        time_invariant_block(np.ones((1, 4), dtype=complex))
+
+
+def test_one_sided_smoothing_matches_full_length():
+    rng = np.random.default_rng(48)
+    for L in (2, 3, 128, 1001):
+        p = np.abs(np.fft.fft(rng.standard_normal(L))) ** 2
+        full = fractional_octave_smooth(p, 1 / 6)
+        assert np.array_equal(smooth_one_sided(p[: L // 2 + 1], 1 / 6), full[: L // 2 + 1])
 
 
 # --- averaging and variances --------------------------------------------
