@@ -192,6 +192,13 @@ def estimate_transfer(
     )
 
 
+def _stack(estimates: list[np.ndarray]) -> np.ndarray:
+    lengths = {e.size for e in estimates}
+    if len(lengths) != 1:
+        raise ValueError("estimates have mismatched lengths")
+    return np.vstack(estimates)
+
+
 def _mean_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin-wise mean and unbiased sample variance over the first axis.
 
@@ -201,8 +208,9 @@ def _mean_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = rows.shape[0]
     mean = rows.sum(axis=0) / n
-    d = rows - mean
-    return mean, (d.real**2 + d.imag**2).sum(axis=0) / (n - 1)
+    sq = (rows - mean).view(np.float64)  # re, im of each deviation, interleaved
+    sq *= sq
+    return mean, (sq[:, 0::2] + sq[:, 1::2]).sum(axis=0) / (n - 1)
 
 
 def time_invariant_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,21 +229,13 @@ def time_invariant_response(
     Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
     squared absolute random/time-varying response.
     """
-    if len(estimates) < 2:
-        raise InsufficientRepetitions(
-            f"need M >= 2 repeated estimates, got {len(estimates)}"
-        )
+    m = len(estimates)
+    if m < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
     ids = {e.source_signal_id for e in estimates}
     if len(ids) != 1:
         raise ValueError("estimates mix different source signals")
     return time_invariant_block(_stack([e.h_bins for e in estimates]))
-
-
-def _stack(estimates: list[np.ndarray]) -> np.ndarray:
-    lengths = {e.size for e in estimates}
-    if len(lengths) != 1:
-        raise ValueError("estimates have mismatched lengths")
-    return np.vstack(estimates)
 
 
 def signal_dependent_response(

@@ -70,8 +70,8 @@ ENTRY_KEYS = frozenset({"excitation", "recording"})
 def load_manifest(path: str | Path) -> SessionManifest:
     """Load and validate a session manifest; file paths resolve relative to it.
 
-    Unknown keys, an unsupported schema version and out-of-range segment
-    bookkeeping raise :class:`ManifestError`.
+    Unknown keys, an unsupported schema version, and segment bookkeeping
+    that is not an integer or out of range raise :class:`ManifestError`.
     """
     path = Path(path)
     try:
@@ -93,8 +93,17 @@ def load_manifest(path: str | Path) -> SessionManifest:
             raise ManifestError(f"invalid manifest {path}: unknown entry keys in {e}")
         return SessionEntry(resolve(e["excitation"]), resolve(e["recording"]))
 
+    def integer(name: str, value, least: int) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+            raise ManifestError(f"{path}: {name} must be an integer, got {value!r}")
+        if value < least:
+            raise ManifestError(f"{path}: {name} must be >= {least}, got {value}")
+        return int(value)
+
     try:
-        schema_version = int(doc.get("schema_version", SCHEMA_VERSION))
+        schema_version = integer(
+            "schema_version", doc.get("schema_version", SCHEMA_VERSION), 1
+        )
         if schema_version != SCHEMA_VERSION:
             raise ManifestError(
                 f"{path}: schema_version {schema_version} is not supported "
@@ -103,10 +112,10 @@ def load_manifest(path: str | Path) -> SessionManifest:
         unknown = set(doc) - MANIFEST_KEYS
         if unknown:
             raise ManifestError(f"{path}: unknown manifest keys {sorted(unknown)}")
-        period_length = int(doc["period_length"])
-        sample_rate = int(doc["sample_rate"])
-        segments = int(doc["segments_per_recording"])
-        skip = int(doc.get("skip_preamble", period_length))
+        period_length = integer("period_length", doc["period_length"], 2)
+        sample_rate = integer("sample_rate", doc["sample_rate"], 1)
+        segments = integer("segments_per_recording", doc["segments_per_recording"], 1)
+        skip = integer("skip_preamble", doc.get("skip_preamble", period_length), 0)
         theta_db = doc.get("theta_reference_db")
         theta_db = float(theta_db) if theta_db is not None else None
         entries = tuple(entry(e) for e in doc["entries"])
@@ -114,14 +123,6 @@ def load_manifest(path: str | Path) -> SessionManifest:
         background = resolve(background) if background else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"invalid manifest {path}: {exc}") from exc
-    for name, value, least in (
-        ("period_length", period_length, 2),
-        ("sample_rate", sample_rate, 1),
-        ("segments_per_recording", segments, 1),
-        ("skip_preamble", skip, 0),
-    ):
-        if value < least:
-            raise ManifestError(f"{path}: {name} must be >= {least}, got {value}")
     if not entries:
         raise ManifestError("manifest has no entries")
     return SessionManifest(
@@ -205,8 +206,8 @@ def separate_session(
 def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) -> np.ndarray:
     """Mean |noise DFT / X_s|^2 over all signals and available segments.
 
-    The background segments are transformed once; the sum runs signal by
-    signal, segment by segment.
+    The background segments are transformed once.  The sum runs signal by
+    signal, segment by segment, the order that fixes the report's bytes.
     """
     recording = _read_checked(manifest.background_recording, manifest)
     L = manifest.period_length

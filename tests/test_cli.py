@@ -181,6 +181,10 @@ def test_analyze_missing_file_exit_code(tmp_path):
         {"segmnts": 4},
         {"schema_version": 99},
         {"period_length": "long"},
+        {"period_length": 1024.5},
+        {"segments_per_recording": "4"},
+        {"skip_preamble": 1e400},
+        {"sample_rate": True},
         {"entries": [{"excitation": "exc0.wav", "recording": "rec0.wav", "gain": 2}]},
     ],
 )

@@ -25,7 +25,7 @@ from sgmeasure.separation import (
     time_invariant_block,
     time_invariant_response,
 )
-from sgmeasure.simulate import white_noise_period
+from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 
 FS = 44100
 
@@ -130,11 +130,10 @@ def test_segment_out_of_range():
 # --- batched block path -------------------------------------------------
 
 
-@pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (64, 70)])
+# (4096, 20) spans two FFT chunks of segment_spectra
+@pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (4096, 20)])
 def test_block_path_matches_per_segment_path_exactly(L, m):
     excitation, spectrum = safeguarded_excitation(L, seed=36)
-    from sgmeasure.simulate import SimulationConfig, simulate_chain
-
     stream = simulate_chain(
         build_test_stream(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
     )
