@@ -98,8 +98,8 @@ SIMULATE_CONFIGS = {
     },
 }
 
-# Recorded from the reports before the batched estimator and the column-wise
-# serializer replaced the per-segment loop and the per-cell writer.
+# Report bytes are part of the interface: change a hash only together with a
+# deliberate change to the numbers or the format.
 GOLDEN = {
     "analyze-smooth.csv":
         "8e85a5752c8e03212740add816d50543aee60c69309fd296c0fae6e57a9b9ab5",
