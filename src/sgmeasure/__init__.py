@@ -25,13 +25,12 @@ from .safeguard import (
     threshold_from_db,
 )
 from .separation import (
-    SegmentPlan,
     SeparationResult,
-    TransferEstimate,
     estimate_transfer,
+    excitation_bins,
     fractional_octave_smooth,
     impulse_response,
-    plan_segments,
+    segment_block,
     signal_dependent_response,
     time_invariant_response,
 )

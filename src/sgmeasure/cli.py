@@ -35,10 +35,17 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
-def _parse_smooth(text: str) -> float | None:
+def _smooth_fraction(text: str) -> float | None:
+    """argparse type of ``--smooth``: a positive octave fraction, or none/off/0."""
     if text.lower() in ("none", "off", "0"):
         return None
-    return float(Fraction(text))
+    try:
+        fraction = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        fraction = 0.0
+    if fraction <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive octave fraction: {text!r}")
+    return fraction
 
 
 def _cmd_safeguard(args) -> int:
@@ -78,7 +85,7 @@ def _cmd_make_test(args) -> int:
 
 def _cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest)
-    report = analyze_session(manifest, smooth_fraction=_parse_smooth(args.smooth))
+    report = analyze_session(manifest, smooth_fraction=args.smooth)
     write_report(args.out, report)
     return 0
 
@@ -183,7 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze a measurement session")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--smooth", default="none", help="octave fraction, e.g. 1/3, or none")
+    p.add_argument(
+        "--smooth",
+        type=_smooth_fraction,
+        default=None,
+        help="octave fraction, e.g. 1/3, or none",
+    )
     p.add_argument("--out", required=True, help=".csv or .json report path")
     p.set_defaults(func=_cmd_analyze)
 

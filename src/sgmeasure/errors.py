@@ -33,10 +33,6 @@ class StreamTooShort(AnalysisError):
     """Stream cannot hold the requested analysis segments."""
 
 
-class SegmentOutOfRange(AnalysisError):
-    """Segment extends past the end of the recording."""
-
-
 class ZeroBinExcitation(AnalysisError):
     """Excitation spectrum has a zero bin; it was not safeguarded."""
 

@@ -1,20 +1,15 @@
 """Transfer estimation from excitation/recording pairs and response separation.
 
-A recording of a repeated safeguarded period is cut into non-overlapping
-length-L segments.  Each segment gives one transfer estimate
-H[k] = Y[k]/X_s[k].  Averaging over repeated segments separates the
-time-invariant response from the random/time-varying one; averaging the
-per-signal results over different test signals separates the LTI response
-from the signal-dependent one.  Both spreads are unbiased sample variances
-(denominators M-1 and P-1).
-
-The session analysis works on blocks: a recording's M segments form one
-(M, L) view (:func:`segment_block`), each row is transformed on the bins the
-caller keeps (:func:`segment_spectra`) and divided by X_s
-(:func:`divide_spectra`), and the rows are reduced over axis 0
-(:func:`time_invariant_block`).  The per-segment API
-(:func:`estimate_transfer`, :func:`time_invariant_response`) runs through the
-same excitation check, finiteness check and statistics.
+A recording of a repeated safeguarded period is cut into M non-overlapping
+length-L segments, viewed as one (M, L) block (:func:`segment_block`).
+Each row is transformed on the bins the caller keeps and divided by X_s
+(:func:`estimate_transfer`), giving one transfer estimate H[k] = Y[k]/X_s[k]
+per row.  The mean and variance over the M rows separate the time-invariant
+response from the random/time-varying one
+(:func:`time_invariant_response`); the mean and variance over the per-signal
+results of P different test signals separate the LTI response from the
+signal-dependent one (:func:`signal_dependent_response`).  Both spreads
+are unbiased sample variances (denominators M-1 and P-1).
 """
 
 from __future__ import annotations
@@ -23,63 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleStream, Spectrum, forward_dft_raw
+from .core import Spectrum, forward_dft_raw
 from .errors import (
     InsufficientRepetitions,
     InsufficientSignals,
-    SegmentOutOfRange,
     StreamTooShort,
     ZeroBinExcitation,
 )
 
 __all__ = [
-    "SegmentPlan",
-    "TransferEstimate",
     "SeparationResult",
-    "plan_segments",
+    "segment_block",
+    "excitation_bins",
     "estimate_transfer",
     "time_invariant_response",
     "signal_dependent_response",
     "fractional_octave_smooth",
     "impulse_response",
 ]
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Analysis segment start indices into a recording stream."""
-
-    period_length: int
-    starts: tuple[int, ...]
-    skip_preamble: int
-
-    def __post_init__(self):
-        for s in self.starts:
-            if s < self.skip_preamble:
-                raise ValueError(f"segment start {s} inside skipped preamble")
-        starts = sorted(self.starts)
-        for a, b in zip(starts, starts[1:]):
-            if b - a < self.period_length:
-                raise ValueError("analysis segments overlap")
-
-
-@dataclass(frozen=True)
-class TransferEstimate:
-    """One bin-wise transfer function H[k] = Y[k]/X_s[k]."""
-
-    h_bins: np.ndarray
-    sample_rate: int
-    source_signal_id: int
-    segment_start: int
-
-    def __post_init__(self):
-        bins = np.asarray(self.h_bins, dtype=np.complex128)
-        _require_finite(bins)
-        object.__setattr__(self, "h_bins", bins)
-
-    @property
-    def length(self) -> int:
-        return self.h_bins.size
 
 
 @dataclass(frozen=True)
@@ -100,28 +56,21 @@ class SeparationResult:
     p_count: int
 
 
-def plan_segments(stream_length: int, period_length: int, count: int, skip: int) -> SegmentPlan:
-    """Consecutive non-overlapping length-L segments after the skipped preamble.
+def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int) -> np.ndarray:
+    """``count`` consecutive length-L segments after ``skip`` samples, as one (count, L) view.
 
     The preamble must cover at least the first period plus any propagation
-    delay; alignment with the period phase is not required.
+    delay; alignment with the period phase is not required.  No copy is made.
     """
     if count < 1:
         raise ValueError("segment count must be >= 1")
     if skip < 0:
         raise ValueError("skip must be >= 0")
-    if skip + count * period_length > stream_length:
+    if skip + count * period_length > samples.size:
         raise StreamTooShort(
-            f"stream of {stream_length} samples cannot hold {count} segments of "
+            f"stream of {samples.size} samples cannot hold {count} segments of "
             f"{period_length} after skipping {skip}"
         )
-    starts = tuple(skip + i * period_length for i in range(count))
-    return SegmentPlan(period_length=period_length, starts=starts, skip_preamble=skip)
-
-
-def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int) -> np.ndarray:
-    """The planned segments of a recording as one (count, L) view, no copy."""
-    plan_segments(samples.size, period_length, count, skip)
     return samples[skip : skip + count * period_length].reshape(count, period_length)
 
 
@@ -152,113 +101,78 @@ def segment_spectra(block: np.ndarray, bins: int) -> np.ndarray:
     return out
 
 
-def _require_finite(h: np.ndarray) -> None:
-    if not np.all(np.isfinite(h)):
-        raise ValueError("transfer estimate has non-finite bins")
-
-
 def divide_spectra(y_bins: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
     """Bin-wise H = Y/X_s, one row per segment; a non-finite H raises.
 
     ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
     """
     h = y_bins / x_bins
-    _require_finite(h)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("transfer estimate has non-finite bins")
     return h
 
 
-def estimate_transfer(
-    excitation_spectrum: Spectrum,
-    recording: SampleStream,
-    start: int,
-    signal_id: int = 0,
-) -> TransferEstimate:
-    """Bin-wise deconvolution of one recording segment against the excitation.
+def estimate_transfer(block: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
+    """(M, K) transfer estimates of an (M, L) segment block on the K bins of ``x_bins``.
 
-    Requires a safeguarded excitation: every |X_s[k]| must be nonzero.
+    ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
     """
-    x_bins = excitation_bins(excitation_spectrum)
-    L = x_bins.size
-    if start < 0 or start + L > len(recording):
-        raise SegmentOutOfRange(
-            f"segment [{start}, {start + L}) outside recording of {len(recording)}"
-        )
-    y_bins = forward_dft_raw(recording.samples[start : start + L])
-    return TransferEstimate(  # checks H for non-finite bins, as divide_spectra does
-        h_bins=y_bins / x_bins,
-        sample_rate=excitation_spectrum.sample_rate,
-        source_signal_id=signal_id,
-        segment_start=start,
-    )
+    return divide_spectra(segment_spectra(block, x_bins.size), x_bins)
 
 
-def _stack(estimates: list[np.ndarray]) -> np.ndarray:
-    lengths = {e.size for e in estimates}
-    if len(lengths) != 1:
-        raise ValueError("estimates have mismatched lengths")
-    return np.vstack(estimates)
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, adding the rows in order.
+
+    numpy reduces axis 0 of a C-contiguous (M, K) array row by row when
+    K >= 2; a single column it sums pairwise, so that case accumulates.
+    """
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
 def _mean_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin-wise mean and unbiased sample variance over the first axis.
 
-    numpy reduces axis 0 of a C-contiguous array row by row, and squared
-    magnitudes are formed as re^2 + im^2, so the result is bit-identical to
-    a direct summation of the formulas.
+    The rows are added in order and squared magnitudes are formed as
+    re^2 + im^2, so the result is bit-identical to a direct summation of
+    the formulas.
     """
+    rows = np.asarray(rows, dtype=np.complex128)
+    if rows.ndim != 2:
+        raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
     n = rows.shape[0]
-    mean = rows.sum(axis=0) / n
+    mean = _sum_rows(rows) / n
     sq = (rows - mean).view(np.float64)  # re, im of each deviation, interleaved
     sq *= sq
-    return mean, (sq[:, 0::2] + sq[:, 1::2]).sum(axis=0) / (n - 1)
+    return mean, _sum_rows(sq[:, 0::2] + sq[:, 1::2]) / (n - 1)
 
 
-def time_invariant_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and unbiased variance over the M rows of one signal's (M, K) estimates."""
-    m = h.shape[0]
+def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean response and unbiased per-bin variance over the M rows of an (M, K) array.
+
+    Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
+    squared absolute random/time-varying response.
+    """
+    m = len(h)
     if m < 2:
         raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
     return _mean_and_variance(h)
 
 
-def time_invariant_response(
-    estimates: list[TransferEstimate],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean response and unbiased per-bin variance over M repeated segments.
+def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean response and unbiased per-bin variance over the P rows of a (P, K) array.
 
-    Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
-    squared absolute random/time-varying response.
-    """
-    m = len(estimates)
-    if m < 2:
-        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
-    ids = {e.source_signal_id for e in estimates}
-    if len(ids) != 1:
-        raise ValueError("estimates mix different source signals")
-    return time_invariant_block(_stack([e.h_bins for e in estimates]))
-
-
-def signal_dependent_response(
-    per_signal_h_sti: list[np.ndarray] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean response and unbiased per-bin variance over P distinct test signals.
-
-    Takes one h_sti per signal, as a list or as the rows of a (P, K) array.
-    Returns ``(h_slti, h_ssdr_sq)``: the LTI response and the squared
-    absolute signal-dependent response.
+    Each row is one test signal's h_sti.  Returns ``(h_slti, h_ssdr_sq)``:
+    the LTI response and the squared absolute signal-dependent response.
     """
     p = len(per_signal_h_sti)
     if p < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p}")
-    return _mean_and_variance(
-        _stack([np.asarray(x, dtype=np.complex128) for x in per_signal_h_sti])
-    )
+    return _mean_and_variance(per_signal_h_sti)
 
 
 def fractional_octave_smooth(
     power_spectrum: np.ndarray,
     fraction: float = 1.0 / 3.0,
-    sample_rate: int | None = None,
 ) -> np.ndarray:
     """Rectangular log-frequency smoothing of a power spectrum.
 
@@ -266,8 +180,7 @@ def fractional_octave_smooth(
     power over bins whose frequency lies within +-fraction/2 octave of the
     bin center, clamped to the valid band.  Bin 0 passes through and the
     upper half mirrors the lower to keep the symmetry of a real signal's
-    spectrum.  ``sample_rate`` is irrelevant to the bin math (windows are
-    constant relative bandwidth) and accepted only for interface symmetry.
+    spectrum.
     """
     p = np.asarray(power_spectrum, dtype=np.float64)
     if np.any(p < 0):
@@ -297,13 +210,12 @@ def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
-def impulse_response(h: TransferEstimate) -> np.ndarray:
-    """Impulse response from a transfer estimate.
+def impulse_response(h: np.ndarray) -> np.ndarray:
+    """Impulse response from one full-length transfer estimate H[0..L-1].
 
     The estimate is symmetrized, (H[k] + conj(H[-k mod L]))/2, before the
     1/L inverse transform so the result is exactly real.
     """
-    bins = h.h_bins
-    L = bins.size
-    sym = 0.5 * (bins + np.conj(bins[(-np.arange(L)) % L]))
+    L = h.size
+    sym = 0.5 * (h + np.conj(h[(-np.arange(L)) % L]))
     return np.fft.ifft(sym).real

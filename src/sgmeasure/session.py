@@ -23,12 +23,13 @@ from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
     SeparationResult,
     divide_spectra,
+    estimate_transfer,
     excitation_bins,
     segment_block,
     segment_spectra,
     signal_dependent_response,
     smooth_one_sided,
-    time_invariant_block,
+    time_invariant_response,
 )
 from .wavio import read_audio
 
@@ -178,8 +179,7 @@ def separate_session(
         recording = _read_checked(entry.recording, manifest)
         block = segment_block(recording.samples, L, M, manifest.skip_preamble)
         output_power.append(float(np.mean(block.ravel() ** 2)))
-        h = divide_spectra(segment_spectra(block, x_bins.size), x_bins)
-        mean, var = time_invariant_block(h)
+        mean, var = time_invariant_response(estimate_transfer(block, x_bins))
         h_sti.append(mean)
         d_stv_sq.append(var)
     h_sti, d_stv_sq = np.vstack(h_sti), np.vstack(d_stv_sq)

@@ -20,7 +20,8 @@ from .errors import DegenerateFit
 from .safeguard import safeguard_signal, threshold_from_db
 from .separation import (
     estimate_transfer,
-    plan_segments,
+    excitation_bins,
+    segment_block,
     signal_dependent_response,
     time_invariant_response,
 )
@@ -183,24 +184,25 @@ def run_flooring_regression(
 
 
 def _safeguarded_excitation(period_length, sample_rate, theta_db, seed):
+    """A safeguarded white-noise period and its L excitation bins, checked for zeros."""
     signal = white_noise_period(period_length, sample_rate, seed)
     theta = threshold_from_db(forward_dft(signal), theta_db)
     safeguarded, _ = safeguard_signal(signal, theta)
-    return safeguarded, forward_dft(safeguarded)
+    return safeguarded, excitation_bins(forward_dft(safeguarded))
 
 
-def _measured_estimates(excitation, excitation_spectrum, config, m_count, signal_id=0):
-    """Tile, run the chain, and estimate H for each post-preamble segment."""
+def _measured_estimates(excitation, x_bins, config, m_count):
+    """Tile, run the chain, and estimate H on all L bins of each post-preamble segment.
+
+    Returns the recorded stream and the (m_count, L) transfer estimates.
+    """
     stream = SampleStream(
         np.tile(excitation.samples, m_count + 1), excitation.sample_rate
     )
     recorded = simulate_chain(stream, config)
     L = excitation.period_length
-    plan = plan_segments(len(recorded), L, m_count, skip=L)
-    return recorded, [
-        estimate_transfer(excitation_spectrum, recorded, s, signal_id=signal_id)
-        for s in plan.starts
-    ]
+    block = segment_block(recorded.samples, L, m_count, skip=L)
+    return recorded, estimate_transfer(block, x_bins)
 
 
 def run_max_deviation_sweep(
@@ -211,18 +213,20 @@ def run_max_deviation_sweep(
     sample_rate: int = 44100,
 ) -> ExperimentResult:
     """Max gain deviation from the identity ground truth per (SNR, flooring level)."""
-    metrics: dict[str, tuple[float, ...]] = {}
-    for i, snr_db in enumerate(snr_db_list):
-        col = []
-        for j, theta_db in enumerate(theta_db_list):
-            excitation, spectrum = _safeguarded_excitation(
-                period_length, sample_rate, theta_db, seed
-            )
+    cols: list[list[float]] = [[] for _ in snr_db_list]
+    for j, theta_db in enumerate(theta_db_list):
+        excitation, x_bins = _safeguarded_excitation(
+            period_length, sample_rate, theta_db, seed
+        )
+        for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
-            _, (estimate,) = _measured_estimates(excitation, spectrum, config, 1)
-            gain_db = 20.0 * np.log10(np.abs(estimate.h_bins))
-            col.append(float(np.max(np.abs(gain_db))))
-        metrics[f"max_deviation_db_snr{snr_db:g}"] = tuple(col)
+            _, h = _measured_estimates(excitation, x_bins, config, 1)
+            gain_db = 20.0 * np.log10(np.abs(h[0]))
+            cols[i].append(float(np.max(np.abs(gain_db))))
+    metrics = {
+        f"max_deviation_db_snr{snr_db:g}": tuple(col)
+        for snr_db, col in zip(snr_db_list, cols)
+    }
     return ExperimentResult(axis_name="theta_db", axis=tuple(theta_db_list), metrics=metrics)
 
 
@@ -243,12 +247,12 @@ def run_random_response_experiment(
         raise ValueError("m_count must be >= 2")
     levels = []
     for j, theta_db in enumerate(theta_db_list):
-        excitation, spectrum = _safeguarded_excitation(
+        excitation, x_bins = _safeguarded_excitation(
             period_length, sample_rate, theta_db, seed
         )
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
-        _, estimates = _measured_estimates(excitation, spectrum, config, m_count)
-        _, d_stv_sq = time_invariant_response(estimates)
+        _, h = _measured_estimates(excitation, x_bins, config, m_count)
+        _, d_stv_sq = time_invariant_response(h)
         levels.append(10.0 * math.log10(float(np.mean(d_stv_sq))))
     return ExperimentResult(
         axis_name="theta_db",
@@ -288,18 +292,16 @@ def run_nonlinearity_experiment(
         per_signal_h_sti = []
         per_signal_rand = []
         output_power = []
-        for p, (excitation, spectrum) in enumerate(excitations):
+        for p, (excitation, x_bins) in enumerate(excitations):
             config = SimulationConfig(
                 alpha=alpha,
                 snr_db=snr_db,
                 input_level_db=level_db,
                 seed=seed + 4099 * (j + 1) + p,
             )
-            recorded, estimates = _measured_estimates(
-                excitation, spectrum, config, m_count, signal_id=p
-            )
+            recorded, h = _measured_estimates(excitation, x_bins, config, m_count)
             output_power.append(float(np.mean(recorded.samples**2)))
-            h_sti, d_stv_sq = time_invariant_response(estimates)
+            h_sti, d_stv_sq = time_invariant_response(h)
             per_signal_h_sti.append(h_sti)
             per_signal_rand.append(float(np.mean(d_stv_sq)))
         _, h_ssdr_sq = signal_dependent_response(per_signal_h_sti)

@@ -158,6 +158,28 @@ def test_analyze_zero_bin_excitation_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ZeroBinExcitation"
 
 
+@pytest.mark.parametrize("smooth", ["1/0", "0/0", "abc", "-1/3", "0.0", "1e400"])
+def test_analyze_invalid_smooth_is_usage_error(tmp_path, capsys, smooth):
+    manifest = make_session(tmp_path, p_count=2, m_count=2)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--manifest", str(manifest), f"--smooth={smooth}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--smooth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("smooth", ["none", "off", "OFF", "0"])
+def test_analyze_smooth_off_spellings(tmp_path, smooth):
+    manifest = make_session(tmp_path, p_count=2, m_count=2)
+    out = tmp_path / "r.json"
+    rc = main(["analyze", "--manifest", str(manifest), "--smooth", smooth, "--out", str(out)])
+    assert rc == 0
+    report = read_report(out)
+    assert report.summary["smoothing_fraction"] is None
+    assert not any(name.endswith("_smooth_db") for name in report.table)
+
+
 def test_analyze_missing_file_exit_code(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({

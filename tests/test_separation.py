@@ -1,28 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import SampleStream, Spectrum, forward_dft
 from sgmeasure.errors import (
     InsufficientRepetitions,
     InsufficientSignals,
-    SegmentOutOfRange,
     StreamTooShort,
     ZeroBinExcitation,
 )
 from sgmeasure.safeguard import build_test_stream, default_threshold, safeguard_signal
 from sgmeasure.separation import (
-    TransferEstimate,
     divide_spectra,
     estimate_transfer,
     excitation_bins,
     fractional_octave_smooth,
     impulse_response,
-    plan_segments,
     segment_block,
-    segment_spectra,
     signal_dependent_response,
     smooth_one_sided,
-    time_invariant_block,
     time_invariant_response,
 )
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
@@ -31,9 +28,15 @@ FS = 44100
 
 
 def safeguarded_excitation(length, seed):
+    """A safeguarded white-noise period and its L excitation bins."""
     signal = white_noise_period(length, FS, seed=seed)
     safeguarded, _ = safeguard_signal(signal, default_threshold(forward_dft(signal)))
-    return safeguarded, forward_dft(safeguarded)
+    return safeguarded, excitation_bins(forward_dft(safeguarded))
+
+
+def estimate_at(x_bins, samples, start):
+    """The full-length transfer estimate of the one segment starting at ``start``."""
+    return estimate_transfer(segment_block(samples, x_bins.size, 1, start), x_bins)[0]
 
 
 # --- segment planning ---------------------------------------------------
@@ -41,111 +44,153 @@ def safeguarded_excitation(length, seed):
 
 def test_plan_middle_four_segments():
     L = 100
-    plan = plan_segments(6 * L, L, count=4, skip=L)
-    assert plan.starts == (L, 2 * L, 3 * L, 4 * L)
+    samples = np.arange(6.0 * L)
+    block = segment_block(samples, L, count=4, skip=L)
+    assert block.shape == (4, L) and np.shares_memory(block, samples)
+    assert block[:, 0].tolist() == [L, 2 * L, 3 * L, 4 * L]
 
 
 def test_plan_single_segment():
-    plan = plan_segments(200, 100, count=1, skip=100)
-    assert plan.starts == (100,)
+    block = segment_block(np.arange(200.0), 100, count=1, skip=100)
+    assert block.shape == (1, 100) and block[0, 0] == 100
 
 
 def test_plan_capacity_bound():
     with pytest.raises(StreamTooShort):
-        plan_segments(200, 100, count=2, skip=100)
+        segment_block(np.zeros(200), 100, count=2, skip=100)
 
 
-def test_plan_rejects_overlap_via_type():
-    from sgmeasure.separation import SegmentPlan
-
-    with pytest.raises(ValueError):
-        SegmentPlan(period_length=100, starts=(100, 150), skip_preamble=100)
+def test_plan_rejects_bad_count_and_skip():
+    with pytest.raises(ValueError, match="count"):
+        segment_block(np.zeros(400), 100, count=0, skip=100)
+    with pytest.raises(ValueError, match="skip"):
+        segment_block(np.zeros(400), 100, count=2, skip=-1)
 
 
 # --- transfer estimation ------------------------------------------------
 
 
 def test_identity_system_gives_unit_transfer():
-    excitation, spectrum = safeguarded_excitation(256, seed=30)
+    excitation, x_bins = safeguarded_excitation(256, seed=30)
     stream = build_test_stream(excitation, 3)
-    for start in (256, 512):
-        est = estimate_transfer(spectrum, stream, start)
-        assert np.max(np.abs(est.h_bins - 1.0)) < 1e-10
+    h = estimate_transfer(segment_block(stream.samples, 256, 2, 256), x_bins)
+    assert h.shape == (2, 256)
+    assert np.max(np.abs(h - 1.0)) < 1e-10
 
 
 def test_unaligned_start_differs_only_by_phase_ramp():
     # a segment offset of d within the period rotates bin k by 2*pi*k*d/L
     L = 256
-    excitation, spectrum = safeguarded_excitation(L, seed=30)
+    excitation, x_bins = safeguarded_excitation(L, seed=30)
     stream = build_test_stream(excitation, 3)
     d = 44
-    est = estimate_transfer(spectrum, stream, L + d)
+    h = estimate_at(x_bins, stream.samples, L + d)
     ramp = np.exp(2j * np.pi * np.arange(L) * d / L)
-    assert np.max(np.abs(est.h_bins - ramp)) < 1e-10
-    assert np.max(np.abs(np.abs(est.h_bins) - 1.0)) < 1e-10
+    assert np.max(np.abs(h - ramp)) < 1e-10
+    assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-10
 
 
 def test_pure_delay_gives_phase_ramp():
-    excitation, spectrum = safeguarded_excitation(256, seed=31)
+    excitation, x_bins = safeguarded_excitation(256, seed=31)
     stream = build_test_stream(excitation, 3)
     delay = 17
-    delayed = SampleStream(np.roll(stream.samples, delay), FS)
-    est = estimate_transfer(spectrum, delayed, 256)
+    h = estimate_at(x_bins, np.roll(stream.samples, delay), 256)
     L = 256
     expected = np.exp(-2j * np.pi * np.arange(L) * delay / L)
-    assert np.max(np.abs(est.h_bins - expected)) < 1e-9
+    assert np.max(np.abs(h - expected)) < 1e-9
 
 
 def test_known_ir_chain_recovered_at_every_plan_start():
     from sgmeasure.core import circular_convolve
 
     L = 256
-    excitation, spectrum = safeguarded_excitation(L, seed=32)
+    excitation, x_bins = safeguarded_excitation(L, seed=32)
     rng = np.random.default_rng(33)
     h = rng.standard_normal(32) * 0.3
     period_out = circular_convolve(excitation, h)
     stream = build_test_stream(period_out, 4)
     expected = np.fft.fft(h, n=L)
-    plan = plan_segments(len(stream), L, count=3, skip=L)
-    for start in plan.starts:
-        est = estimate_transfer(spectrum, stream, start)
-        assert np.max(np.abs(est.h_bins - expected)) < 1e-8 * np.max(np.abs(expected))
+    for est in estimate_transfer(segment_block(stream.samples, L, 3, L), x_bins):
+        assert np.max(np.abs(est - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
 def test_zero_bin_excitation_rejected():
     bins = np.fft.fft(np.ones(8))  # only DC nonzero
     spectrum = Spectrum(bins, FS, hermitian=True)
-    stream = SampleStream(np.ones(16), FS)
     with pytest.raises(ZeroBinExcitation):
-        estimate_transfer(spectrum, stream, 8)
+        estimate_transfer(segment_block(np.ones(16), 8, 1, 8), excitation_bins(spectrum))
 
 
 def test_segment_out_of_range():
-    _, spectrum = safeguarded_excitation(64, seed=34)
-    stream = SampleStream(np.zeros(100) + 1.0, FS)
-    with pytest.raises(SegmentOutOfRange):
-        estimate_transfer(spectrum, stream, 40)
+    with pytest.raises(StreamTooShort):
+        segment_block(np.zeros(100) + 1.0, 64, count=1, skip=40)
+
+
+def test_non_finite_estimate_rejected():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        divide_spectra(np.array([[1e300 + 0j, 1.0]]), np.array([1e-300 + 0j, 1.0]))
 
 
 # --- batched block path -------------------------------------------------
 
 
+def reference_estimates(samples, x, L, m, skip, k):
+    """Per-segment FFT / X, then mean and variance summed in a Python loop."""
+    rows = [np.fft.fft(samples[s : s + L])[:k] / x[:k] for s in range(skip, skip + m * L, L)]
+    total = 0
+    for row in rows:
+        total = total + row
+    mean = total / m
+    spread = 0
+    for row in rows:
+        d = row - mean
+        spread = spread + (d.real**2 + d.imag**2)
+    return np.vstack(rows), mean, spread / (m - 1)
+
+
+def assert_block_path_matches_reference(samples, x, L, m, skip, k):
+    block = segment_block(samples, L, m, skip)
+    assert block.shape == (m, L) and np.shares_memory(block, samples)
+    h = estimate_transfer(block, x[:k])
+    mean, var = time_invariant_response(h)
+    ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip, k)
+    assert np.array_equal(h, ref_h)
+    assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+
+
 # (4096, 20) spans two FFT chunks of segment_spectra
 @pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (4096, 20)])
 def test_block_path_matches_per_segment_path_exactly(L, m):
-    excitation, spectrum = safeguarded_excitation(L, seed=36)
+    excitation, x_bins = safeguarded_excitation(L, seed=36)
     stream = simulate_chain(
         build_test_stream(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
     )
-    k = L // 2 + 1
-    block = segment_block(stream.samples, L, m, L)
-    assert block.shape == (m, L) and np.shares_memory(block, stream.samples)
-    h = divide_spectra(segment_spectra(block, k), excitation_bins(spectrum, k))
-    estimates = [estimate_transfer(spectrum, stream, s) for s in range(L, (m + 1) * L, L)]
-    assert np.array_equal(h, np.vstack([e.h_bins[:k] for e in estimates]))
-    mean, var = time_invariant_block(h)
-    full_mean, full_var = time_invariant_response(estimates)
-    assert np.array_equal(mean, full_mean[:k]) and np.array_equal(var, full_var[:k])
+    assert_block_path_matches_reference(stream.samples, x_bins, L, m, L, L // 2 + 1)
+
+
+@st.composite
+def block_layouts(draw):
+    """(L, M, skip, stream length, K), the stream sometimes a little too short."""
+    L = draw(st.integers(2, 4096))
+    m = draw(st.integers(2, 40))  # M > 65536 // L spans FFT chunks
+    skip = draw(st.integers(0, 2 * L))
+    n = skip + m * L + draw(st.integers(-L, L))
+    k = draw(st.integers(1, L))
+    return L, m, skip, n, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(layout=block_layouts(), seed=st.integers(0, 2**32 - 1))
+def test_block_path_property(layout, seed):
+    L, m, skip, n, k = layout
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(n)
+    x = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    if skip + m * L > n:
+        with pytest.raises(StreamTooShort):
+            segment_block(samples, L, m, skip)
+    else:
+        assert_block_path_matches_reference(samples, x, L, m, skip, k)
 
 
 def test_segment_block_checks_capacity():
@@ -159,11 +204,6 @@ def test_excitation_bins_rejects_zero_bin():
         excitation_bins(spectrum, 5)
 
 
-def test_time_invariant_block_needs_two_rows():
-    with pytest.raises(InsufficientRepetitions):
-        time_invariant_block(np.ones((1, 4), dtype=complex))
-
-
 def test_one_sided_smoothing_matches_full_length():
     rng = np.random.default_rng(48)
     for L in (2, 3, 128, 1001):
@@ -175,54 +215,43 @@ def test_one_sided_smoothing_matches_full_length():
 # --- averaging and variances --------------------------------------------
 
 
-def make_estimate(h_bins, signal_id=0, start=0):
-    return TransferEstimate(
-        h_bins=np.asarray(h_bins, dtype=complex),
-        sample_rate=FS,
-        source_signal_id=signal_id,
-        segment_start=start,
-    )
-
-
 def test_identical_estimates_have_zero_variance():
     h = np.array([1 + 1j, 2.0, -1j, 0.5])
-    estimates = [make_estimate(h, start=i) for i in range(3)]
-    h_sti, d_stv_sq = time_invariant_response(estimates)
+    h_sti, d_stv_sq = time_invariant_response(np.vstack([h, h, h]))
     assert np.array_equal(h_sti, h)
     assert np.all(d_stv_sq == 0)
 
 
 def test_opposite_estimates_hand_computed_variance():
     h = np.array([1 + 2j, 3.0, -1j, 0.25])
-    h_sti, d_stv_sq = time_invariant_response([make_estimate(h), make_estimate(-h)])
+    h_sti, d_stv_sq = time_invariant_response(np.vstack([h, -h]))
     assert np.max(np.abs(h_sti)) < 1e-15
     assert np.max(np.abs(d_stv_sq - 2 * np.abs(h) ** 2)) < 1e-12
 
 
 def test_noiseless_chain_variance_is_negligible():
-    excitation, spectrum = safeguarded_excitation(256, seed=35)
+    excitation, x_bins = safeguarded_excitation(256, seed=35)
     stream = build_test_stream(excitation, 5)
-    plan = plan_segments(len(stream), 256, count=4, skip=256)
-    estimates = [estimate_transfer(spectrum, stream, s) for s in plan.starts]
-    h_sti, d_stv_sq = time_invariant_response(estimates)
+    h = estimate_transfer(segment_block(stream.samples, 256, 4, 256), x_bins)
+    h_sti, d_stv_sq = time_invariant_response(h)
     assert np.max(d_stv_sq) < 1e-16 * np.max(np.abs(h_sti) ** 2)
 
 
 def test_insufficient_repetitions():
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_response([make_estimate(np.ones(4))])
+        time_invariant_response(np.ones((1, 4), dtype=complex))
 
 
-def test_mixed_signal_ids_rejected():
-    with pytest.raises(ValueError):
-        time_invariant_response(
-            [make_estimate(np.ones(4), signal_id=0), make_estimate(np.ones(4), signal_id=1)]
-        )
+def test_statistics_need_one_estimate_per_row():
+    with pytest.raises(ValueError, match="2-D"):
+        time_invariant_response(np.ones(4, dtype=complex))
+    with pytest.raises(ValueError, match="2-D"):
+        signal_dependent_response(np.ones(4, dtype=complex))
 
 
 def test_identical_signals_have_zero_signal_dependence():
     h = np.array([1 + 1j, 2.0, -1j, 0.5])
-    h_slti, h_ssdr_sq = signal_dependent_response([h, h, h])
+    h_slti, h_ssdr_sq = signal_dependent_response(np.vstack([h, h, h]))
     assert np.array_equal(h_slti, h)
     assert np.all(h_ssdr_sq == 0)
 
@@ -230,15 +259,12 @@ def test_identical_signals_have_zero_signal_dependence():
 def test_linear_chain_has_no_signal_dependence():
     per_signal = []
     for p in range(4):
-        excitation, spectrum = safeguarded_excitation(256, seed=40 + p)
+        excitation, x_bins = safeguarded_excitation(256, seed=40 + p)
         stream = build_test_stream(excitation, 5)
-        plan = plan_segments(len(stream), 256, count=4, skip=256)
-        estimates = [
-            estimate_transfer(spectrum, stream, s, signal_id=p) for s in plan.starts
-        ]
-        h_sti, _ = time_invariant_response(estimates)
+        h = estimate_transfer(segment_block(stream.samples, 256, 4, 256), x_bins)
+        h_sti, _ = time_invariant_response(h)
         per_signal.append(h_sti)
-    h_slti, h_ssdr_sq = signal_dependent_response(per_signal)
+    h_slti, h_ssdr_sq = signal_dependent_response(np.vstack(per_signal))
     assert np.max(h_ssdr_sq) < 1e-16 * np.max(np.abs(h_slti) ** 2)
     # the LTI estimate equals the identity single-signal estimate
     assert np.max(np.abs(h_slti - 1.0)) < 1e-8
@@ -246,13 +272,13 @@ def test_linear_chain_has_no_signal_dependence():
 
 def test_insufficient_signals():
     with pytest.raises(InsufficientSignals):
-        signal_dependent_response([np.ones(4)])
+        signal_dependent_response(np.ones((1, 4), dtype=complex))
 
 
 def test_averaging_is_linear():
     rng = np.random.default_rng(41)
-    hs = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
-    scaled_then_avg = signal_dependent_response([2.0 * h for h in hs])[0]
+    hs = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    scaled_then_avg = signal_dependent_response(2.0 * hs)[0]
     avg_then_scaled = 2.0 * signal_dependent_response(hs)[0]
     assert np.array_equal(scaled_then_avg, avg_then_scaled)
 
@@ -301,13 +327,10 @@ def test_smoothing_preserves_interior_mean():
 
 def test_smoothing_reduces_gain_deviation():
     # noisy gain estimate: smoothed spread strictly below unsmoothed
-    from sgmeasure.simulate import SimulationConfig, simulate_chain
-
-    excitation, spectrum = safeguarded_excitation(4096, seed=44)
+    excitation, x_bins = safeguarded_excitation(4096, seed=44)
     stream = build_test_stream(excitation, 2)
     recorded = simulate_chain(stream, SimulationConfig(snr_db=40.0, seed=45))
-    est = estimate_transfer(spectrum, recorded, 4096)
-    power = np.abs(est.h_bins) ** 2
+    power = np.abs(estimate_at(x_bins, recorded.samples, 4096)) ** 2
     half = slice(1, 2049)
     raw_sd = np.std(10 * np.log10(power[half]))
     smooth_sd = np.std(10 * np.log10(fractional_octave_smooth(power)[half]))
@@ -318,7 +341,7 @@ def test_smoothing_reduces_gain_deviation():
 
 
 def test_all_ones_transfer_is_unit_impulse():
-    ir = impulse_response(make_estimate(np.ones(64)))
+    ir = impulse_response(np.ones(64, dtype=complex))
     expected = np.zeros(64)
     expected[0] = 1.0
     assert np.max(np.abs(ir - expected)) < 1e-12
@@ -327,7 +350,7 @@ def test_all_ones_transfer_is_unit_impulse():
 def test_phase_ramp_transfer_is_delayed_impulse():
     L, d = 64, 9
     bins = np.exp(-2j * np.pi * np.arange(L) * d / L)
-    ir = impulse_response(make_estimate(bins))
+    ir = impulse_response(bins)
     assert ir[d] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(np.delete(ir, d))) < 1e-12
 
@@ -336,12 +359,11 @@ def test_known_ir_recovered_from_simulated_chain():
     from sgmeasure.core import circular_convolve
 
     L = 8192
-    excitation, spectrum = safeguarded_excitation(L, seed=46)
+    excitation, x_bins = safeguarded_excitation(L, seed=46)
     rng = np.random.default_rng(47)
     h = rng.standard_normal(512) * np.exp(-np.arange(512) / 80.0)
     period_out = circular_convolve(excitation, h)
     stream = build_test_stream(period_out, 3)
-    est = estimate_transfer(spectrum, stream, L)
-    recovered = impulse_response(est)
+    recovered = impulse_response(estimate_at(x_bins, stream.samples, L))
     assert np.max(np.abs(recovered[:512] - h)) < 1e-7
     assert np.max(np.abs(recovered[512:])) < 1e-7
