@@ -242,6 +242,16 @@ def test_insufficient_repetitions():
         time_invariant_response(np.ones((1, 4), dtype=complex))
 
 
+def test_time_invariant_block_needs_two_rows():
+    # A block of one segment gives a single (1, L) row of estimates: no variance.
+    excitation, x_bins = safeguarded_excitation(64, seed=36)
+    stream = build_test_stream(excitation, 3)
+    h = estimate_transfer(segment_block(stream.samples, 64, 1, 64), x_bins)
+    assert h.shape == (1, 64)
+    with pytest.raises(InsufficientRepetitions):
+        time_invariant_response(h)
+
+
 def test_statistics_need_one_estimate_per_row():
     with pytest.raises(ValueError, match="2-D"):
         time_invariant_response(np.ones(4, dtype=complex))
