@@ -7,7 +7,9 @@ Module errors are reported as one machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +34,11 @@ SEED_ENV_VAR = "SGMEASURE_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputFormatError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _smooth_fraction(text: str) -> float | None:
@@ -55,8 +61,9 @@ def _cmd_safeguard(args) -> int:
             f"{args.infile}: {len(stream)} samples, need a full period of {args.period}"
         )
     period = PeriodicSignal(stream.samples[: args.period], stream.sample_rate)
-    theta = threshold_from_db(forward_dft(period), args.theta_db)
-    safeguarded, report = safeguard_signal(period, theta)
+    spectrum = forward_dft(period)
+    theta = threshold_from_db(spectrum, args.theta_db)
+    safeguarded, report = safeguard_signal(period, theta, spectrum)
     write_audio(args.out, SampleStream(safeguarded.samples, period.sample_rate))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -101,6 +108,68 @@ def _experiment_report(name: str, result: ExperimentResult, config: dict) -> Ana
     return AnalysisReport(summary=summary, table=table)
 
 
+def _experiments() -> dict:
+    """Experiment name -> runner; built per call, so a rebound runner is the one used."""
+    return {
+        "regression": run_flooring_regression,
+        "max-deviation": run_max_deviation_sweep,
+        "random": run_random_response_experiment,
+        "nonlinearity": run_nonlinearity_experiment,
+    }
+
+
+# Smallest value a runner parameter accepts, where it has one.
+_MINIMUMS = {
+    "seed": 0,
+    "period_length": 2,
+    "sample_rate": 1,
+    "m_count": 2,
+    "p_count": 2,
+    "min_changed_bins": 0,
+    "alpha": 0,
+}
+
+
+def _is_number(name: str, value) -> bool:
+    """A JSON number (not a boolean), finite except that an SNR may be +inf (noise off)."""
+    if type(value) is int:
+        return True
+    return type(value) is float and (
+        math.isfinite(value) or (name.startswith("snr_db") and value == math.inf)
+    )
+
+
+def _runner_kwargs(runner, config: dict) -> dict:
+    """Check each config value against the type of its parameter's default.
+
+    An int parameter takes an integer, a float parameter any number, a
+    tuple parameter a non-empty list of numbers; values are not converted,
+    so the report echoes exactly what was configured.
+    """
+    params = inspect.signature(runner).parameters
+    unknown = set(config) - set(params)
+    if unknown:
+        raise InputFormatError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in config.items():
+        default = params[name].default
+        minimum = _MINIMUMS.get(name, -math.inf)
+        if isinstance(default, tuple):
+            expected = "a non-empty list of numbers"
+            ok = isinstance(value, list) and value and all(_is_number(name, v) for v in value)
+            value = tuple(value) if ok else value
+        elif isinstance(default, int):
+            expected = f"an integer >= {minimum}"
+            ok = type(value) is int and value >= minimum
+        else:
+            expected = "a number" + (f" >= {minimum}" if name in _MINIMUMS else "")
+            ok = _is_number(name, value) and value >= minimum
+        if not ok:
+            raise InputFormatError(f"config {name!r} must be {expected}, got {value!r}")
+        kwargs[name] = value
+    return kwargs
+
+
 def _cmd_simulate(args) -> int:
     config = {}
     if args.config:
@@ -111,53 +180,8 @@ def _cmd_simulate(args) -> int:
         if not isinstance(config, dict):
             raise InputFormatError("simulation config must be a JSON object")
     config.setdefault("seed", _default_seed())
-
-    def pick(*names):
-        kwargs = {}
-        for name in names:
-            if name in config:
-                value = config[name]
-                kwargs[name] = tuple(value) if isinstance(value, list) else value
-        unknown = set(config) - set(names)
-        if unknown:
-            raise InputFormatError(f"unknown config keys: {sorted(unknown)}")
-        return kwargs
-
-    if args.experiment == "regression":
-        result = run_flooring_regression(
-            **pick(
-                "seed",
-                "period_length",
-                "sample_rate",
-                "theta_db_grid",
-                "min_changed_bins",
-                "max_changed_fraction",
-            )
-        )
-    elif args.experiment == "max-deviation":
-        result = run_max_deviation_sweep(
-            **pick("snr_db_list", "theta_db_list", "seed", "period_length", "sample_rate")
-        )
-    elif args.experiment == "random":
-        result = run_random_response_experiment(
-            **pick(
-                "theta_db_list", "snr_db", "m_count", "seed", "period_length", "sample_rate"
-            )
-        )
-    else:
-        result = run_nonlinearity_experiment(
-            **pick(
-                "input_level_db_list",
-                "alpha",
-                "snr_db",
-                "p_count",
-                "m_count",
-                "seed",
-                "theta_db",
-                "period_length",
-                "sample_rate",
-            )
-        )
+    runner = _experiments()[args.experiment]
+    result = runner(**_runner_kwargs(runner, config))
     write_report(args.out, _experiment_report(args.experiment, result, config))
     return 0
 
@@ -204,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment",
         required=True,
-        choices=["regression", "max-deviation", "random", "nonlinearity"],
+        choices=list(_experiments()),
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

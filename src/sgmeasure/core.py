@@ -22,6 +22,7 @@ __all__ = [
     "inverse_dft",
     "circular_convolve",
     "circular_convolve_fast",
+    "lti_transfer",
     "power_db",
 ]
 
@@ -74,9 +75,13 @@ class Spectrum:
         if self.hermitian:
             scale = float(np.max(np.abs(bins)))
             tol = 1e-12 * max(scale, 1.0)
-            L = bins.size
-            mirrored = np.conj(bins[(-np.arange(L)) % L])
-            if np.max(np.abs(bins - mirrored)) > tol:
+            # X[k] against conj(X[L-k]) for k >= 1, and X[0] against its own
+            # conjugate: |X0 - conj(X0)| = 2|Im X0|.  np.maximum propagates a
+            # NaN, as one max over all L differences does.
+            asymmetry = np.maximum(
+                np.max(np.abs(bins[1:] - np.conj(bins[:0:-1]))), 2.0 * abs(bins[0].imag)
+            )
+            if asymmetry > tol:
                 raise ValueError("bins violate Hermitian symmetry")
 
     @property
@@ -155,16 +160,30 @@ def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
     return PeriodicSignal(y, x.sample_rate)
 
 
-def circular_convolve_fast(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Spectral-multiplication circular convolution over the full block length."""
-    samples = np.asarray(samples, dtype=np.float64)
+def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:
+    """DFT of ``h`` zero-padded to ``length`` points: the bins a block is multiplied by."""
     h = np.asarray(h, dtype=np.float64)
-    if h.size > samples.size:
-        raise ImpulseResponseTooLong(
-            f"len(h)={h.size} exceeds block length {samples.size}"
+    if h.size > length:
+        raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds block length {length}")
+    return np.fft.fft(h, n=length)
+
+
+def circular_convolve_fast(
+    samples: np.ndarray, h: np.ndarray, transfer: np.ndarray | None = None
+) -> np.ndarray:
+    """Spectral-multiplication circular convolution over the full block length.
+
+    ``transfer`` is ``lti_transfer(h, len(samples))`` when the caller
+    already holds it (one per stream length, however many blocks).
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if transfer is None:
+        transfer = lti_transfer(h, samples.size)
+    elif transfer.shape != samples.shape:
+        raise ValueError(
+            f"transfer has {transfer.size} bins for a block of {samples.size} samples"
         )
-    H = np.fft.fft(h, n=samples.size)
-    return np.fft.ifft(np.fft.fft(samples) * H).real
+    return np.fft.ifft(np.fft.fft(samples) * transfer).real
 
 
 def power_db(samples: np.ndarray) -> float:

@@ -100,14 +100,22 @@ def count_floored_bins(spectrum: Spectrum, theta: FloorThreshold) -> int:
 
 
 def safeguard_signal(
-    signal: PeriodicSignal, theta: FloorThreshold
+    signal: PeriodicSignal, theta: FloorThreshold, spectrum: Spectrum | None = None
 ) -> tuple[PeriodicSignal, SafeguardReport]:
     """Floor the period's spectrum and return the safeguarded period plus report.
 
-    A vacuous floor (no bin below the threshold) returns the input period
-    unchanged rather than a transform round-trip of it.
+    ``spectrum`` is ``forward_dft(signal)`` when the caller already holds it
+    (typically from deriving ``theta``); the period is transformed only when
+    it is not given.  A vacuous floor (no bin below the threshold) returns
+    the input period unchanged rather than a transform round-trip of it.
     """
-    spectrum = forward_dft(signal)
+    if spectrum is None:
+        spectrum = forward_dft(signal)
+    elif (spectrum.length, spectrum.sample_rate) != (signal.period_length, signal.sample_rate):
+        raise ValueError(
+            f"spectrum of {spectrum.length} bins at {spectrum.sample_rate} Hz does not "
+            f"belong to a period of {signal.period_length} at {signal.sample_rate} Hz"
+        )
     changed = count_floored_bins(spectrum, theta)
     if changed == 0:
         report = SafeguardReport(0, 0.0, float("-inf"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft
+from .core import PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, lti_transfer
 from .errors import DegenerateFit
 from .safeguard import safeguard_signal, threshold_from_db
 from .separation import (
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SNR_OFF = math.inf
+IDENTITY_RESPONSE = (1.0,)
 
 DEFAULT_THETA_DB_GRID = tuple(float(t) for t in range(-50, 25, 5))
 DEFAULT_INPUT_LEVEL_GRID = tuple(float(t) for t in range(0, -44, -4))
@@ -54,7 +55,7 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 class SimulationConfig:
     """Virtual measurement chain description."""
 
-    impulse_response: tuple[float, ...] = (1.0,)
+    impulse_response: tuple[float, ...] = IDENTITY_RESPONSE
     alpha: float = 0.0
     snr_db: float = SNR_OFF
     input_level_db: float = 0.0
@@ -109,15 +110,19 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     return (np.exp(alpha * x) - 1.0) / alpha
 
 
-def simulate_chain(test: SampleStream, config: SimulationConfig) -> SampleStream:
+def simulate_chain(
+    test: SampleStream, config: SimulationConfig, *, transfer: np.ndarray | None = None
+) -> SampleStream:
     """Run a test stream through the virtual chain.
 
     The LTI stage wraps circularly over the full stream length, which for a
     stream of whole periods equals the periodic steady state everywhere.
+    ``transfer`` is ``lti_transfer(config.impulse_response, len(test))``
+    when the caller runs many streams of one length through one response.
     """
     gain = 10.0 ** (config.input_level_db / 20.0)
     driven = nonlinearity(gain * test.samples, config.alpha)
-    out = circular_convolve_fast(driven, np.asarray(config.impulse_response))
+    out = circular_convolve_fast(driven, config.impulse_response, transfer)
     if math.isfinite(config.snr_db):
         pre_noise_power = float(np.mean(out**2))
         sigma = math.sqrt(pre_noise_power * 10.0 ** (-config.snr_db / 10.0))
@@ -158,7 +163,7 @@ def run_flooring_regression(
     used: list[float] = []
     for theta_db in theta_db_grid:
         theta = threshold_from_db(spectrum, theta_db)
-        _, report = safeguard_signal(signal, theta)
+        _, report = safeguard_signal(signal, theta, spectrum)
         sigma_db.append(report.added_component_db)
         bins_changed.append(float(report.bins_changed))
         usable = (
@@ -183,15 +188,22 @@ def run_flooring_regression(
     )
 
 
-def _safeguarded_excitation(period_length, sample_rate, theta_db, seed):
-    """A safeguarded white-noise period and its L excitation bins, checked for zeros."""
-    signal = white_noise_period(period_length, sample_rate, seed)
-    theta = threshold_from_db(forward_dft(signal), theta_db)
-    safeguarded, _ = safeguard_signal(signal, theta)
+def _safeguarded_excitation(signal, spectrum, theta_db):
+    """``signal`` floored at theta_db and its L excitation bins, checked for zeros.
+
+    ``spectrum`` is ``forward_dft(signal)``, shared by every flooring level.
+    """
+    theta = threshold_from_db(spectrum, theta_db)
+    safeguarded, _ = safeguard_signal(signal, theta, spectrum)
     return safeguarded, excitation_bins(forward_dft(safeguarded))
 
 
-def _measured_estimates(excitation, x_bins, config, m_count):
+def _chain_transfer(period_length, m_count):
+    """The identity chain's LTI bins for a stream of m_count + 1 periods."""
+    return lti_transfer(IDENTITY_RESPONSE, (m_count + 1) * period_length)
+
+
+def _measured_estimates(excitation, x_bins, config, m_count, transfer):
     """Tile, run the chain, and estimate H on all L bins of each post-preamble segment.
 
     Returns the recorded stream and the (m_count, L) transfer estimates.
@@ -199,7 +211,7 @@ def _measured_estimates(excitation, x_bins, config, m_count):
     stream = SampleStream(
         np.tile(excitation.samples, m_count + 1), excitation.sample_rate
     )
-    recorded = simulate_chain(stream, config)
+    recorded = simulate_chain(stream, config, transfer=transfer)
     L = excitation.period_length
     block = segment_block(recorded.samples, L, m_count, skip=L)
     return recorded, estimate_transfer(block, x_bins)
@@ -214,13 +226,14 @@ def run_max_deviation_sweep(
 ) -> ExperimentResult:
     """Max gain deviation from the identity ground truth per (SNR, flooring level)."""
     cols: list[list[float]] = [[] for _ in snr_db_list]
+    signal = white_noise_period(period_length, sample_rate, seed)
+    spectrum = forward_dft(signal)
+    transfer = _chain_transfer(period_length, 1)
     for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = _safeguarded_excitation(
-            period_length, sample_rate, theta_db, seed
-        )
+        excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
-            _, h = _measured_estimates(excitation, x_bins, config, 1)
+            _, h = _measured_estimates(excitation, x_bins, config, 1, transfer)
             gain_db = 20.0 * np.log10(np.abs(h[0]))
             cols[i].append(float(np.max(np.abs(gain_db))))
     metrics = {
@@ -246,12 +259,13 @@ def run_random_response_experiment(
     if m_count < 2:
         raise ValueError("m_count must be >= 2")
     levels = []
+    signal = white_noise_period(period_length, sample_rate, seed)
+    spectrum = forward_dft(signal)
+    transfer = _chain_transfer(period_length, m_count)
     for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = _safeguarded_excitation(
-            period_length, sample_rate, theta_db, seed
-        )
+        excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
-        _, h = _measured_estimates(excitation, x_bins, config, m_count)
+        _, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
         _, d_stv_sq = time_invariant_response(h)
         levels.append(10.0 * math.log10(float(np.mean(d_stv_sq))))
     return ExperimentResult(
@@ -280,10 +294,11 @@ def run_nonlinearity_experiment(
     """
     if p_count < 2 or m_count < 2:
         raise ValueError("need p_count >= 2 and m_count >= 2")
-    excitations = [
-        _safeguarded_excitation(period_length, sample_rate, theta_db, seed + 1000 + p)
-        for p in range(p_count)
-    ]
+    periods = (
+        white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
+    )
+    excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
+    transfer = _chain_transfer(period_length, m_count)
     excitation_power = float(
         np.mean([np.mean(e.samples**2) for e, _ in excitations])
     )
@@ -299,7 +314,7 @@ def run_nonlinearity_experiment(
                 input_level_db=level_db,
                 seed=seed + 4099 * (j + 1) + p,
             )
-            recorded, h = _measured_estimates(excitation, x_bins, config, m_count)
+            recorded, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
             output_power.append(float(np.mean(recorded.samples**2)))
             h_sti, d_stv_sq = time_invariant_response(h)
             per_signal_h_sti.append(h_sti)

@@ -1,8 +1,10 @@
 """Minimal RIFF/WAVE reader and writer.
 
 Reads PCM 16/24-bit and 32-bit float, mono or stereo (stereo is averaged
-to mono).  Writes mono files, 32-bit float by default.  The stdlib wave
-module cannot handle float data, hence the hand-rolled chunk parsing.
+to mono), in a plain fmt chunk or a ``WAVE_FORMAT_EXTENSIBLE`` (0xFFFE) one
+whose subformat GUID is PCM or IEEE float.  Writes mono files, 32-bit
+float by default.  The stdlib wave module cannot handle float data, hence
+the hand-rolled chunk parsing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,25 @@ __all__ = ["read_audio", "write_audio"]
 
 _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
+_FORMAT_EXTENSIBLE = 0xFFFE
+# A KSDATAFORMAT_SUBTYPE_* GUID is a 2-byte format code followed by this tail.
+_SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_format(fmt: bytes, path: Path) -> int:
+    """The PCM or float format code named by a WAVE_FORMAT_EXTENSIBLE subformat GUID.
+
+    The extension follows the 16-byte base fmt: cbSize (>= 22), valid bits,
+    channel mask, then the 16-byte GUID at offset 24.
+    """
+    if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+        raise CorruptFile(f"{path}: truncated WAVE_FORMAT_EXTENSIBLE fmt chunk")
+    (code,) = struct.unpack_from("<H", fmt, 24)
+    if fmt[26:40] != _SUBTYPE_GUID_TAIL or code not in (_FORMAT_PCM, _FORMAT_FLOAT):
+        raise UnsupportedFormat(
+            f"{path}: extensible subformat GUID {fmt[24:40].hex()} (PCM or IEEE float only)"
+        )
+    return code
 
 
 def read_audio(path: str | Path) -> SampleStream:
@@ -41,7 +62,7 @@ def read_audio(path: str | Path) -> SampleStream:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptFile(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise CorruptFile(f"{path}: truncated data chunk")
@@ -50,7 +71,9 @@ def read_audio(path: str | Path) -> SampleStream:
     if fmt is None or frames is None:
         raise CorruptFile(f"{path}: missing fmt or data chunk")
 
-    audio_format, channels, sample_rate, _, _, bits = fmt
+    audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if audio_format == _FORMAT_EXTENSIBLE:
+        audio_format = _extensible_format(fmt, path)
     if channels not in (1, 2):
         raise UnsupportedFormat(f"{path}: {channels} channels (mono/stereo only)")
     if audio_format == _FORMAT_PCM and bits == 16:

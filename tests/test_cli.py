@@ -305,3 +305,55 @@ def test_seed_env_var_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SGMEASURE_SEED", "12")
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("experiment,change", [
+    ("random", {"period_length": 2.5}),
+    ("random", {"period_length": -5}),
+    ("random", {"period_length": 1}),
+    ("random", {"theta_db_list": 3}),
+    ("random", {"theta_db_list": []}),
+    ("random", {"theta_db_list": [0.0, "a"]}),
+    ("random", {"snr_db": "a"}),
+    ("random", {"snr_db": float("nan")}),
+    ("random", {"m_count": True}),
+    ("random", {"m_count": 1}),
+    ("random", {"seed": -1}),
+    ("max-deviation", {"sample_rate": 0}),
+    ("max-deviation", {"snr_db_list": [20.0, True]}),
+    ("regression", {"min_changed_bins": 10.0}),
+    ("nonlinearity", {"p_count": 1}),
+    ("nonlinearity", {"alpha": -0.5}),
+])
+def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experiment, change):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, **change}))
+    rc = main(["simulate", "--config", str(config), "--experiment", experiment,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InputFormatError"
+    assert repr(next(iter(change))) in error["message"]
+
+
+def test_simulate_config_numbers_pass_unconverted(tmp_path):
+    """Integers are accepted for float parameters and echoed as configured."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 3, "theta_db_list": [0, 20], "snr_db": 40, "m_count": 2,
+        "period_length": 256,
+    }))
+    out = tmp_path / "random.csv"
+    assert main(["simulate", "--config", str(config), "--experiment", "random",
+                 "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report.summary["config"]["snr_db"] == 40
+    assert report.table["theta_db"] == [0, 20]
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-3"])
+def test_seed_env_var_must_be_non_negative_integer(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setenv("SGMEASURE_SEED", seed)
+    rc = main(["simulate", "--experiment", "random", "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import (
     PeriodicSignal,
@@ -149,3 +151,44 @@ def test_periodic_signal_validation():
         PeriodicSignal([1.0, np.nan], FS)
     with pytest.raises(ValueError):
         SampleStream([1.0, np.inf], FS)
+
+
+def mirrored_asymmetry(bins):
+    """max_k |X[k] - conj(X[(-k) mod L])|, the mirrored-index form of the Hermitian test."""
+    L = bins.size
+    return np.max(np.abs(bins - np.conj(bins[(-np.arange(L)) % L])))
+
+
+@st.composite
+def perturbed_spectra(draw):
+    """An exactly Hermitian spectrum, perturbed by a factor of the tolerance at one bin."""
+    L = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = np.fft.fft(draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(L))
+    bins[0] = bins[0].real
+    bins[L // 2 + 1:] = np.conj(bins[1:(L + 1) // 2][::-1])
+    if L % 2 == 0:
+        bins[L // 2] = bins[L // 2].real
+    places = ["none", "dc"] + (["nyquist"] if L % 2 == 0 else []) + (["bin"] if L > 2 else [])
+    where = draw(st.sampled_from(places))
+    factor = draw(st.sampled_from([0.5, 1 - 1e-3, 1 + 1e-3, 2.0]))
+    delta = factor * 1e-12 * max(float(np.max(np.abs(bins))), 1.0)
+    if where in ("dc", "nyquist"):  # a self-mirrored bin: |X - conj(X)| = 2|Im X|
+        bins[0 if where == "dc" else L // 2] += 0.5j * delta * draw(st.sampled_from([1, -1]))
+    elif where == "bin":
+        k = draw(st.integers(1, L - 1).filter(lambda k: 2 * k != L))
+        bins[k] += delta * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    return bins, where != "none" and factor > 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=perturbed_spectra())
+def test_hermitian_check_matches_mirrored_formula(case):
+    bins, beyond_tolerance = case
+    expected = mirrored_asymmetry(bins) > 1e-12 * max(float(np.max(np.abs(bins))), 1.0)
+    assert expected == beyond_tolerance  # the perturbation sits where it was meant to
+    if expected:
+        with pytest.raises(ValueError, match="Hermitian"):
+            Spectrum(bins, FS, hermitian=True)
+    else:
+        Spectrum(bins, FS, hermitian=True)

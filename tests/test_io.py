@@ -98,6 +98,63 @@ def test_truncated_data_chunk_rejected(tmp_path):
         read_audio(path)
 
 
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def as_extensible(plain: bytes, guid: bytes, cb_size: int = 22) -> bytes:
+    """The same audio with its 16-byte fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE."""
+    _, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", plain, 20)
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, align, bits,
+                      cb_size, bits, 0x4) + guid
+    data = plain[36:]  # "data" chunk header and payload
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("encoding,guid", [
+    ("pcm16", PCM_GUID), ("pcm24", PCM_GUID), ("float32", FLOAT_GUID),
+])
+def test_extensible_reads_like_plain_format(tmp_path, encoding, guid):
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    write_audio(plain, sine_stream(), encoding=encoding)
+    extensible.write_bytes(as_extensible(plain.read_bytes(), guid))
+    a, b = read_audio(plain), read_audio(extensible)
+    assert b.sample_rate == a.sample_rate
+    assert np.array_equal(b.samples, a.samples)
+
+
+def test_extensible_unknown_subformat_is_unsupported(tmp_path):
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    write_audio(plain, sine_stream(), encoding="pcm16")
+    alaw = bytes.fromhex("0600000000001000800000aa00389b71")
+    other = bytes(range(16))  # not a KSDATAFORMAT_SUBTYPE GUID at all
+    for guid in (alaw, other):
+        extensible.write_bytes(as_extensible(plain.read_bytes(), guid))
+        with pytest.raises(UnsupportedFormat):
+            read_audio(extensible)
+
+
+@pytest.mark.parametrize("cut", ["cb_size", "guid"])
+def test_extensible_truncated_extension_is_corrupt(tmp_path, capsys, cut):
+    from sgmeasure.cli import main
+
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    write_audio(plain, sine_stream(), encoding="float32")
+    raw = as_extensible(plain.read_bytes(), FLOAT_GUID, cb_size=0 if cut == "cb_size" else 22)
+    if cut == "guid":  # fmt chunk of 32 bytes: the GUID is cut in half
+        raw = raw[:16] + struct.pack("<I", 32) + raw[20:52] + raw[60:]
+    extensible.write_bytes(raw)
+    with pytest.raises(CorruptFile):
+        read_audio(extensible)
+    rc = main([
+        "safeguard", "--in", str(extensible), "--period", "1024",
+        "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 3
+    assert '"CorruptFile"' in capsys.readouterr().err
+
+
 def write_float32(path, samples):
     payload = np.asarray(samples, dtype="<f4").tobytes()
     header = struct.pack(

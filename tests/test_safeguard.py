@@ -129,6 +129,27 @@ def test_vacuous_floor_changes_nothing():
     assert np.max(np.abs(safeguarded.samples - signal.samples)) < 1e-12
 
 
+@pytest.mark.parametrize("theta_db", [-200.0, -10.0, 0.0, 20.0])  # -200: vacuous floor
+def test_given_spectrum_floors_like_own_transform(theta_db):
+    signal = white_noise_period(4096, FS, seed=23)
+    spectrum = forward_dft(signal)
+    theta = threshold_from_db(spectrum, theta_db)
+    own, own_report = safeguard_signal(signal, theta)
+    given, given_report = safeguard_signal(signal, theta, spectrum)
+    assert given.samples.tobytes() == own.samples.tobytes()
+    assert given.sample_rate == own.sample_rate
+    assert given_report == own_report
+    assert (given_report.bins_changed == 0) == (theta_db == -200.0)
+
+
+def test_given_spectrum_of_another_period_rejected():
+    signal = white_noise_period(256, FS, seed=24)
+    theta = default_threshold(forward_dft(signal))
+    for other in (white_noise_period(128, FS, seed=24), white_noise_period(256, 48000, seed=24)):
+        with pytest.raises(ValueError):
+            safeguard_signal(signal, theta, forward_dft(other))
+
+
 def test_added_component_level_at_mean_flooring():
     # white noise, L=100000, theta at the mean magnitude: about -10.3 dB
     signal = white_noise_period(100000, FS, seed=19)

@@ -6,12 +6,18 @@ import pytest
 from sgmeasure.core import power_db
 from sgmeasure.errors import DegenerateFit
 from sgmeasure.safeguard import build_test_stream
+import sgmeasure.core
+import sgmeasure.safeguard
+import sgmeasure.simulate
 from sgmeasure.simulate import (
+    DEFAULT_INPUT_LEVEL_GRID,
+    DEFAULT_THETA_DB_GRID,
     SimulationConfig,
     least_squares_line,
     nonlinearity,
     run_flooring_regression,
     run_max_deviation_sweep,
+    run_nonlinearity_experiment,
     run_random_response_experiment,
     simulate_chain,
     white_noise_period,
@@ -163,3 +169,46 @@ def test_full_floor_excitation_has_flat_magnitude():
     assert report.bins_changed == 4096
     mags = np.abs(forward_dft(safeguarded).bins)
     assert np.max(np.abs(mags - theta.theta_linear)) < 1e-12 * theta.theta_linear
+
+
+DFT_CALLERS = [sgmeasure.simulate, sgmeasure.safeguard]
+
+
+def count_calls(monkeypatch, name, modules):
+    """Count calls of ``name`` through its binding in each of ``modules``."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("runner", [run_random_response_experiment, run_max_deviation_sweep])
+def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
+    """One spectrum of the shared noise period, one per floored excitation, one LTI transfer."""
+    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
+    runner(period_length=1024)
+    assert len(dfts) == 1 + len(DEFAULT_THETA_DB_GRID)
+    assert len(transfers) == 1
+
+
+def test_nonlinearity_transforms_each_period_once(monkeypatch):
+    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
+    result = run_nonlinearity_experiment(period_length=1024)
+    assert len(result.axis) == len(DEFAULT_INPUT_LEVEL_GRID)
+    assert len(dfts) == 2 * 4  # p_count periods: their spectrum and the excitation's
+    assert len(transfers) == 1
+
+
+def test_flooring_regression_transforms_its_period_once(monkeypatch):
+    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    result = run_flooring_regression()
+    assert len(result.axis) == len(DEFAULT_THETA_DB_GRID)
+    assert len(dfts) == 1
