@@ -1,19 +1,30 @@
-"""Golden report bytes: SHA-256 of every report a small fixed session gives.
+"""Golden reports: the SHA-256 and the values of every report a small fixed session gives.
 
 The session and the simulation configs are built with plain numpy, so the
 hashes pin the numbers and the layout of the reports, not the code that
 built the inputs.  A change to any value or to the serialization must
 update these hashes on purpose.
+
+``golden_values.json`` holds the cells of the same reports.  They are
+compared with a tolerance (1e-9 absolute for float cells, exact for the
+rest), so a hash that fails while its values pass is a rounding-level
+change, and one that fails together with its values is a real change.
+Re-record them with ``python tests/test_golden.py NAME...`` only together
+with such a real change.
 """
 
 import hashlib
 import json
 import struct
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgmeasure.cli import main
+from sgmeasure.reports import read_report
 
 FS = 48000
 L = 512
@@ -54,9 +65,8 @@ def room(x, rng):
     return y + 1e-3 * rng.standard_normal(y.size)
 
 
-@pytest.fixture(scope="module")
-def session(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def build_session(root):
+    """Write the session's WAVs and manifest into ``root``."""
     rng = np.random.default_rng(20211)
     entries = []
     for p in range(P):
@@ -80,6 +90,11 @@ def session(tmp_path_factory):
     }
     (root / "session.json").write_text(json.dumps(manifest))
     return root
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    return build_session(tmp_path_factory.mktemp("golden"))
 
 
 SIMULATE_CONFIGS = {
@@ -122,25 +137,81 @@ GOLDEN = {
 }
 
 
+VALUES = Path(__file__).with_name("golden_values.json")
+FLOAT_TOLERANCE = 1e-9
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def write_golden_report(name, session, out_dir):
+    """Run the CLI command that writes report ``name`` into ``out_dir``; return its path."""
+    out = out_dir / name
+    if name.startswith("analyze"):
+        smooth = "1/3" if "smooth" in name else "none"
+        argv = ["analyze", "--manifest", str(session / "session.json"), "--smooth", smooth]
+    else:
+        experiment = name.rsplit(".", 1)[0]
+        config = out_dir / f"{experiment}.config.json"
+        config.write_text(json.dumps(SIMULATE_CONFIGS[experiment]))
+        argv = ["simulate", "--config", str(config), "--experiment", experiment]
+    assert main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+def report_values(path):
+    report = read_report(path)
+    return {"summary": report.summary, "table": report.table}
+
+
+def assert_values_match(actual, expected, where=""):
+    """Float cells within FLOAT_TOLERANCE absolute; integer, null and text cells exactly."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key in expected:
+            assert_values_match(actual[key], expected[key], f"{where}/{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_values_match(a, e, f"{where}[{i}]")
+    elif type(expected) is float:
+        assert type(actual) is float, f"{where}: {actual!r} is not a float"
+        assert abs(actual - expected) <= FLOAT_TOLERANCE, f"{where}: {actual!r} != {expected!r}"
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            f"{where}: {actual!r} != {expected!r}"
+        )
+
+
 @pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith("analyze")])
 def test_analyze_report_bytes(session, tmp_path, name):
-    smooth = "1/3" if "smooth" in name else "none"
-    out = tmp_path / name
-    argv = ["analyze", "--manifest", str(session / "session.json"), "--smooth", smooth]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert sha256(out) == GOLDEN[name]
+    assert sha256(write_golden_report(name, session, tmp_path)) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", [n for n in GOLDEN if not n.startswith("analyze")])
 def test_simulate_report_bytes(tmp_path, name):
-    experiment = name.rsplit(".", 1)[0]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIMULATE_CONFIGS[experiment]))
-    out = tmp_path / name
-    argv = ["simulate", "--config", str(config), "--experiment", experiment]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert sha256(out) == GOLDEN[name]
+    assert sha256(write_golden_report(name, None, tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_report_values_match_recorded(session, tmp_path, name):
+    expected = json.loads(VALUES.read_text())[name]
+    assert_values_match(report_values(write_golden_report(name, session, tmp_path)), expected)
+
+
+def record_values(names):
+    """Write the current values of the named golden reports into golden_values.json."""
+    values = json.loads(VALUES.read_text()) if VALUES.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        session = build_session(root)
+        for name in names:
+            values[name] = report_values(write_golden_report(name, session, root))
+    VALUES.write_text(
+        json.dumps({n: values[n] for n in GOLDEN if n in values}, indent=1) + "\n"
+    )
+
+
+if __name__ == "__main__":
+    record_values(sys.argv[1:] or list(GOLDEN))
