@@ -10,7 +10,6 @@ from .core import (
     PeriodicSignal,
     SampleStream,
     Spectrum,
-    circular_convolve,
     forward_dft,
     inverse_dft,
     power_db,

@@ -1,8 +1,10 @@
 """Periodic-signal and spectrum types plus the DFT/convolution primitives.
 
 Convention: unnormalized forward DFT, 1/L-normalized inverse.  Real signals
-live in :class:`PeriodicSignal` / :class:`SampleStream`; complex data only
-ever appears inside :class:`Spectrum`.
+live in :class:`PeriodicSignal` / :class:`SampleStream`.  A :class:`Spectrum`
+holds all L bins of one period; the block transforms (:func:`forward_dft_raw`,
+:func:`lti_transfer`) hold only bins 0..L//2, which carry all of a real
+signal's spectrum.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "forward_dft",
     "forward_dft_raw",
     "inverse_dft",
-    "circular_convolve",
     "circular_convolve_fast",
     "lti_transfer",
     "power_db",
@@ -121,8 +122,8 @@ def forward_dft(signal: PeriodicSignal) -> Spectrum:
 
 
 def forward_dft_raw(samples: np.ndarray) -> np.ndarray:
-    """Forward DFT of a bare sample block (used on extracted segments)."""
-    return np.fft.fft(np.asarray(samples, dtype=np.float64))
+    """Bins 0..L//2 of the forward DFT of real samples, along the last axis."""
+    return np.fft.rfft(np.asarray(samples, dtype=np.float64))
 
 
 def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:
@@ -144,28 +145,15 @@ def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:
     return PeriodicSignal(real, spectrum.sample_rate)
 
 
-def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
-    """Circular convolution by direct summation: y[n] = sum_m h[m] x[(n-m) mod L].
-
-    This is the correctness oracle; :func:`circular_convolve_fast` must
-    agree with it to 1e-10.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    L = x.period_length
-    if h.size > L:
-        raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds period L={L}")
-    y = np.zeros(L)
-    for m, hm in enumerate(h):
-        y += hm * np.roll(x.samples, m)
-    return PeriodicSignal(y, x.sample_rate)
-
-
 def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:
-    """DFT of ``h`` zero-padded to ``length`` points: the bins a block is multiplied by."""
+    """Bins 0..length//2 of the DFT of ``h`` zero-padded to ``length`` points.
+
+    These are the bins a length-``length`` block is multiplied by.
+    """
     h = np.asarray(h, dtype=np.float64)
     if h.size > length:
         raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds block length {length}")
-    return np.fft.fft(h, n=length)
+    return np.fft.rfft(h, n=length)
 
 
 def circular_convolve_fast(
@@ -179,11 +167,11 @@ def circular_convolve_fast(
     samples = np.asarray(samples, dtype=np.float64)
     if transfer is None:
         transfer = lti_transfer(h, samples.size)
-    elif transfer.shape != samples.shape:
+    elif transfer.shape != (samples.size // 2 + 1,):
         raise ValueError(
             f"transfer has {transfer.size} bins for a block of {samples.size} samples"
         )
-    return np.fft.ifft(np.fft.fft(samples) * transfer).real
+    return np.fft.irfft(np.fft.rfft(samples) * transfer, n=samples.size)
 
 
 def power_db(samples: np.ndarray) -> float:

@@ -49,6 +49,14 @@ class DegenerateFit(AnalysisError):
     """Too few usable points for a regression."""
 
 
+class LevelOutOfRange(AnalysisError, OverflowError):
+    """A level or drive beyond what float64 arithmetic can represent."""
+
+
+class ClippedOutput(AnalysisError):
+    """Samples beyond the full scale of the requested PCM encoding."""
+
+
 class UnsupportedFormat(InputFormatError):
     """WAV encoding not handled (only PCM 16/24-bit and 32-bit float)."""
 

@@ -8,12 +8,13 @@ the mean absolute bin magnitude of the source spectrum (0 dB reference).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PeriodicSignal, SampleStream, Spectrum, forward_dft, inverse_dft, power_db
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, LevelOutOfRange
 
 __all__ = [
     "FloorThreshold",
@@ -68,9 +69,19 @@ def default_threshold(spectrum: Spectrum) -> FloorThreshold:
 
 
 def threshold_from_db(spectrum: Spectrum, level_db: float) -> FloorThreshold:
-    """Threshold at ``level_db`` relative to the mean absolute bin magnitude."""
+    """Threshold at ``level_db`` relative to the mean absolute bin magnitude.
+
+    A level whose threshold overflows float64 or underflows to zero raises
+    :class:`LevelOutOfRange`.
+    """
     mean_mag = _mean_magnitude(spectrum)
-    return FloorThreshold(mean_mag * 10.0 ** (level_db / 20.0), float(level_db))
+    try:
+        theta = mean_mag * 10.0 ** (level_db / 20.0)
+    except OverflowError:
+        theta = math.inf
+    if not 0.0 < theta < math.inf:
+        raise LevelOutOfRange(f"flooring level {level_db} dB gives threshold {theta}")
+    return FloorThreshold(theta, float(level_db))
 
 
 def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:

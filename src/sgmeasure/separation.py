@@ -2,7 +2,8 @@
 
 A recording of a repeated safeguarded period is cut into M non-overlapping
 length-L segments, viewed as one (M, L) block (:func:`segment_block`).
-Each row is transformed on the bins the caller keeps and divided by X_s
+Each row is transformed onto its K = L//2 + 1 one-sided bins, which carry
+all of a real signal's spectrum, and divided by X_s
 (:func:`estimate_transfer`), giving one transfer estimate H[k] = Y[k]/X_s[k]
 per row.  The mean and variance over the M rows separate the time-invariant
 response from the random/time-varying one
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Spectrum, forward_dft_raw
+from .core import forward_dft_raw
 from .errors import (
     InsufficientRepetitions,
     InsufficientSignals,
@@ -42,8 +43,8 @@ __all__ = [
 class SeparationResult:
     """Separated responses for a full session.
 
-    ``h_sti`` and ``d_stv_sq`` are stacked per test signal (shape (P, K) for
-    the K bins analyzed, K = L//2 + 1 in a session analysis);
+    ``h_sti`` and ``d_stv_sq`` are stacked per test signal (shape (P, K),
+    K = L//2 + 1 one-sided bins);
     ``h_slti`` / ``h_ssdr_sq`` aggregate over signals and are None when
     only one signal was measured.
     """
@@ -74,30 +75,31 @@ def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int
     return samples[skip : skip + count * period_length].reshape(count, period_length)
 
 
-def excitation_bins(excitation_spectrum: Spectrum, bins: int | None = None) -> np.ndarray:
-    """The first ``bins`` excitation bins (all by default), checked once for zeros.
+def excitation_bins(period: np.ndarray) -> np.ndarray:
+    """Bins 0..L//2 of a real excitation period's spectrum, checked once for zeros.
 
-    Every |X_s[k]| of the full spectrum must be nonzero, so the excitation
-    must be safeguarded.
+    For a real period X_s[L-k] = conj(X_s[k]), so a zero anywhere in the
+    full spectrum is a zero among these bins.  Every bin must be nonzero:
+    the excitation must be safeguarded.
     """
-    x_bins = excitation_spectrum.bins
+    x_bins = forward_dft_raw(period)
     if np.any(x_bins == 0):
         raise ZeroBinExcitation("excitation has zero bins; safeguard it first")
-    return x_bins[:bins]
+    return x_bins
 
 
 # Rows per FFT call in segment_spectra: about 1 MiB of complex output at a
-# time, so a long block never materializes all its full-length spectra.
+# time, so a long block never materializes all its spectra at once.
 _FFT_CHUNK_POINTS = 1 << 16
 
 
-def segment_spectra(block: np.ndarray, bins: int) -> np.ndarray:
-    """Forward DFT of each row of an (M, L) block, keeping bins 0..bins-1."""
+def segment_spectra(block: np.ndarray) -> np.ndarray:
+    """Bins 0..L//2 of the forward DFT of each row of an (M, L) block."""
     m, L = block.shape
     rows = max(1, _FFT_CHUNK_POINTS // L)
-    out = np.empty((m, bins), dtype=np.complex128)
+    out = np.empty((m, L // 2 + 1), dtype=np.complex128)
     for i in range(0, m, rows):
-        out[i : i + rows] = forward_dft_raw(block[i : i + rows])[:, :bins]
+        out[i : i + rows] = forward_dft_raw(block[i : i + rows])
     return out
 
 
@@ -113,11 +115,15 @@ def divide_spectra(y_bins: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
 
 
 def estimate_transfer(block: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
-    """(M, K) transfer estimates of an (M, L) segment block on the K bins of ``x_bins``.
+    """(M, L//2 + 1) transfer estimates of an (M, L) segment block.
 
-    ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
+    ``x_bins`` comes from :func:`excitation_bins` of a length-L period,
+    which checked it for zeros.
     """
-    return divide_spectra(segment_spectra(block, x_bins.size), x_bins)
+    L = block.shape[1]
+    if x_bins.shape != (L // 2 + 1,):
+        raise ValueError(f"{x_bins.size} excitation bins for segments of length {L}")
+    return divide_spectra(segment_spectra(block), x_bins)
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -210,12 +216,10 @@ def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
-def impulse_response(h: np.ndarray) -> np.ndarray:
-    """Impulse response from one full-length transfer estimate H[0..L-1].
+def impulse_response(h: np.ndarray, length: int) -> np.ndarray:
+    """Length-``length`` impulse response from one transfer estimate H[0..length//2].
 
-    The estimate is symmetrized, (H[k] + conj(H[-k mod L]))/2, before the
-    1/L inverse transform so the result is exactly real.
+    The 1/L inverse transform extends H to the Hermitian spectrum of a real
+    response, taking the real part of H[0] (and of H[L/2] for even L).
     """
-    L = h.size
-    sym = 0.5 * (h + np.conj(h[(-np.arange(L)) % L]))
-    return np.fft.ifft(sym).real
+    return np.fft.irfft(h, n=length)

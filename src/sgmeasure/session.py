@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SampleStream, Spectrum, forward_dft_raw
+from .core import SampleStream
 from .errors import ManifestError, SampleRateMismatch
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
@@ -156,8 +156,7 @@ def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndar
     if len(stream) < L:
         raise ManifestError(f"{path}: excitation shorter than period length {L}")
     period = stream.samples[:L]
-    spectrum = Spectrum(forward_dft_raw(period), manifest.sample_rate, hermitian=True)
-    return excitation_bins(spectrum, L // 2 + 1), float(np.mean(period**2))
+    return excitation_bins(period), float(np.mean(period**2))
 
 
 def separate_session(
@@ -215,7 +214,7 @@ def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) 
     if usable < 1:
         raise ManifestError("background recording too short for one segment")
     block = segment_block(recording.samples, L, usable, manifest.skip_preamble)
-    y_bins = segment_spectra(block, L // 2 + 1)
+    y_bins = segment_spectra(block)
     acc = np.zeros(y_bins.shape[1])
     for x_bins in excitations:
         for power in np.abs(divide_spectra(y_bins, x_bins)) ** 2:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, lti_transfer
-from .errors import DegenerateFit
+from .errors import DegenerateFit, LevelOutOfRange
 from .safeguard import safeguard_signal, threshold_from_db
 from .separation import (
     estimate_transfer,
@@ -106,7 +106,7 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
         return x.copy()
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if alpha * peak > 700.0:  # exp overflow bound for float64
-        raise OverflowError(f"exp({alpha * peak:.1f}) exceeds float64 range")
+        raise LevelOutOfRange(f"exp({alpha * peak:.1f}) exceeds float64 range")
     return (np.exp(alpha * x) - 1.0) / alpha
 
 
@@ -120,12 +120,19 @@ def simulate_chain(
     ``transfer`` is ``lti_transfer(config.impulse_response, len(test))``
     when the caller runs many streams of one length through one response.
     """
-    gain = 10.0 ** (config.input_level_db / 20.0)
+    try:
+        gain = 10.0 ** (config.input_level_db / 20.0)
+        noise_ratio = 10.0 ** (-config.snr_db / 10.0)
+    except OverflowError:
+        raise LevelOutOfRange(
+            f"input level {config.input_level_db} dB or SNR {config.snr_db} dB "
+            "exceeds float64 range"
+        ) from None
     driven = nonlinearity(gain * test.samples, config.alpha)
     out = circular_convolve_fast(driven, config.impulse_response, transfer)
     if math.isfinite(config.snr_db):
         pre_noise_power = float(np.mean(out**2))
-        sigma = math.sqrt(pre_noise_power * 10.0 ** (-config.snr_db / 10.0))
+        sigma = math.sqrt(pre_noise_power * noise_ratio)
         out = out + sigma * _rng(config.seed, 0xD1CE).standard_normal(out.size)
     return SampleStream(out, test.sample_rate, label="simulated")
 
@@ -189,13 +196,13 @@ def run_flooring_regression(
 
 
 def _safeguarded_excitation(signal, spectrum, theta_db):
-    """``signal`` floored at theta_db and its L excitation bins, checked for zeros.
+    """``signal`` floored at theta_db and its one-sided excitation bins, checked for zeros.
 
     ``spectrum`` is ``forward_dft(signal)``, shared by every flooring level.
     """
     theta = threshold_from_db(spectrum, theta_db)
     safeguarded, _ = safeguard_signal(signal, theta, spectrum)
-    return safeguarded, excitation_bins(forward_dft(safeguarded))
+    return safeguarded, excitation_bins(safeguarded.samples)
 
 
 def _chain_transfer(period_length, m_count):
@@ -204,9 +211,9 @@ def _chain_transfer(period_length, m_count):
 
 
 def _measured_estimates(excitation, x_bins, config, m_count, transfer):
-    """Tile, run the chain, and estimate H on all L bins of each post-preamble segment.
+    """Tile, run the chain, and estimate H on bins 0..L//2 of each post-preamble segment.
 
-    Returns the recorded stream and the (m_count, L) transfer estimates.
+    Returns the recorded stream and the (m_count, L//2 + 1) transfer estimates.
     """
     stream = SampleStream(
         np.tile(excitation.samples, m_count + 1), excitation.sample_rate
@@ -215,6 +222,19 @@ def _measured_estimates(excitation, x_bins, config, m_count, transfer):
     L = excitation.period_length
     block = segment_block(recorded.samples, L, m_count, skip=L)
     return recorded, estimate_transfer(block, x_bins)
+
+
+def full_spectrum_mean(one_sided: np.ndarray, length: int) -> float:
+    """Mean over all ``length`` bins of a real signal's power spectrum, from bins 0..length//2.
+
+    A bin k in 1..(length-1)//2 stands for itself and its mirror image
+    length-k, so it counts twice; bin 0 and, for even length, bin length/2
+    count once.
+    """
+    total = one_sided[0] + 2.0 * one_sided[1 : (length + 1) // 2].sum()
+    if length % 2 == 0:
+        total += one_sided[length // 2]
+    return float(total / length)
 
 
 def run_max_deviation_sweep(
@@ -267,7 +287,7 @@ def run_random_response_experiment(
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
         _, d_stv_sq = time_invariant_response(h)
-        levels.append(10.0 * math.log10(float(np.mean(d_stv_sq))))
+        levels.append(10.0 * math.log10(full_spectrum_mean(d_stv_sq, period_length)))
     return ExperimentResult(
         axis_name="theta_db",
         axis=tuple(theta_db_list),
@@ -318,11 +338,11 @@ def run_nonlinearity_experiment(
             output_power.append(float(np.mean(recorded.samples**2)))
             h_sti, d_stv_sq = time_invariant_response(h)
             per_signal_h_sti.append(h_sti)
-            per_signal_rand.append(float(np.mean(d_stv_sq)))
+            per_signal_rand.append(full_spectrum_mean(d_stv_sq, period_length))
         _, h_ssdr_sq = signal_dependent_response(per_signal_h_sti)
         norm_db = 10.0 * math.log10(float(np.mean(output_power)) / excitation_power)
         rand_db = 10.0 * math.log10(float(np.mean(per_signal_rand)))
-        sdr_db = 10.0 * math.log10(float(np.mean(h_ssdr_sq)))
+        sdr_db = 10.0 * math.log10(full_spectrum_mean(h_ssdr_sq, period_length))
         rand_raw.append(rand_db)
         sdr_raw.append(sdr_db)
         rand_norm.append(rand_db - norm_db)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SampleStream
-from .errors import CorruptFile, UnsupportedFormat
+from .errors import ClippedOutput, CorruptFile, UnsupportedFormat
 
 __all__ = ["read_audio", "write_audio"]
 
@@ -104,23 +104,37 @@ def read_audio(path: str | Path) -> SampleStream:
     return SampleStream(raw, sample_rate, label=str(path))
 
 
+def _pcm_integers(stream: SampleStream, bits: int) -> np.ndarray:
+    """Samples scaled and rounded to ``bits``-bit PCM integers; out-of-range samples raise."""
+    full_scale = 2.0 ** (bits - 1)
+    scaled = np.round(stream.samples * full_scale)
+    out = (scaled < -full_scale) | (scaled > full_scale - 1)
+    if np.any(out):
+        peak = float(np.max(np.abs(stream.samples)))
+        raise ClippedOutput(
+            f"{int(np.count_nonzero(out))} samples beyond {bits}-bit full scale "
+            f"(peak {peak!r}); scale the stream or write float32"
+        )
+    return scaled
+
+
 def write_audio(path: str | Path, stream: SampleStream, encoding: str = "float32") -> None:
     """Write a mono WAV file.
 
     ``encoding`` is one of ``float32`` (default, lossless for our data),
-    ``pcm16`` or ``pcm24``.
+    ``pcm16`` or ``pcm24``.  A PCM encoding refuses samples that would
+    clip, i.e. that round beyond its integer range, with
+    :class:`ClippedOutput`.
     """
     if encoding == "float32":
         audio_format, bits = _FORMAT_FLOAT, 32
         payload = stream.samples.astype("<f4").tobytes()
     elif encoding == "pcm16":
         audio_format, bits = _FORMAT_PCM, 16
-        scaled = np.clip(np.round(stream.samples * 2.0**15), -(2**15), 2**15 - 1)
-        payload = scaled.astype("<i2").tobytes()
+        payload = _pcm_integers(stream, bits).astype("<i2").tobytes()
     elif encoding == "pcm24":
         audio_format, bits = _FORMAT_PCM, 24
-        scaled = np.clip(np.round(stream.samples * 2.0**23), -(2**23), 2**23 - 1)
-        ints = scaled.astype(np.int32)
+        ints = _pcm_integers(stream, bits).astype(np.int32)
         b = np.empty((ints.size, 3), dtype=np.uint8)
         b[:, 0] = ints & 0xFF
         b[:, 1] = (ints >> 8) & 0xFF

@@ -336,6 +336,26 @@ def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experime
     assert repr(next(iter(change))) in error["message"]
 
 
+@pytest.mark.parametrize("experiment,change", [
+    ("nonlinearity", {"alpha": 1000}),
+    ("nonlinearity", {"theta_db": 400}),
+    ("nonlinearity", {"theta_db": 1e300}),
+    ("nonlinearity", {"input_level_db_list": [1e300]}),
+    ("random", {"theta_db_list": [1e300]}),
+    ("random", {"theta_db_list": [-1e300]}),
+    ("random", {"snr_db": -1e300}),
+])
+def test_simulate_level_beyond_float_range_is_analysis_error(
+    tmp_path, capsys, experiment, change
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "period_length": 256, **change}))
+    rc = main(["simulate", "--config", str(config), "--experiment", experiment,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "LevelOutOfRange"
+
+
 def test_simulate_config_numbers_pass_unconverted(tmp_path):
     """Integers are accepted for float parameters and echoed as configured."""
     config = tmp_path / "config.json"

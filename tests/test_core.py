@@ -7,13 +7,16 @@ from sgmeasure.core import (
     PeriodicSignal,
     SampleStream,
     Spectrum,
-    circular_convolve,
     circular_convolve_fast,
     forward_dft,
+    forward_dft_raw,
     inverse_dft,
+    lti_transfer,
     power_db,
 )
 from sgmeasure.errors import ImpulseResponseTooLong, NonHermitianInput
+
+from oracles import circular_convolve
 
 FS = 44100
 
@@ -132,10 +135,41 @@ def test_fast_convolution_matches_oracle():
     assert np.max(np.abs(slow - fast)) < 1e-10
 
 
+@pytest.mark.parametrize("length", [2, 3, 63, 64, 441, 1000])
+@pytest.mark.parametrize("given_transfer", [False, True])
+def test_fast_convolution_matches_oracle_odd_and_even(length, given_transfer):
+    rng = np.random.default_rng(length)
+    x = PeriodicSignal(rng.standard_normal(length), FS)
+    h = rng.standard_normal(min(length, 16))
+    transfer = lti_transfer(h, length) if given_transfer else None
+    fast = circular_convolve_fast(x.samples, h, transfer)
+    assert np.max(np.abs(circular_convolve(x, h).samples - fast)) < 1e-10
+
+
+def test_fast_convolution_rejects_a_transfer_of_another_length():
+    with pytest.raises(ValueError, match="bins"):
+        circular_convolve_fast(np.ones(64), [1.0], np.ones(64, dtype=complex))
+
+
+def test_one_sided_transforms_keep_bins_up_to_nyquist():
+    rng = np.random.default_rng(8)
+    for L in (2, 7, 64):
+        block = rng.standard_normal((3, L))
+        spectra = forward_dft_raw(block)
+        assert spectra.shape == (3, L // 2 + 1)
+        for row, spectrum in zip(block, spectra):
+            full = forward_dft(PeriodicSignal(row, FS)).bins
+            assert np.max(np.abs(spectrum - full[: L // 2 + 1])) < 1e-12 * np.max(np.abs(full))
+        h = rng.standard_normal(L)
+        assert np.allclose(lti_transfer(h, L), np.fft.fft(h)[: L // 2 + 1], rtol=0, atol=1e-12)
+
+
 def test_impulse_response_too_long():
     x = PeriodicSignal(np.zeros(8) + 1.0, FS)
     with pytest.raises(ImpulseResponseTooLong):
         circular_convolve(x, np.ones(9))
+    with pytest.raises(ImpulseResponseTooLong):
+        circular_convolve_fast(x.samples, np.ones(9))
 
 
 def test_power_db_values():

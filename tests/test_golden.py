@@ -117,23 +117,23 @@ SIMULATE_CONFIGS = {
 # deliberate change to the numbers or the format.
 GOLDEN = {
     "analyze-smooth.csv":
-        "8e85a5752c8e03212740add816d50543aee60c69309fd296c0fae6e57a9b9ab5",
+        "c127c9f744b711973b292149a114e4e7c4aa81dd979cc1b7ed6972d86fd7e696",
     "analyze-smooth.json":
-        "d37097802ef3585956c5da9d3a09e826cded0dc2003353c780384cbc0bc99602",
+        "c2d25290338532970cb9cb5bcd8614882c40381247e02cd6bc561371ca82d8d0",
     "analyze-none.csv":
-        "341f902e8482bf81bc551b97316322e72491984f0f4955695af6964b2f8b5727",
+        "b54fd3e1b1074316ee3d34972c140204e6e4aef9405dcebe2115679cbf7a10b8",
     "analyze-none.json":
-        "e00aabe6d7024fcb8216a5c15222a838992ba645d15d7320cc8aa11a6743a0f0",
+        "0edbeccdfa2a0be502714433634d42ae4d4fa5b9990b9335d676393422401b78",
     "regression.csv":
         "62f6a127648d65ebb70fd71412f15ae6d53a828f7eff6eecbcf67fe7b319950b",
     "regression.json":
         "84a690d1a8ce4d6cbe02937d5fcdfff0a4cfc7bb45d849d1f00181d8dfa98fb4",
     "max-deviation.csv":
-        "fbf988cb85fa7b01175d7bde11d58ba3d5915bb9182a388bf4e349bf01e591d5",
+        "a8f25af919a0efd285e05331f80d2c4d773d895a739b6f5a0b6e2db50b4d9de2",
     "random.json":
-        "003151c24846bc200965577d30d34bcd64637a2140437fe2ecb953b1d18ef15b",
+        "bbc901a2adda3e0c1459a8d1871876745805bdb28e7d00b3c5bcba40e7559e92",
     "nonlinearity.csv":
-        "4fed07845b1724483eba3877a7ef6ee268deb0474fcc9f3e4d50d194479ee2af",
+        "8d23b5037dc3e8e0d110b9aaa86599f2e9e90e93b23f79e7a27b308ec3e3be86",
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgmeasure.core import SampleStream
-from sgmeasure.errors import CorruptFile, UnsupportedFormat
+from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
 from sgmeasure.reports import AnalysisReport, read_report, write_report
 from sgmeasure.wavio import read_audio, write_audio
 
@@ -40,6 +40,26 @@ def test_pcm24_round_trip_quantization_bound(tmp_path):
     write_audio(path, stream, encoding="pcm24")
     back = read_audio(path)
     assert np.max(np.abs(back.samples - stream.samples)) <= 2.0**-23
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24"])
+def test_pcm_write_refuses_to_clip(tmp_path, encoding):
+    path = tmp_path / "clip.wav"
+    with pytest.raises(ClippedOutput, match=r"2 samples .*peak 2\.0"):
+        write_audio(path, SampleStream([0.5, 1.7, -2.0], FS), encoding=encoding)
+    assert not path.exists()
+    # negative full scale is representable; one step past the top code is not
+    bits = 16 if encoding == "pcm16" else 24
+    write_audio(path, SampleStream([-1.0, 1.0 - 2.0 ** (1 - bits)], FS), encoding=encoding)
+    assert read_audio(path).samples.tolist() == [-1.0, 1.0 - 2.0 ** (1 - bits)]
+    with pytest.raises(ClippedOutput, match="1 samples"):
+        write_audio(path, SampleStream([1.0], FS), encoding=encoding)
+
+
+def test_float_write_keeps_samples_beyond_full_scale(tmp_path):
+    path = tmp_path / "f32.wav"
+    write_audio(path, SampleStream([0.5, 1.7, -2.0], FS))
+    assert read_audio(path).samples.tolist() == np.float32([0.5, 1.7, -2.0]).tolist()
 
 
 def write_stereo_pcm16(path, left, right, rate):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream, Spectrum, forward_dft
+from sgmeasure.core import SampleStream, forward_dft
 from sgmeasure.errors import (
     InsufficientRepetitions,
     InsufficientSignals,
@@ -24,19 +24,21 @@ from sgmeasure.separation import (
 )
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 
+from oracles import circular_convolve
+
 FS = 44100
 
 
 def safeguarded_excitation(length, seed):
-    """A safeguarded white-noise period and its L excitation bins."""
+    """A safeguarded white-noise period and its L//2 + 1 excitation bins."""
     signal = white_noise_period(length, FS, seed=seed)
     safeguarded, _ = safeguard_signal(signal, default_threshold(forward_dft(signal)))
-    return safeguarded, excitation_bins(forward_dft(safeguarded))
+    return safeguarded, excitation_bins(safeguarded.samples)
 
 
-def estimate_at(x_bins, samples, start):
-    """The full-length transfer estimate of the one segment starting at ``start``."""
-    return estimate_transfer(segment_block(samples, x_bins.size, 1, start), x_bins)[0]
+def estimate_at(x_bins, samples, L, start):
+    """The transfer estimate of the one length-L segment starting at ``start``."""
+    return estimate_transfer(segment_block(samples, L, 1, start), x_bins)[0]
 
 
 # --- segment planning ---------------------------------------------------
@@ -74,7 +76,7 @@ def test_identity_system_gives_unit_transfer():
     excitation, x_bins = safeguarded_excitation(256, seed=30)
     stream = build_test_stream(excitation, 3)
     h = estimate_transfer(segment_block(stream.samples, 256, 2, 256), x_bins)
-    assert h.shape == (2, 256)
+    assert h.shape == (2, 129)
     assert np.max(np.abs(h - 1.0)) < 1e-10
 
 
@@ -84,8 +86,8 @@ def test_unaligned_start_differs_only_by_phase_ramp():
     excitation, x_bins = safeguarded_excitation(L, seed=30)
     stream = build_test_stream(excitation, 3)
     d = 44
-    h = estimate_at(x_bins, stream.samples, L + d)
-    ramp = np.exp(2j * np.pi * np.arange(L) * d / L)
+    h = estimate_at(x_bins, stream.samples, L, L + d)
+    ramp = np.exp(2j * np.pi * np.arange(L // 2 + 1) * d / L)
     assert np.max(np.abs(h - ramp)) < 1e-10
     assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-10
 
@@ -94,31 +96,35 @@ def test_pure_delay_gives_phase_ramp():
     excitation, x_bins = safeguarded_excitation(256, seed=31)
     stream = build_test_stream(excitation, 3)
     delay = 17
-    h = estimate_at(x_bins, np.roll(stream.samples, delay), 256)
+    h = estimate_at(x_bins, np.roll(stream.samples, delay), 256, 256)
     L = 256
-    expected = np.exp(-2j * np.pi * np.arange(L) * delay / L)
+    expected = np.exp(-2j * np.pi * np.arange(L // 2 + 1) * delay / L)
     assert np.max(np.abs(h - expected)) < 1e-9
 
 
 def test_known_ir_chain_recovered_at_every_plan_start():
-    from sgmeasure.core import circular_convolve
-
     L = 256
     excitation, x_bins = safeguarded_excitation(L, seed=32)
     rng = np.random.default_rng(33)
     h = rng.standard_normal(32) * 0.3
     period_out = circular_convolve(excitation, h)
     stream = build_test_stream(period_out, 4)
-    expected = np.fft.fft(h, n=L)
+    expected = np.fft.rfft(h, n=L)
     for est in estimate_transfer(segment_block(stream.samples, L, 3, L), x_bins):
         assert np.max(np.abs(est - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
 def test_zero_bin_excitation_rejected():
-    bins = np.fft.fft(np.ones(8))  # only DC nonzero
-    spectrum = Spectrum(bins, FS, hermitian=True)
-    with pytest.raises(ZeroBinExcitation):
-        estimate_transfer(segment_block(np.ones(16), 8, 1, 8), excitation_bins(spectrum))
+    with pytest.raises(ZeroBinExcitation):  # a constant period: only DC nonzero
+        estimate_transfer(segment_block(np.ones(16), 8, 1, 8), excitation_bins(np.ones(8)))
+
+
+def test_excitation_bins_must_match_the_segment_length():
+    _, x_bins = safeguarded_excitation(64, seed=30)
+    with pytest.raises(ValueError, match="33 excitation bins for segments of length 63"):
+        estimate_transfer(np.ones((2, 63)), x_bins)
+    with pytest.raises(ValueError, match="excitation bins"):
+        estimate_transfer(np.ones((2, 64)), x_bins[:1])
 
 
 def test_segment_out_of_range():
@@ -134,9 +140,10 @@ def test_non_finite_estimate_rejected():
 # --- batched block path -------------------------------------------------
 
 
-def reference_estimates(samples, x, L, m, skip, k):
-    """Per-segment FFT / X, then mean and variance summed in a Python loop."""
-    rows = [np.fft.fft(samples[s : s + L])[:k] / x[:k] for s in range(skip, skip + m * L, L)]
+def reference_estimates(samples, x, L, m, skip):
+    """Per-segment one-sided FFT / X, then mean and variance summed in a Python loop."""
+    k = L // 2 + 1
+    rows = [np.fft.rfft(samples[s : s + L]) / x[:k] for s in range(skip, skip + m * L, L)]
     total = 0
     for row in rows:
         total = total + row
@@ -148,12 +155,12 @@ def reference_estimates(samples, x, L, m, skip, k):
     return np.vstack(rows), mean, spread / (m - 1)
 
 
-def assert_block_path_matches_reference(samples, x, L, m, skip, k):
+def assert_block_path_matches_reference(samples, x, L, m, skip):
     block = segment_block(samples, L, m, skip)
     assert block.shape == (m, L) and np.shares_memory(block, samples)
-    h = estimate_transfer(block, x[:k])
+    h = estimate_transfer(block, x[: L // 2 + 1])
     mean, var = time_invariant_response(h)
-    ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip, k)
+    ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip)
     assert np.array_equal(h, ref_h)
     assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
 
@@ -165,24 +172,23 @@ def test_block_path_matches_per_segment_path_exactly(L, m):
     stream = simulate_chain(
         build_test_stream(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
     )
-    assert_block_path_matches_reference(stream.samples, x_bins, L, m, L, L // 2 + 1)
+    assert_block_path_matches_reference(stream.samples, x_bins, L, m, L)
 
 
 @st.composite
 def block_layouts(draw):
-    """(L, M, skip, stream length, K), the stream sometimes a little too short."""
+    """(L, M, skip, stream length), the stream sometimes a little too short."""
     L = draw(st.integers(2, 4096))
     m = draw(st.integers(2, 40))  # M > 65536 // L spans FFT chunks
     skip = draw(st.integers(0, 2 * L))
     n = skip + m * L + draw(st.integers(-L, L))
-    k = draw(st.integers(1, L))
-    return L, m, skip, n, k
+    return L, m, skip, n
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(layout=block_layouts(), seed=st.integers(0, 2**32 - 1))
 def test_block_path_property(layout, seed):
-    L, m, skip, n, k = layout
+    L, m, skip, n = layout
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
     x = rng.standard_normal(L) + 1j * rng.standard_normal(L)
@@ -190,7 +196,7 @@ def test_block_path_property(layout, seed):
         with pytest.raises(StreamTooShort):
             segment_block(samples, L, m, skip)
     else:
-        assert_block_path_matches_reference(samples, x, L, m, skip, k)
+        assert_block_path_matches_reference(samples, x, L, m, skip)
 
 
 def test_segment_block_checks_capacity():
@@ -199,9 +205,25 @@ def test_segment_block_checks_capacity():
 
 
 def test_excitation_bins_rejects_zero_bin():
-    spectrum = Spectrum(np.fft.fft(np.ones(8)), FS, hermitian=True)
     with pytest.raises(ZeroBinExcitation):
-        excitation_bins(spectrum, 5)
+        excitation_bins(np.ones(8))
+
+
+# Integer periods whose spectrum is exactly zero at the listed bins: the DFT
+# at these bins only adds and subtracts samples, so no rounding hides the zero.
+@pytest.mark.parametrize("period, zeros", [
+    ([3.0, 1.0, -2.0, 0.0, 1.0, -1.0, 0.0, -2.0], [0]),  # sum 0
+    ([3.0, 1.0, 2.0, 0.0, 1.0, 4.0, 0.0, 1.0], [4]),  # alternating sum 0
+    ([1.0, 2.0, 3.0, 1.0, 2.0, 0.0, 0.0, 1.0], [2, 6]),  # X[2] = conj(X[6]) = 0
+], ids=["dc", "nyquist", "pair 2, 6"])
+def test_zero_bin_excitation_fires_at_dc_nyquist_and_pairs(period, zeros):
+    period = np.array(period)
+    full = np.fft.fft(period)
+    assert np.flatnonzero(np.abs(full) < 1e-12).tolist() == zeros
+    with pytest.raises(ZeroBinExcitation):
+        excitation_bins(period)
+    period[zeros[0] + 1] += 0.5  # move the zero away: the same check passes
+    assert excitation_bins(period).shape == (5,)
 
 
 def test_one_sided_smoothing_matches_full_length():
@@ -247,7 +269,7 @@ def test_time_invariant_block_needs_two_rows():
     excitation, x_bins = safeguarded_excitation(64, seed=36)
     stream = build_test_stream(excitation, 3)
     h = estimate_transfer(segment_block(stream.samples, 64, 1, 64), x_bins)
-    assert h.shape == (1, 64)
+    assert h.shape == (1, 33)
     with pytest.raises(InsufficientRepetitions):
         time_invariant_response(h)
 
@@ -340,10 +362,10 @@ def test_smoothing_reduces_gain_deviation():
     excitation, x_bins = safeguarded_excitation(4096, seed=44)
     stream = build_test_stream(excitation, 2)
     recorded = simulate_chain(stream, SimulationConfig(snr_db=40.0, seed=45))
-    power = np.abs(estimate_at(x_bins, recorded.samples, 4096)) ** 2
+    power = np.abs(estimate_at(x_bins, recorded.samples, 4096, 4096)) ** 2
     half = slice(1, 2049)
     raw_sd = np.std(10 * np.log10(power[half]))
-    smooth_sd = np.std(10 * np.log10(fractional_octave_smooth(power)[half]))
+    smooth_sd = np.std(10 * np.log10(smooth_one_sided(power, 1 / 3)[half]))
     assert smooth_sd < raw_sd
 
 
@@ -351,7 +373,7 @@ def test_smoothing_reduces_gain_deviation():
 
 
 def test_all_ones_transfer_is_unit_impulse():
-    ir = impulse_response(np.ones(64, dtype=complex))
+    ir = impulse_response(np.ones(33, dtype=complex), 64)
     expected = np.zeros(64)
     expected[0] = 1.0
     assert np.max(np.abs(ir - expected)) < 1e-12
@@ -359,21 +381,19 @@ def test_all_ones_transfer_is_unit_impulse():
 
 def test_phase_ramp_transfer_is_delayed_impulse():
     L, d = 64, 9
-    bins = np.exp(-2j * np.pi * np.arange(L) * d / L)
-    ir = impulse_response(bins)
+    bins = np.exp(-2j * np.pi * np.arange(L // 2 + 1) * d / L)
+    ir = impulse_response(bins, L)
     assert ir[d] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(np.delete(ir, d))) < 1e-12
 
 
 def test_known_ir_recovered_from_simulated_chain():
-    from sgmeasure.core import circular_convolve
-
     L = 8192
     excitation, x_bins = safeguarded_excitation(L, seed=46)
     rng = np.random.default_rng(47)
     h = rng.standard_normal(512) * np.exp(-np.arange(512) / 80.0)
     period_out = circular_convolve(excitation, h)
     stream = build_test_stream(period_out, 3)
-    recovered = impulse_response(estimate_at(x_bins, stream.samples, L))
+    recovered = impulse_response(estimate_at(x_bins, stream.samples, L, L), L)
     assert np.max(np.abs(recovered[:512] - h)) < 1e-7
     assert np.max(np.abs(recovered[512:])) < 1e-7

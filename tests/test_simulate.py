@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import power_db
-from sgmeasure.errors import DegenerateFit
+from sgmeasure.errors import AnalysisError, DegenerateFit
 from sgmeasure.safeguard import build_test_stream
 import sgmeasure.core
 import sgmeasure.safeguard
@@ -13,6 +15,7 @@ from sgmeasure.simulate import (
     DEFAULT_INPUT_LEVEL_GRID,
     DEFAULT_THETA_DB_GRID,
     SimulationConfig,
+    full_spectrum_mean,
     least_squares_line,
     nonlinearity,
     run_flooring_regression,
@@ -55,6 +58,26 @@ def test_nonlinearity_overflow():
         nonlinearity(np.array([4000.0]), 0.4)
 
 
+def test_nonlinearity_overflow_is_an_analysis_error():
+    with pytest.raises(AnalysisError, match="float64"):
+        nonlinearity(np.array([4000.0]), 0.4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.integers(2, 2000),
+    scale=st.sampled_from([1e-12, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_sided_mean_equals_full_spectrum_mean(length, scale, seed):
+    """The weighted mean over bins 0..L//2 is np.mean of the mirrored L-bin spectrum."""
+    one_sided = scale * np.random.default_rng(seed).exponential(size=length // 2 + 1)
+    full = np.concatenate([one_sided, one_sided[1 : (length + 1) // 2][::-1]])
+    assert full.size == length
+    expected = float(np.mean(full))
+    assert abs(full_spectrum_mean(one_sided, length) - expected) <= 1e-15 * expected
+
+
 def test_transparent_chain():
     stream = build_test_stream(white_noise_period(256, FS, seed=1), 3)
     out = simulate_chain(stream, SimulationConfig(input_level_db=-6.0))
@@ -78,7 +101,7 @@ def test_chain_is_deterministic():
 
 
 def test_chain_convolution_matches_oracle():
-    from sgmeasure.core import circular_convolve
+    from oracles import circular_convolve
 
     period = white_noise_period(128, FS, seed=6)
     h = np.random.default_rng(7).standard_normal(16)
@@ -192,18 +215,20 @@ def count_calls(monkeypatch, name, modules):
 def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
     """One spectrum of the shared noise period, one per floored excitation, one LTI transfer."""
     dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
     runner(period_length=1024)
-    assert len(dfts) == 1 + len(DEFAULT_THETA_DB_GRID)
+    assert len(dfts) == 1 and len(excitations) == len(DEFAULT_THETA_DB_GRID)
     assert len(transfers) == 1
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
     dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
     result = run_nonlinearity_experiment(period_length=1024)
     assert len(result.axis) == len(DEFAULT_INPUT_LEVEL_GRID)
-    assert len(dfts) == 2 * 4  # p_count periods: their spectrum and the excitation's
+    assert len(dfts) == 4 and len(excitations) == 4  # per period: its spectrum, the excitation's
     assert len(transfers) == 1
 
 
