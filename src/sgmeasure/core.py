@@ -1,10 +1,11 @@
 """Periodic-signal and spectrum types plus the DFT/convolution primitives.
 
 Convention: unnormalized forward DFT, 1/L-normalized inverse.  Real signals
-live in :class:`PeriodicSignal` / :class:`SampleStream`.  A :class:`Spectrum`
-holds all L bins of one period; the block transforms (:func:`forward_dft_raw`,
-:func:`lti_transfer`) hold only bins 0..L//2, which carry all of a real
-signal's spectrum.
+live in :class:`PeriodicSignal` / :class:`SampleStream`.  Every transform
+keeps only bins 0..L//2, which carry all of a real signal's spectrum: a
+:class:`Spectrum` holds those bins of one period plus L, whose parity the
+bin count does not fix.  :func:`hermitian_sum` turns a quantity on those
+bins into its sum over all L bins.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseResponseTooLong, NonHermitianInput
+from .errors import ImpulseResponseTooLong
 
 __all__ = [
     "PeriodicSignal",
@@ -56,42 +57,19 @@ class PeriodicSignal:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Length-L complex DFT bins of one period.
-
-    ``hermitian`` asserts conjugate symmetry (the spectrum of a real
-    signal); it is validated on construction.
-    """
+    """Bins 0..length//2 of the DFT of one real period of ``length`` samples."""
 
     bins: np.ndarray
     sample_rate: int
-    hermitian: bool = False
+    length: int
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.size < 2:
-            raise ValueError("spectrum must be a 1-D sequence of length >= 2")
+        if self.length < 2 or bins.shape != (self.length // 2 + 1,):
+            raise ValueError(f"a period of {self.length} needs {self.length // 2 + 1} bins")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "bins", bins)
-        if self.hermitian:
-            scale = float(np.max(np.abs(bins)))
-            tol = 1e-12 * max(scale, 1.0)
-            # X[k] against conj(X[L-k]) for k >= 1, and X[0] against its own
-            # conjugate: |X0 - conj(X0)| = 2|Im X0|.  np.maximum propagates a
-            # NaN, as one max over all L differences does.
-            asymmetry = np.maximum(
-                np.max(np.abs(bins[1:] - np.conj(bins[:0:-1]))), 2.0 * abs(bins[0].imag)
-            )
-            if asymmetry > tol:
-                raise ValueError("bins violate Hermitian symmetry")
-
-    @property
-    def length(self) -> int:
-        return self.bins.size
-
-    def frequencies(self) -> np.ndarray:
-        """Bin center frequencies in Hz for k = 0..L-1."""
-        return np.arange(self.length) * (self.sample_rate / self.length)
 
 
 @dataclass(frozen=True)
@@ -117,8 +95,8 @@ class SampleStream:
 
 
 def forward_dft(signal: PeriodicSignal) -> Spectrum:
-    """Unnormalized forward DFT of one period (X[k] = sum x[n] e^{-i2pi kn/L})."""
-    return Spectrum(np.fft.fft(signal.samples), signal.sample_rate, hermitian=True)
+    """Unnormalized forward DFT of one period (X[k] = sum x[n] e^{-i2pi kn/L}), k = 0..L//2."""
+    return Spectrum(np.fft.rfft(signal.samples), signal.sample_rate, signal.period_length)
 
 
 def forward_dft_raw(samples: np.ndarray) -> np.ndarray:
@@ -127,22 +105,12 @@ def forward_dft_raw(samples: np.ndarray) -> np.ndarray:
 
 
 def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:
-    """1/L-normalized inverse DFT, returning a real period.
+    """1/L-normalized inverse DFT of the real period whose bins 0..L//2 these are.
 
-    For a spectrum not flagged Hermitian, an imaginary residue above
-    1e-6 of the signal RMS raises :class:`NonHermitianInput` (a corrupted
-    spectrum); below that it is discarded like rounding noise.
+    The imaginary parts of bin 0 and, for even L, bin L/2 are ignored: a
+    real period has none.
     """
-    z = np.fft.ifft(spectrum.bins)
-    real = z.real
-    residue = float(np.max(np.abs(z.imag)))
-    if not spectrum.hermitian:
-        rms = float(np.sqrt(np.mean(real**2)))
-        if residue > 1e-6 * max(rms, np.finfo(np.float64).tiny):
-            raise NonHermitianInput(
-                f"imaginary residue {residue:.3e} exceeds 1e-6 of RMS {rms:.3e}"
-            )
-    return PeriodicSignal(real, spectrum.sample_rate)
+    return PeriodicSignal(np.fft.irfft(spectrum.bins, n=spectrum.length), spectrum.sample_rate)
 
 
 def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:
@@ -172,6 +140,24 @@ def circular_convolve_fast(
             f"transfer has {transfer.size} bins for a block of {samples.size} samples"
         )
     return np.fft.irfft(np.fft.rfft(samples) * transfer, n=samples.size)
+
+
+def hermitian_sum(one_sided: np.ndarray, length: int):
+    """Sum over all ``length`` bins of a quantity equal at bins k and length-k, from 0..length//2.
+
+    A bin k in 1..(length-1)//2 stands for itself and its mirror image, so
+    it counts twice; bin 0 and, for even length, bin length/2 count once.
+    Boolean bins give an integer count.
+    """
+    total = one_sided[0] + 2 * one_sided[1 : (length + 1) // 2].sum()
+    if length % 2 == 0:
+        total += one_sided[length // 2]
+    return total
+
+
+def full_spectrum_mean(one_sided: np.ndarray, length: int) -> float:
+    """Mean over all ``length`` bins of a real signal's power or magnitude spectrum."""
+    return float(hermitian_sum(one_sided, length) / length)
 
 
 def power_db(samples: np.ndarray) -> float:

@@ -17,10 +17,6 @@ class AnalysisError(SgMeasureError):
     """A computation precondition was violated."""
 
 
-class NonHermitianInput(AnalysisError):
-    """Inverse transform of a spectrum with significant imaginary residue."""
-
-
 class ImpulseResponseTooLong(AnalysisError):
     """Impulse response longer than the signal period."""
 
@@ -51,6 +47,10 @@ class DegenerateFit(AnalysisError):
 
 class LevelOutOfRange(AnalysisError, OverflowError):
     """A level or drive beyond what float64 arithmetic can represent."""
+
+
+class SilentRecording(AnalysisError):
+    """A recording whose analyzed samples are all zero; it has no level."""
 
 
 class ClippedOutput(AnalysisError):

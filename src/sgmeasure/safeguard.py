@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PeriodicSignal, SampleStream, Spectrum, forward_dft, inverse_dft, power_db
+from .core import (
+    PeriodicSignal, SampleStream, Spectrum, forward_dft, full_spectrum_mean, hermitian_sum,
+    inverse_dft, power_db,
+)
 from .errors import DegenerateSpectrum, LevelOutOfRange
 
 __all__ = [
@@ -57,7 +60,7 @@ class SafeguardReport:
 
 
 def _mean_magnitude(spectrum: Spectrum) -> float:
-    mean_mag = float(np.mean(np.abs(spectrum.bins)))
+    mean_mag = full_spectrum_mean(np.abs(spectrum.bins), spectrum.length)
     if mean_mag == 0.0:
         raise DegenerateSpectrum("all-zero spectrum has no magnitude reference")
     return mean_mag
@@ -88,10 +91,8 @@ def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
     """Raise every bin magnitude to at least theta, preserving phase.
 
     Bins at or above the threshold pass through bit-exactly; zero bins are
-    filled with theta + 0i (phase 0 keeps the spectrum Hermitian).
+    filled with theta + 0i (phase 0 keeps bin 0 and bin L/2 real).
     """
-    if not spectrum.hermitian:
-        raise ValueError("apply_floor requires a Hermitian spectrum")
     th = theta.theta_linear
     bins = spectrum.bins
     mag = np.abs(bins)
@@ -101,13 +102,13 @@ def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
     low = (mag > 0) & (mag < th * (1.0 - 2.0**-50))
     out[low] = th * bins[low] / mag[low]
     out[mag == 0] = th
-    return Spectrum(out, spectrum.sample_rate, hermitian=True)
+    return Spectrum(out, spectrum.sample_rate, spectrum.length)
 
 
 def count_floored_bins(spectrum: Spectrum, theta: FloorThreshold) -> int:
-    """Number of bins apply_floor would modify."""
-    mag = np.abs(spectrum.bins)
-    return int(np.count_nonzero(mag < theta.theta_linear * (1.0 - 2.0**-50)))
+    """Number of the L bins apply_floor would modify."""
+    low = np.abs(spectrum.bins) < theta.theta_linear * (1.0 - 2.0**-50)
+    return int(hermitian_sum(low, spectrum.length))
 
 
 def safeguard_signal(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SampleStream
-from .errors import ManifestError, SampleRateMismatch
+from .errors import ManifestError, SampleRateMismatch, SilentRecording
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
     SeparationResult,
@@ -177,7 +177,10 @@ def separate_session(
         excitation_power.append(exc_power)
         recording = _read_checked(entry.recording, manifest)
         block = segment_block(recording.samples, L, M, manifest.skip_preamble)
-        output_power.append(float(np.mean(block.ravel() ** 2)))
+        power = float(np.mean(block.ravel() ** 2))
+        if power == 0.0:
+            raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
+        output_power.append(power)
         mean, var = time_invariant_response(estimate_transfer(block, x_bins))
         h_sti.append(mean)
         d_stv_sq.append(var)

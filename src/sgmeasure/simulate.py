@@ -1,11 +1,12 @@
 """Deterministic virtual measurement chain and experiment runners.
 
 The chain is fixed as gain -> memoryless nonlinearity -> circular-periodic
-LTI convolution -> additive Gaussian noise.  Noise power is set relative to
-the pre-noise output power (the safeguarded signal's own level), so the
-configured SNR refers to what actually reaches the virtual microphone.
-All randomness flows through counter-based Philox generators keyed on the
-configured seed, so identical configs give bit-identical streams.
+LTI convolution -> additive Gaussian noise; the deterministic stages run on
+one period.  Noise power is set relative to the pre-noise output power
+(the safeguarded signal's own level), so the configured SNR refers to what
+actually reaches the virtual microphone.  All randomness flows through
+counter-based Philox generators keyed on the configured seed, so identical
+configs give bit-identical streams.  Zero power is -inf dB (a null cell).
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, lti_transfer
+from .core import (
+    PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
+    lti_transfer,
+)
 from .errors import DegenerateFit, LevelOutOfRange
 from .safeguard import safeguard_signal, threshold_from_db
 from .separation import (
@@ -60,8 +64,6 @@ class SimulationConfig:
     snr_db: float = SNR_OFF
     input_level_db: float = 0.0
     seed: int = 0
-    repeats_per_signal: int = 4
-    signal_count: int = 4
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -89,6 +91,11 @@ class ExperimentResult:
                 raise ValueError(f"metric {name!r} length disagrees with axis")
 
 
+def _db(power: float) -> float:
+    """10*log10 of a power; -inf for zero power."""
+    return 10.0 * math.log10(power) if power > 0 else -math.inf
+
+
 def white_noise_period(length: int, sample_rate: int, seed: int) -> PeriodicSignal:
     """Seeded unit-variance Gaussian white-noise period."""
     return PeriodicSignal(_rng(seed).standard_normal(length), sample_rate)
@@ -111,14 +118,19 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def simulate_chain(
-    test: SampleStream, config: SimulationConfig, *, transfer: np.ndarray | None = None
+    test: SampleStream, config: SimulationConfig, *, repeats: int = 1,
+    transfer: np.ndarray | None = None,
 ) -> SampleStream:
-    """Run a test stream through the virtual chain.
+    """Play ``repeats`` back-to-back copies of the period ``test`` through the virtual chain.
 
-    The LTI stage wraps circularly over the full stream length, which for a
-    stream of whole periods equals the periodic steady state everywhere.
+    Gain, the nonlinearity and the LTI stage, which wraps circularly over
+    the period, run once on the period: their output tiled ``repeats``
+    times is the periodic steady state of the whole stream.  Noise is
+    drawn over the whole stream, scaled to the period's output power.
     ``transfer`` is ``lti_transfer(config.impulse_response, len(test))``
-    when the caller runs many streams of one length through one response.
+    when the caller runs many periods of one length through one response.
+    A drive level whose gain underflows to zero, or whose gain or output
+    overflows, raises :class:`LevelOutOfRange`.
     """
     try:
         gain = 10.0 ** (config.input_level_db / 20.0)
@@ -128,13 +140,23 @@ def simulate_chain(
             f"input level {config.input_level_db} dB or SNR {config.snr_db} dB "
             "exceeds float64 range"
         ) from None
-    driven = nonlinearity(gain * test.samples, config.alpha)
-    out = circular_convolve_fast(driven, config.impulse_response, transfer)
+    if gain == 0.0:
+        raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
+        driven = nonlinearity(gain * test.samples, config.alpha)
+        out = circular_convolve_fast(driven, config.impulse_response, transfer)
+    if not np.all(np.isfinite(out)):
+        raise LevelOutOfRange(f"input level {config.input_level_db} dB overflows the output")
     if math.isfinite(config.snr_db):
-        pre_noise_power = float(np.mean(out**2))
-        sigma = math.sqrt(pre_noise_power * noise_ratio)
-        out = out + sigma * _rng(config.seed, 0xD1CE).standard_normal(out.size)
-    return SampleStream(out, test.sample_rate, label="simulated")
+        sigma = math.sqrt(float(np.mean(out**2)) * noise_ratio)
+        samples = _rng(config.seed, 0xD1CE).standard_normal(repeats * out.size)
+        samples *= sigma
+        samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy
+    else:
+        samples = np.tile(out, repeats)
+    return SampleStream(samples, test.sample_rate, label="simulated")
 
 
 def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -205,36 +227,17 @@ def _safeguarded_excitation(signal, spectrum, theta_db):
     return safeguarded, excitation_bins(safeguarded.samples)
 
 
-def _chain_transfer(period_length, m_count):
-    """The identity chain's LTI bins for a stream of m_count + 1 periods."""
-    return lti_transfer(IDENTITY_RESPONSE, (m_count + 1) * period_length)
-
-
 def _measured_estimates(excitation, x_bins, config, m_count, transfer):
-    """Tile, run the chain, and estimate H on bins 0..L//2 of each post-preamble segment.
+    """Run m_count + 1 periods through the chain and estimate H on bins 0..L//2.
 
-    Returns the recorded stream and the (m_count, L//2 + 1) transfer estimates.
+    The first period is the preamble.  Returns the recorded stream and the
+    (m_count, L//2 + 1) transfer estimates of the periods after it.
     """
-    stream = SampleStream(
-        np.tile(excitation.samples, m_count + 1), excitation.sample_rate
-    )
-    recorded = simulate_chain(stream, config, transfer=transfer)
+    period = SampleStream(excitation.samples, excitation.sample_rate)
+    recorded = simulate_chain(period, config, repeats=m_count + 1, transfer=transfer)
     L = excitation.period_length
     block = segment_block(recorded.samples, L, m_count, skip=L)
     return recorded, estimate_transfer(block, x_bins)
-
-
-def full_spectrum_mean(one_sided: np.ndarray, length: int) -> float:
-    """Mean over all ``length`` bins of a real signal's power spectrum, from bins 0..length//2.
-
-    A bin k in 1..(length-1)//2 stands for itself and its mirror image
-    length-k, so it counts twice; bin 0 and, for even length, bin length/2
-    count once.
-    """
-    total = one_sided[0] + 2.0 * one_sided[1 : (length + 1) // 2].sum()
-    if length % 2 == 0:
-        total += one_sided[length // 2]
-    return float(total / length)
 
 
 def run_max_deviation_sweep(
@@ -248,7 +251,7 @@ def run_max_deviation_sweep(
     cols: list[list[float]] = [[] for _ in snr_db_list]
     signal = white_noise_period(period_length, sample_rate, seed)
     spectrum = forward_dft(signal)
-    transfer = _chain_transfer(period_length, 1)
+    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         for i, snr_db in enumerate(snr_db_list):
@@ -281,13 +284,13 @@ def run_random_response_experiment(
     levels = []
     signal = white_noise_period(period_length, sample_rate, seed)
     spectrum = forward_dft(signal)
-    transfer = _chain_transfer(period_length, m_count)
+    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
         _, d_stv_sq = time_invariant_response(h)
-        levels.append(10.0 * math.log10(full_spectrum_mean(d_stv_sq, period_length)))
+        levels.append(_db(full_spectrum_mean(d_stv_sq, period_length)))
     return ExperimentResult(
         axis_name="theta_db",
         axis=tuple(theta_db_list),
@@ -318,7 +321,7 @@ def run_nonlinearity_experiment(
         white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
     )
     excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
-    transfer = _chain_transfer(period_length, m_count)
+    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     excitation_power = float(
         np.mean([np.mean(e.samples**2) for e, _ in excitations])
     )
@@ -340,9 +343,9 @@ def run_nonlinearity_experiment(
             per_signal_h_sti.append(h_sti)
             per_signal_rand.append(full_spectrum_mean(d_stv_sq, period_length))
         _, h_ssdr_sq = signal_dependent_response(per_signal_h_sti)
-        norm_db = 10.0 * math.log10(float(np.mean(output_power)) / excitation_power)
-        rand_db = 10.0 * math.log10(float(np.mean(per_signal_rand)))
-        sdr_db = 10.0 * math.log10(full_spectrum_mean(h_ssdr_sq, period_length))
+        norm_db = _db(float(np.mean(output_power)) / excitation_power)
+        rand_db = _db(float(np.mean(per_signal_rand)))
+        sdr_db = _db(full_spectrum_mean(h_ssdr_sq, period_length))
         rand_raw.append(rand_db)
         sdr_raw.append(sdr_db)
         rand_norm.append(rand_db - norm_db)

@@ -158,6 +158,17 @@ def test_analyze_zero_bin_excitation_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ZeroBinExcitation"
 
 
+def test_analyze_silent_recordings_is_analysis_error(tmp_path, capsys):
+    manifest = make_session(tmp_path)
+    for p in range(2):
+        write_audio(tmp_path / f"rec{p}.wav", SampleStream(np.zeros(5 * L), FS))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SilentRecording"
+    assert "rec0.wav" in error["message"]
+
+
 @pytest.mark.parametrize("smooth", ["1/0", "0/0", "abc", "-1/3", "0.0", "1e400"])
 def test_analyze_invalid_smooth_is_usage_error(tmp_path, capsys, smooth):
     manifest = make_session(tmp_path, p_count=2, m_count=2)
@@ -344,6 +355,8 @@ def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experime
     ("random", {"theta_db_list": [1e300]}),
     ("random", {"theta_db_list": [-1e300]}),
     ("random", {"snr_db": -1e300}),
+    ("nonlinearity", {"input_level_db_list": [-1e300]}),
+    ("nonlinearity", {"alpha": 0, "input_level_db_list": [6160]}),
 ])
 def test_simulate_level_beyond_float_range_is_analysis_error(
     tmp_path, capsys, experiment, change
@@ -354,6 +367,17 @@ def test_simulate_level_beyond_float_range_is_analysis_error(
                "--out", str(tmp_path / "o.csv")])
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["error"] == "LevelOutOfRange"
+
+
+def test_simulate_noise_off_writes_zero_power_as_null(tmp_path):
+    """With the noise off every period is identical: the random level is -inf dB, a null."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 2, "snr_db": float("inf"), "theta_db_list": [0.0, 20.0],
+                                  "period_length": 256}))
+    out = tmp_path / "random.json"
+    assert main(["simulate", "--config", str(config), "--experiment", "random",
+                 "--out", str(out)]) == 0
+    assert read_report(out).table["random_level_db"] == [None, None]
 
 
 def test_simulate_config_numbers_pass_unconverted(tmp_path):

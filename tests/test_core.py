@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sgmeasure.core import (
     PeriodicSignal,
@@ -10,11 +8,12 @@ from sgmeasure.core import (
     circular_convolve_fast,
     forward_dft,
     forward_dft_raw,
+    hermitian_sum,
     inverse_dft,
     lti_transfer,
     power_db,
 )
-from sgmeasure.errors import ImpulseResponseTooLong, NonHermitianInput
+from sgmeasure.errors import ImpulseResponseTooLong
 
 from oracles import circular_convolve
 
@@ -34,25 +33,42 @@ def test_impulse_transform_is_flat():
     x = np.zeros(8)
     x[0] = 1.0
     spec = forward_dft(PeriodicSignal(x, FS))
-    assert np.allclose(spec.bins, np.ones(8), atol=1e-14)
-    assert spec.hermitian
+    assert np.allclose(spec.bins, np.ones(5), atol=1e-14)
+    assert spec.length == 8
 
 
 def test_constant_signal_is_dc_only():
     spec = forward_dft(PeriodicSignal(np.ones(4), FS))
-    assert np.allclose(spec.bins, [4, 0, 0, 0], atol=1e-14)
+    assert np.allclose(spec.bins, [4, 0, 0], atol=1e-14)
 
 
 def test_forward_dft_matches_direct_summation():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal(16)
-    spec = forward_dft(PeriodicSignal(x, FS))
-    assert np.max(np.abs(spec.bins - dft_direct(x))) < 1e-12 * np.max(np.abs(spec.bins))
+    for length in (15, 16):
+        x = rng.standard_normal(length)
+        spec = forward_dft(PeriodicSignal(x, FS))
+        direct = dft_direct(x)[: length // 2 + 1]
+        assert np.max(np.abs(spec.bins - direct)) < 1e-12 * np.max(np.abs(spec.bins))
 
 
 def test_inverse_dft_dc_only():
-    sig = inverse_dft(Spectrum([4, 0, 0, 0], FS, hermitian=True))
+    sig = inverse_dft(Spectrum([4, 0, 0], FS, 4))
     assert np.allclose(sig.samples, 1.0, atol=1e-14)
+    assert sig.period_length == 4
+
+
+@pytest.mark.parametrize("length", [4, 5])
+def test_spectrum_length_fixes_the_parity_of_the_period(length):
+    """Bins 0..2 belong to a period of 4 or of 5 samples; the inverse follows the length."""
+    x = np.random.default_rng(length).standard_normal(length)
+    spec = Spectrum(np.fft.rfft(x), FS, length)
+    assert np.max(np.abs(inverse_dft(spec).samples - x)) < 1e-12
+
+
+@pytest.mark.parametrize("bins,length", [(np.ones(4), 4), (np.ones(3), 6), (np.ones(1), 1)])
+def test_spectrum_bin_count_must_match_length(bins, length):
+    with pytest.raises(ValueError, match="bins"):
+        Spectrum(bins, FS, length)
 
 
 def test_round_trip_identity():
@@ -72,35 +88,37 @@ def test_round_trip_many_lengths(length):
 
 def test_parseval():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(777)
-    spec = forward_dft(PeriodicSignal(x, FS))
-    time_energy = np.sum(x**2)
-    freq_energy = np.sum(np.abs(spec.bins) ** 2) / len(x)
-    assert abs(time_energy - freq_energy) < 1e-10 * time_energy
+    for length in (777, 778):
+        x = rng.standard_normal(length)
+        spec = forward_dft(PeriodicSignal(x, FS))
+        time_energy = np.sum(x**2)
+        freq_energy = hermitian_sum(np.abs(spec.bins) ** 2, length) / length
+        assert abs(time_energy - freq_energy) < 1e-10 * time_energy
+
+
+@pytest.mark.parametrize("length", [2, 3, 8, 9])
+def test_hermitian_sum_counts_mirrored_bins_twice(length):
+    one_sided = np.arange(1, length // 2 + 2)
+    full = np.concatenate([one_sided, one_sided[1 : (length + 1) // 2][::-1]])
+    assert full.size == length
+    assert hermitian_sum(one_sided, length) == full.sum()
+    low = one_sided > 1
+    count = hermitian_sum(low, length)
+    assert isinstance(int(count), int) and count == np.count_nonzero(full > 1)
 
 
 def test_real_signal_spectrum_is_hermitian():
+    """The full DFT of a real period mirrors bins 0..L//2, which are all a Spectrum keeps."""
     rng = np.random.default_rng(4)
-    spec = forward_dft(PeriodicSignal(rng.standard_normal(64), FS))
-    L = spec.length
-    mirrored = np.conj(spec.bins[(-np.arange(L)) % L])
-    assert np.max(np.abs(spec.bins - mirrored)) < 1e-12 * np.max(np.abs(spec.bins))
-    assert abs(spec.bins[0].imag) < 1e-12
-    assert abs(spec.bins[L // 2].imag) < 1e-12
-
-
-def test_non_hermitian_spectrum_rejected_on_inverse():
-    bins = np.zeros(8, dtype=complex)
-    bins[1] = 1.0 + 1.0j  # no conjugate partner
-    with pytest.raises(NonHermitianInput):
-        inverse_dft(Spectrum(bins, FS, hermitian=False))
-
-
-def test_hermitian_flag_validated_on_construction():
-    bins = np.zeros(8, dtype=complex)
-    bins[1] = 1.0 + 1.0j
-    with pytest.raises(ValueError):
-        Spectrum(bins, FS, hermitian=True)
+    x = rng.standard_normal(64)
+    full = dft_direct(x)
+    L = full.size
+    mirrored = np.conj(full[(-np.arange(L)) % L])
+    assert np.max(np.abs(full - mirrored)) < 1e-12 * np.max(np.abs(full))
+    spec = forward_dft(PeriodicSignal(x, FS))
+    assert np.max(np.abs(spec.bins - full[: L // 2 + 1])) < 1e-12 * np.max(np.abs(full))
+    assert spec.bins[0].imag == 0.0
+    assert spec.bins[L // 2].imag == 0.0
 
 
 def test_convolve_identity_system():
@@ -122,7 +140,7 @@ def test_convolution_theorem_cross_check():
     h = rng.standard_normal(16)
     y = circular_convolve(x, h)
     lhs = forward_dft(y).bins
-    rhs = forward_dft(x).bins * np.fft.fft(h, n=64)
+    rhs = forward_dft(x).bins * np.fft.rfft(h, n=64)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
 
@@ -158,7 +176,7 @@ def test_one_sided_transforms_keep_bins_up_to_nyquist():
         spectra = forward_dft_raw(block)
         assert spectra.shape == (3, L // 2 + 1)
         for row, spectrum in zip(block, spectra):
-            full = forward_dft(PeriodicSignal(row, FS)).bins
+            full = np.fft.fft(row)
             assert np.max(np.abs(spectrum - full[: L // 2 + 1])) < 1e-12 * np.max(np.abs(full))
         h = rng.standard_normal(L)
         assert np.allclose(lti_transfer(h, L), np.fft.fft(h)[: L // 2 + 1], rtol=0, atol=1e-12)
@@ -185,44 +203,3 @@ def test_periodic_signal_validation():
         PeriodicSignal([1.0, np.nan], FS)
     with pytest.raises(ValueError):
         SampleStream([1.0, np.inf], FS)
-
-
-def mirrored_asymmetry(bins):
-    """max_k |X[k] - conj(X[(-k) mod L])|, the mirrored-index form of the Hermitian test."""
-    L = bins.size
-    return np.max(np.abs(bins - np.conj(bins[(-np.arange(L)) % L])))
-
-
-@st.composite
-def perturbed_spectra(draw):
-    """An exactly Hermitian spectrum, perturbed by a factor of the tolerance at one bin."""
-    L = draw(st.integers(2, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bins = np.fft.fft(draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(L))
-    bins[0] = bins[0].real
-    bins[L // 2 + 1:] = np.conj(bins[1:(L + 1) // 2][::-1])
-    if L % 2 == 0:
-        bins[L // 2] = bins[L // 2].real
-    places = ["none", "dc"] + (["nyquist"] if L % 2 == 0 else []) + (["bin"] if L > 2 else [])
-    where = draw(st.sampled_from(places))
-    factor = draw(st.sampled_from([0.5, 1 - 1e-3, 1 + 1e-3, 2.0]))
-    delta = factor * 1e-12 * max(float(np.max(np.abs(bins))), 1.0)
-    if where in ("dc", "nyquist"):  # a self-mirrored bin: |X - conj(X)| = 2|Im X|
-        bins[0 if where == "dc" else L // 2] += 0.5j * delta * draw(st.sampled_from([1, -1]))
-    elif where == "bin":
-        k = draw(st.integers(1, L - 1).filter(lambda k: 2 * k != L))
-        bins[k] += delta * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
-    return bins, where != "none" and factor > 1
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=perturbed_spectra())
-def test_hermitian_check_matches_mirrored_formula(case):
-    bins, beyond_tolerance = case
-    expected = mirrored_asymmetry(bins) > 1e-12 * max(float(np.max(np.abs(bins))), 1.0)
-    assert expected == beyond_tolerance  # the perturbation sits where it was meant to
-    if expected:
-        with pytest.raises(ValueError, match="Hermitian"):
-            Spectrum(bins, FS, hermitian=True)
-    else:
-        Spectrum(bins, FS, hermitian=True)

@@ -125,15 +125,15 @@ GOLDEN = {
     "analyze-none.json":
         "0edbeccdfa2a0be502714433634d42ae4d4fa5b9990b9335d676393422401b78",
     "regression.csv":
-        "62f6a127648d65ebb70fd71412f15ae6d53a828f7eff6eecbcf67fe7b319950b",
+        "247ce0d24ced17df702c165c5daf1d9be91d6ab74c1e406e6ff534dcb24a33fb",
     "regression.json":
-        "84a690d1a8ce4d6cbe02937d5fcdfff0a4cfc7bb45d849d1f00181d8dfa98fb4",
+        "06e6d70ec69a83645bb0291bec63d96880b447682d5152a6ae4848736d75d585",
     "max-deviation.csv":
-        "a8f25af919a0efd285e05331f80d2c4d773d895a739b6f5a0b6e2db50b4d9de2",
+        "d0434bd772bc09fbedb900801a3c0a49970e4728fd85dc68e58c131c45e8de93",
     "random.json":
-        "bbc901a2adda3e0c1459a8d1871876745805bdb28e7d00b3c5bcba40e7559e92",
+        "09d7a586c177b2df8a77a332d02901c6ca56ea7c6f12c93bd59606a749862405",
     "nonlinearity.csv":
-        "8d23b5037dc3e8e0d110b9aaa86599f2e9e90e93b23f79e7a27b308ec3e3be86",
+        "8334e5a66afdd4f903809d6814d1462e6d5705b86ef6b6b02899131b9299ae5e",
 }
 
 

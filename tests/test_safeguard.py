@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import PeriodicSignal, forward_dft, inverse_dft, power_db, Spectrum
 from sgmeasure.errors import DegenerateSpectrum
@@ -13,6 +15,8 @@ from sgmeasure.safeguard import (
 )
 from sgmeasure.simulate import white_noise_period
 
+from oracles import floor_full_spectrum
+
 FS = 44100
 
 
@@ -21,27 +25,28 @@ def hermitian_spectrum(rng, length):
 
 
 def test_default_threshold_constant_magnitude():
-    spec = Spectrum([1, 1, 1, 1], FS, hermitian=True)
+    spec = Spectrum([1, 1, 1], FS, 4)
     assert default_threshold(spec).theta_linear == pytest.approx(1.0)
 
 
 def test_default_threshold_arithmetic_mean():
-    spec = Spectrum([0, 2, 0, 2], FS, hermitian=True)
+    spec = Spectrum([0, 2, 0], FS, 4)  # all four bins: 0, 2, 0, 2
     theta = default_threshold(spec)
     assert theta.theta_linear == pytest.approx(1.0)
     assert theta.reference_db == 0.0
 
 
 def test_default_threshold_matches_direct_recomputation():
-    spec = forward_dft(white_noise_period(1024, FS, seed=11))
-    theta = default_threshold(spec)
-    expected = sum(abs(b) for b in spec.bins) / spec.length
-    assert abs(theta.theta_linear - expected) < 1e-12 * expected
+    for length in (1024, 1025):
+        signal = white_noise_period(length, FS, seed=11)
+        theta = default_threshold(forward_dft(signal))
+        expected = sum(abs(b) for b in np.fft.fft(signal.samples)) / length
+        assert abs(theta.theta_linear - expected) < 1e-12 * expected
 
 
 def test_default_threshold_degenerate():
     with pytest.raises(DegenerateSpectrum):
-        default_threshold(Spectrum(np.zeros(8), FS, hermitian=True))
+        default_threshold(Spectrum(np.zeros(5), FS, 8))
 
 
 def test_threshold_must_be_positive():
@@ -58,15 +63,16 @@ def test_floor_is_noop_above_threshold():
 
 
 def test_floor_fills_zero_bin_with_real_theta():
-    spec = Spectrum([0, 1, 4, 1], FS, hermitian=True)
+    spec = Spectrum([0, 1, 4], FS, 4)
     out = apply_floor(spec, FloorThreshold(0.5, 0.0))
     assert out.bins[0] == 0.5 + 0.0j
+    assert out.length == 4
 
 
 def test_floor_scales_magnitude_preserving_phase():
     phi = 0.7
-    bins = np.array([1.0, 0.1 * np.exp(1j * phi), 1.0, 0.1 * np.exp(-1j * phi)])
-    out = apply_floor(Spectrum(bins, FS, hermitian=True), FloorThreshold(1.0, 20.0))
+    bins = np.array([1.0, 0.1 * np.exp(1j * phi), 1.0])
+    out = apply_floor(Spectrum(bins, FS, 4), FloorThreshold(1.0, 20.0))
     assert abs(out.bins[1]) == pytest.approx(1.0, abs=1e-15)
     assert np.angle(out.bins[1]) == pytest.approx(phi, abs=1e-12)
 
@@ -102,14 +108,16 @@ def test_bins_changed_monotone_in_theta():
 
 
 def test_safeguarded_signal_is_real():
+    """Flooring all L bins keeps the spectrum Hermitian; the one-sided inverse is its real part."""
     signal = white_noise_period(1024, FS, seed=16)
     theta = default_threshold(forward_dft(signal))
-    floored = apply_floor(forward_dft(signal), theta)
-    z = np.fft.ifft(floored.bins)
+    floored = inverse_dft(apply_floor(forward_dft(signal), theta)).samples
+    bins = np.fft.fft(signal.samples)
+    mag = np.abs(bins)
+    z = np.fft.ifft(np.where(mag < theta.theta_linear, theta.theta_linear * bins / mag, bins))
     rms = np.sqrt(np.mean(z.real**2))
     assert np.max(np.abs(z.imag)) < 1e-10 * rms
-    # inverse_dft accepts it via the hermitian flag
-    inverse_dft(floored)
+    assert np.max(np.abs(floored - z.real)) < 1e-12 * rms
 
 
 def test_flooring_only_raises_power():
@@ -202,3 +210,45 @@ def test_build_test_stream_six_repeats():
 def test_build_test_stream_rejects_zero_repeats():
     with pytest.raises(ValueError):
         build_test_stream(PeriodicSignal([1.0, 2.0], FS), 0)
+
+
+@st.composite
+def periods(draw):
+    """A real period of odd or even length: noise, tones over weaker noise, or impulses.
+
+    The noise under the tones keeps every bin well above rounding level.
+    Flooring scales a bin's phase error by theta / |X[k]|, so a bin that is
+    zero in exact arithmetic, whose phase is rounding noise, floors
+    differently in the two transforms.
+    """
+    length = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    kind = draw(st.sampled_from(["noise", "tones", "sparse"]))
+    if kind == "noise":
+        x = rng.standard_normal(length)
+    elif kind == "tones":
+        n = np.arange(length)
+        x = 0.1 * rng.standard_normal(length)
+        for k in rng.integers(0, length, 3):
+            x += np.cos(2 * np.pi * k * n / length + rng.uniform(0, 6))
+    else:
+        x = np.zeros(length)
+        x[rng.integers(0, length, 2)] = rng.standard_normal(2)
+    return PeriodicSignal(scale * x, FS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(signal=periods(), level_db=st.sampled_from([-200.0, -30.0, -10.0, 0.0, 5.0, 20.0]))
+def test_one_sided_flooring_matches_full_spectrum_oracle(signal, level_db):
+    """Bins 0..L//2 floor like all L bins: the same count, the same period, and idempotence."""
+    spectrum = forward_dft(signal)
+    theta = threshold_from_db(spectrum, level_db)
+    safeguarded, report = safeguard_signal(signal, theta, spectrum)
+    changed, oracle = floor_full_spectrum(signal.samples, theta.theta_linear)
+    assert report.bins_changed == changed
+    assert report.fraction_changed == changed / signal.period_length
+    peak = float(np.max(np.abs(oracle)))
+    assert np.max(np.abs(safeguarded.samples - oracle)) <= 1e-12 * peak
+    once = apply_floor(spectrum, theta)
+    assert apply_floor(once, theta).bins.tobytes() == once.bins.tobytes()

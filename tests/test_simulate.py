@@ -1,12 +1,14 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import power_db
-from sgmeasure.errors import AnalysisError, DegenerateFit
+from sgmeasure.core import SampleStream, power_db
+from sgmeasure.errors import AnalysisError, DegenerateFit, LevelOutOfRange
 from sgmeasure.safeguard import build_test_stream
 import sgmeasure.core
 import sgmeasure.safeguard
@@ -25,6 +27,8 @@ from sgmeasure.simulate import (
     simulate_chain,
     white_noise_period,
 )
+
+from oracles import chain_full_stream
 
 FS = 44100
 
@@ -109,6 +113,61 @@ def test_chain_convolution_matches_oracle():
     out = simulate_chain(build_test_stream(period, 1), config)
     oracle = circular_convolve(period, h)
     assert np.max(np.abs(out.samples - oracle.samples)) < 1e-10
+
+
+@st.composite
+def chain_cases(draw):
+    """A period of odd or even length, an impulse response no longer than it, and a chain."""
+    length = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal(draw(st.integers(1, length)))
+    config = SimulationConfig(
+        impulse_response=tuple(h),
+        alpha=draw(st.sampled_from([0.0, 1e-3, 0.4, 2.0])),
+        input_level_db=draw(st.floats(-40.0, 12.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return rng.standard_normal(length), config, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=chain_cases(), snr_db=st.sampled_from([0.0, 30.0]))
+def test_period_chain_matches_tiled_stream_chain(case, snr_db):
+    """The period's chain output, tiled, is the stream's; its noise is sigma times the draws."""
+    period, config, repeats = case
+    test = SampleStream(period, FS)
+    quiet = simulate_chain(test, config, repeats=repeats).samples
+    oracle = chain_full_stream(period, config, repeats)
+    assert quiet.size == oracle.size == repeats * period.size
+    assert np.max(np.abs(quiet - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    noisy = simulate_chain(test, replace(config, snr_db=snr_db), repeats=repeats).samples
+    one_period = quiet[: period.size]
+    sigma = math.sqrt(np.mean(one_period**2) * 10.0 ** (-snr_db / 10.0))
+    philox = np.random.Philox(np.random.SeedSequence([config.seed, 0xD1CE]))
+    draws = np.random.Generator(philox).standard_normal(quiet.size)
+    assert np.max(np.abs((noisy - quiet) - sigma * draws)) <= 4e-16 * np.max(np.abs(noisy))
+
+
+@pytest.mark.parametrize("level_db", [-1e300, -7000.0])
+def test_level_that_underflows_the_gain_is_out_of_range(level_db):
+    test = SampleStream(white_noise_period(64, FS, seed=8).samples, FS)
+    with pytest.raises(LevelOutOfRange, match="zero gain"):
+        simulate_chain(test, SimulationConfig(input_level_db=level_db), repeats=3)
+
+
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_chain_needs_a_whole_period(repeats):
+    test = SampleStream(white_noise_period(64, FS, seed=10).samples, FS)
+    with pytest.raises(ValueError, match="repeats"):
+        simulate_chain(test, SimulationConfig(snr_db=20.0), repeats=repeats)
+
+
+def test_level_that_overflows_the_output_is_out_of_range():
+    test = SampleStream(white_noise_period(64, FS, seed=9).samples, FS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
+        with pytest.raises(LevelOutOfRange, match="output"):
+            simulate_chain(test, SimulationConfig(input_level_db=6160.0), repeats=3)
 
 
 def test_fit_oracle_exact_line():
@@ -203,7 +262,7 @@ def count_calls(monkeypatch, name, modules):
     original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in modules:
@@ -219,7 +278,7 @@ def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
     transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
     runner(period_length=1024)
     assert len(dfts) == 1 and len(excitations) == len(DEFAULT_THETA_DB_GRID)
-    assert len(transfers) == 1
+    assert [length for _, length in transfers] == [1024]  # at the period length
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
@@ -229,7 +288,7 @@ def test_nonlinearity_transforms_each_period_once(monkeypatch):
     result = run_nonlinearity_experiment(period_length=1024)
     assert len(result.axis) == len(DEFAULT_INPUT_LEVEL_GRID)
     assert len(dfts) == 4 and len(excitations) == 4  # per period: its spectrum, the excitation's
-    assert len(transfers) == 1
+    assert [length for _, length in transfers] == [1024]
 
 
 def test_flooring_regression_transforms_its_period_once(monkeypatch):
