@@ -20,26 +20,31 @@ SCHEMA_VERSION = 1
 __all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
 
 
+# Rows per CSV write: a block of this many rows is the most cell text held at once.
+_CSV_BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Scalar summary plus aligned per-row table columns.
 
-    ``table`` maps column name to a list of builtin float, int or None; all
-    columns have equal length.  None, like a non-finite float, marks a value
-    that is undefined (e.g. dB of zero) and is written as null.
+    ``table`` maps column name to a column: a list of builtin float, int or
+    None (the simulate reports, :func:`read_report`) or a 1-D float64 array
+    (:func:`~sgmeasure.session.analyze_session`); all columns have equal
+    length.  None, like a non-finite float, marks a value that is undefined
+    (e.g. dB of zero) and is written as null.
     """
 
     summary: dict
-    table: dict[str, list]
+    table: dict[str, list | np.ndarray]
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        if any(isinstance(v, np.ndarray) and v.ndim != 1 for v in self.table.values()):
+            raise ValueError("array table columns must be 1-D")
         lengths = {len(v) for v in self.table.values()}
         if len(lengths) > 1:
             raise ValueError("table columns have unequal lengths")
-
-    def column(self, name: str) -> list:
-        return self.table[name]
 
 
 def _clean(value):
@@ -52,30 +57,28 @@ def _clean(value):
 def _cells(column, null: str) -> list[str]:
     """One column as text: shortest-repr numbers, ``null`` for None and non-finite.
 
-    ``float.__repr__`` also gives numpy float scalars their builtin repr.
+    ``float.__repr__`` also gives numpy float scalars their builtin repr.  An
+    array column becomes builtin floats here, one column at a time.
     """
+    if isinstance(column, np.ndarray):
+        finite = np.isfinite(column)
+        column = column.tolist()
+    else:
+        finite = np.isfinite(np.asarray(column, dtype=np.float64))
     try:
         cells = list(map(float.__repr__, column))
     except TypeError:  # ints or None among the cells
         cells = [float.__repr__(v) if isinstance(v, float) else repr(v) for v in column]
-    for i in np.flatnonzero(~np.isfinite(np.asarray(column, dtype=np.float64))):
+    for i in np.flatnonzero(~finite):
         cells[i] = null
     return cells
 
 
-def _json_table(table: dict[str, list]) -> str:
-    """The table as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out at depth 1."""
-    if not table:
-        return "{}"
-    items = []
-    for name in sorted(table):
-        cells = _cells(table[name], "null")
-        body = "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
-        items.append(f"    {json.dumps(name)}: {body}")
-    return "{\n" + ",\n".join(items) + "\n  }"
+def _json_chunks(report: AnalysisReport):
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the report, in pieces.
 
-
-def _to_json(report: AnalysisReport) -> str:
+    The first piece holds the summary; then each table column is one piece.
+    """
     head = json.dumps(
         {
             "schema_version": report.schema_version,
@@ -85,7 +88,16 @@ def _to_json(report: AnalysisReport) -> str:
         sort_keys=True,
     )
     # "table" sorts after "schema_version" and "summary": reopen the object
-    return head[:-2] + f',\n  "table": {_json_table(report.table)}\n}}\n'
+    yield head[:-2] + ',\n  "table": {'
+    if not report.table:
+        yield "}\n}\n"
+        return
+    sep = "\n"
+    for name in sorted(report.table):
+        cells = ",\n      ".join(_cells(report.table[name], "null"))
+        yield f"{sep}    {json.dumps(name)}: " + (f"[\n      {cells}\n    ]" if cells else "[]")
+        sep = ",\n"
+    yield "\n  }\n}\n"
 
 
 def _from_json(text: str) -> AnalysisReport:
@@ -97,16 +109,20 @@ def _from_json(text: str) -> AnalysisReport:
     )
 
 
-def _to_csv(report: AnalysisReport) -> str:
+def _csv_chunks(report: AnalysisReport):
+    """The report as CSV, in pieces: the head with the summary, then blocks of rows."""
     summary = {k: _clean(v) for k, v in report.summary.items()}
-    columns = [_cells(col, "") for col in report.table.values()]
-    lines = [
-        f"# schema_version: {report.schema_version}",
-        "# summary: " + json.dumps(summary, sort_keys=True),
-        ",".join(report.table),
-        *map(",".join, zip(*columns)),
-    ]
-    return "\n".join(lines) + "\n"
+    yield (
+        f"# schema_version: {report.schema_version}\n"
+        f"# summary: {json.dumps(summary, sort_keys=True)}\n"
+        + ",".join(report.table) + "\n"
+    )
+    columns = list(report.table.values())
+    for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        yield "\n".join(
+            map(",".join, zip(*[_cells(col[start:stop], "") for col in columns]))
+        ) + "\n"
 
 
 def _parse_cell(text: str):
@@ -132,12 +148,23 @@ def _from_csv(text: str) -> AnalysisReport:
 
 
 def write_report(path: str | Path, report: AnalysisReport) -> None:
-    """Write a report as JSON or CSV depending on the path suffix."""
+    """Write a report as JSON or CSV depending on the path suffix.
+
+    The table is formatted as it is written, one JSON column or one block of
+    CSV rows at a time.  A summary that cannot be serialized raises before
+    the file is opened; a write that fails part-way removes the file.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        path.write_text(_to_json(report))
-    else:
-        path.write_text(_to_csv(report))
+    chunks = _json_chunks(report) if path.suffix.lower() == ".json" else _csv_chunks(report)
+    head = next(chunks)
+    out = path.open("w")
+    try:
+        with out:
+            out.write(head)
+            out.writelines(chunks)
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def read_report(path: str | Path) -> AnalysisReport:

@@ -209,7 +209,9 @@ def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) 
     """Mean |noise DFT / X_s|^2 over all signals and available segments.
 
     The background segments are transformed once.  The sum runs signal by
-    signal, segment by segment, the order that fixes the report's bytes.
+    signal, segment by segment, the order that fixes the report's bytes;
+    each segment is divided and squared on its own, so no (segments, bins)
+    quotient is held.
     """
     recording = _read_checked(manifest.background_recording, manifest)
     L = manifest.period_length
@@ -220,8 +222,8 @@ def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) 
     y_bins = segment_spectra(block)
     acc = np.zeros(y_bins.shape[1])
     for x_bins in excitations:
-        for power in np.abs(divide_spectra(y_bins, x_bins)) ** 2:
-            acc += power
+        for y in y_bins:
+            acc += np.abs(divide_spectra(y, x_bins)) ** 2
     return acc / (len(excitations) * usable)
 
 
@@ -237,7 +239,8 @@ def analyze_session(
 
     Random and signal-dependent columns come in raw and output-power
     normalized variants; the normalization constant is recorded in the
-    summary.  Smoothing operates on the power quantities.
+    summary.  Smoothing operates on the power quantities.  Each table column
+    is a float64 array, one row per bin 0..L/2.
     """
     result, powers, excitations = separate_session(manifest)
     L = manifest.period_length
@@ -254,7 +257,7 @@ def analyze_session(
         powers["output_power"] / powers["excitation_power"]
     )
     freq = np.arange(half + 1) * (manifest.sample_rate / L)
-    table: dict[str, list] = {"frequency_hz": freq.tolist()}
+    table: dict[str, np.ndarray] = {"frequency_hz": freq}
 
     def add_power_column(name: str, power: np.ndarray | None, normalized: bool = False):
         if power is None:
@@ -262,7 +265,7 @@ def analyze_session(
         col = _db_power(power)
         if normalized:
             col = col - normalization_db
-        table[name] = col.tolist()
+        table[name] = col
 
     add_power_column("lti_gain_db", lti_power)
     add_power_column("random_level_db", random_power)

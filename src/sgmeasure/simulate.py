@@ -129,8 +129,9 @@ def simulate_chain(
     drawn over the whole stream, scaled to the period's output power.
     ``transfer`` is ``lti_transfer(config.impulse_response, len(test))``
     when the caller runs many periods of one length through one response.
-    A drive level whose gain underflows to zero, or whose gain or output
-    overflows, raises :class:`LevelOutOfRange`.
+    A drive level whose gain underflows to zero, whose gain or output
+    overflows, or whose output from a non-zero period has zero power raises
+    :class:`LevelOutOfRange`.
     """
     try:
         gain = 10.0 ** (config.input_level_db / 20.0)
@@ -149,8 +150,13 @@ def simulate_chain(
         out = circular_convolve_fast(driven, config.impulse_response, transfer)
     if not np.all(np.isfinite(out)):
         raise LevelOutOfRange(f"input level {config.input_level_db} dB overflows the output")
+    power = float(np.mean(out**2))
+    if power == 0.0 and np.any(test.samples):
+        raise LevelOutOfRange(
+            f"input level {config.input_level_db} dB underflows the output power to zero"
+        )
     if math.isfinite(config.snr_db):
-        sigma = math.sqrt(float(np.mean(out**2)) * noise_ratio)
+        sigma = math.sqrt(power * noise_ratio)
         samples = _rng(config.seed, 0xD1CE).standard_normal(repeats * out.size)
         samples *= sigma
         samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy

@@ -52,13 +52,14 @@ def read_audio(path: str | Path) -> SampleStream:
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptFile(f"{path} is not a RIFF/WAVE file")
 
+    view = memoryview(data)  # chunk bodies are views: the payload is not copied
     fmt = None
     frames = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptFile(f"{path}: truncated fmt chunk")

@@ -1,4 +1,7 @@
-"""Slow direct-summation references that the library's fast paths are checked against."""
+"""Slow, direct references that the library's fast and streaming paths are checked against."""
+
+import json
+import math
 
 import numpy as np
 
@@ -52,3 +55,60 @@ def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, 
     out[scaled] = theta_linear * bins[scaled] / mag[scaled]
     out[mag == 0] = theta_linear
     return int(np.count_nonzero(low)), np.fft.ifft(out).real
+
+
+def _clean(value):
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
+def _cells(column, null):
+    try:
+        cells = list(map(float.__repr__, column))
+    except TypeError:  # ints or None among the cells
+        cells = [float.__repr__(v) if isinstance(v, float) else repr(v) for v in column]
+    for i in np.flatnonzero(~np.isfinite(np.asarray(column, dtype=np.float64))):
+        cells[i] = null
+    return cells
+
+
+def report_json(report) -> str:
+    """A report's JSON text built whole: the summary head, then every column in one string.
+
+    :func:`sgmeasure.reports.write_report` streams the same bytes column by column.
+    """
+    head = json.dumps(
+        {
+            "schema_version": report.schema_version,
+            "summary": {k: _clean(v) for k, v in report.summary.items()},
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    if not report.table:
+        table = "{}"
+    else:
+        items = []
+        for name in sorted(report.table):
+            cells = _cells(report.table[name], "null")
+            body = "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
+            items.append(f"    {json.dumps(name)}: {body}")
+        table = "{\n" + ",\n".join(items) + "\n  }"
+    return head[:-2] + f',\n  "table": {table}\n}}\n'
+
+
+def report_csv(report) -> str:
+    """A report's CSV text built whole, every row joined at once.
+
+    :func:`sgmeasure.reports.write_report` streams the same bytes in blocks of rows.
+    """
+    summary = {k: _clean(v) for k, v in report.summary.items()}
+    columns = [_cells(col, "") for col in report.table.values()]
+    lines = [
+        f"# schema_version: {report.schema_version}",
+        "# summary: " + json.dumps(summary, sort_keys=True),
+        ",".join(report.table),
+        *map(",".join, zip(*columns)),
+    ]
+    return "\n".join(lines) + "\n"

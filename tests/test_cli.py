@@ -357,6 +357,9 @@ def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experime
     ("random", {"snr_db": -1e300}),
     ("nonlinearity", {"input_level_db_list": [-1e300]}),
     ("nonlinearity", {"alpha": 0, "input_level_db_list": [6160]}),
+    ("nonlinearity", {"input_level_db_list": [-6000]}),
+    ("nonlinearity", {"alpha": 0, "input_level_db_list": [-6000]}),
+    ("nonlinearity", {"input_level_db_list": [-400, -6000]}),
 ])
 def test_simulate_level_beyond_float_range_is_analysis_error(
     tmp_path, capsys, experiment, change

@@ -1,13 +1,19 @@
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import SampleStream
 from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
-from sgmeasure.reports import AnalysisReport, read_report, write_report
+from sgmeasure.reports import _CSV_BLOCK_ROWS, AnalysisReport, read_report, write_report
 from sgmeasure.wavio import read_audio, write_audio
+
+from oracles import report_csv, report_json
 
 FS = 44100
 
@@ -211,6 +217,21 @@ def test_nonfinite_float_sample_exits_as_input_error(tmp_path, capsys):
     assert '"CorruptFile"' in capsys.readouterr().err
 
 
+def test_read_audio_holds_the_file_bytes_once(tmp_path):
+    """The data chunk is decoded from the file's bytes, not from a copy of them."""
+    path = tmp_path / "long.wav"
+    n = 1 << 18
+    write_float32(path, np.linspace(-1.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        read_audio(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4 bytes a sample read, 8 decoded and a 1-byte finiteness mask; a copy adds 4
+    assert peak < 14 * n
+
+
 def sample_report():
     return AnalysisReport(
         summary={"m_count": 4, "p_count": 2, "normalization_db": -3.0104, "note": None},
@@ -275,8 +296,19 @@ def reference_cell(value):
     return float(value) if isinstance(value, float) else value
 
 
+def array_report():
+    return AnalysisReport(
+        summary={"n": 5},
+        table={
+            "f": np.arange(5.0) * 10.7666015625,
+            "level_db": np.array([-np.inf, -0.0, 5e-324, np.nan, 0.1 + 0.2]),
+        },
+    )
+
+
 @pytest.mark.parametrize("report", [mixed_report(), AnalysisReport(summary={}, table={}),
-                                    AnalysisReport(summary={"x": 1}, table={"e": []})])
+                                    AnalysisReport(summary={"x": 1}, table={"e": []}),
+                                    array_report()])
 def test_report_json_layout_is_json_dumps(tmp_path, report):
     path = tmp_path / "r.json"
     write_report(path, report)
@@ -289,12 +321,94 @@ def test_report_json_layout_is_json_dumps(tmp_path, report):
 
 
 def test_report_csv_cells_are_repr_or_empty(tmp_path):
-    path = tmp_path / "r.csv"
-    report = mixed_report()
-    write_report(path, report)
-    rows = path.read_text().splitlines()[3:]
-    cells = [reference_cell(v) for col in report.table.values() for v in col]
-    expected = ["" if v is None else repr(v) for v in cells]
-    n = len(rows)
-    columns = [expected[i * n : (i + 1) * n] for i in range(len(report.table))]
-    assert rows == [",".join(row) for row in zip(*columns)]
+    for report in (mixed_report(), array_report()):
+        path = tmp_path / "r.csv"
+        write_report(path, report)
+        rows = path.read_text().splitlines()[3:]
+        cells = [reference_cell(v) for col in report.table.values() for v in col]
+        expected = ["" if v is None else repr(v) for v in cells]
+        n = len(rows)
+        columns = [expected[i * n : (i + 1) * n] for i in range(len(report.table))]
+        assert rows == [",".join(row) for row in zip(*columns)]
+
+
+# Cells a report may hold: ints, None, both infinities, NaN, -0.0, subnormals.
+LIST_SPECIALS = (None, 0, 7, -3, math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310, 1e300)
+ARRAY_SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310)
+
+
+@st.composite
+def report_tables(draw):
+    """Tables of list and float64-array columns, with special cells at CSV block edges."""
+    block = _CSV_BLOCK_ROWS
+    rows = draw(st.integers(0, 40) | st.sampled_from(
+        [block - 1, block, block + 1, 2 * block, 2 * block + 1]
+    ))
+    names = draw(st.lists(st.text("abé\",_", min_size=1, max_size=4), max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [i for i in (0, block - 1, block, 2 * block - 1, 2 * block, rows - 1) if 0 <= i < rows]
+    table = {}
+    for name in names:
+        values = rng.standard_normal(rows) * 10.0 ** rng.uniform(-320, 300, rows)
+        where = edges + list(rng.integers(0, max(rows, 1), rng.integers(0, 5) if rows else 0))
+        if draw(st.booleans()):
+            values[where] = rng.choice(ARRAY_SPECIALS, len(where))
+            table[name] = values
+        else:
+            column = values.tolist()
+            for i in where:
+                column[i] = LIST_SPECIALS[rng.integers(len(LIST_SPECIALS))]
+            table[name] = column
+    return table
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    table=report_tables(),
+    summary=st.dictionaries(st.text(max_size=3), st.none() | st.integers() | st.floats()),
+)
+def test_streamed_report_bytes_equal_whole_text(tmp_path_factory, table, summary):
+    """write_report's bytes are those of the report formatted as one string."""
+    report = AnalysisReport(summary=summary, table=table)
+    tmp = tmp_path_factory.mktemp("r")
+    for suffix, oracle in ((".json", report_json), (".csv", report_csv)):
+        written, expected = tmp / f"written{suffix}", tmp / f"expected{suffix}"
+        write_report(written, report)
+        expected.write_text(oracle(report))
+        assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_report_write_holds_one_column_or_row_block(tmp_path, suffix):
+    """An 11 x 32,769 table (L = 65536 with smoothing) is written in under 8 MiB.
+
+    The whole report as text takes about 30 MiB (JSON) and 48 MiB (CSV).
+    """
+    rng = np.random.default_rng(8)
+    table = {f"c{i}": 10.0 * np.log10(rng.random(32769)) for i in range(11)}
+    table["c3"][::5] = -np.inf
+    report = AnalysisReport(summary={"period_length": 65536}, table=table)
+    tracemalloc.start()
+    try:
+        write_report(tmp_path / f"r{suffix}", report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("report,error", [
+    (AnalysisReport(summary={"x": object()}, table={"a": [1.0]}), TypeError),
+    (AnalysisReport(summary={}, table={"a": [1.0, "text"]}), ValueError),
+])
+def test_report_that_cannot_be_written_leaves_no_file(tmp_path, suffix, report, error):
+    path = tmp_path / f"r{suffix}"
+    with pytest.raises(error):
+        write_report(path, report)
+    assert not path.exists()
+
+
+def test_array_column_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-D"):
+        AnalysisReport(summary={}, table={"a": np.zeros((2, 3))})

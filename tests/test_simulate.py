@@ -155,6 +155,21 @@ def test_level_that_underflows_the_gain_is_out_of_range(level_db):
         simulate_chain(test, SimulationConfig(input_level_db=level_db), repeats=3)
 
 
+@pytest.mark.parametrize("alpha,snr_db", [(0.4, 40.0), (0.0, 40.0), (0.0, math.inf)])
+def test_level_that_underflows_the_output_power_is_out_of_range(alpha, snr_db):
+    """A gain of 1e-300 is representable, but the output's squares are not."""
+    test = SampleStream(white_noise_period(64, FS, seed=8).samples, FS)
+    config = SimulationConfig(alpha=alpha, snr_db=snr_db, input_level_db=-6000.0)
+    with pytest.raises(LevelOutOfRange, match="output power"):
+        simulate_chain(test, config, repeats=2)
+
+
+def test_silent_period_gives_a_silent_stream():
+    test = SampleStream(np.zeros(64), FS)
+    out = simulate_chain(test, SimulationConfig(alpha=0.4), repeats=2)
+    assert not np.any(out.samples)
+
+
 @pytest.mark.parametrize("repeats", [0, -2])
 def test_chain_needs_a_whole_period(repeats):
     test = SampleStream(white_noise_period(64, FS, seed=10).samples, FS)
