@@ -31,6 +31,7 @@ from .separation import (
     impulse_response,
     segment_block,
     signal_dependent_response,
+    time_invariant_block,
     time_invariant_response,
 )
 from .session import SessionManifest, analyze_session, load_manifest

@@ -2,8 +2,8 @@
 
 A recording of a repeated safeguarded period is cut into M non-overlapping
 length-L segments, viewed as one (M, L) block (:func:`segment_block`).
-Each row is transformed onto its K = L//2 + 1 one-sided bins, which carry
-all of a real signal's spectrum, and divided by X_s
+The block is transformed onto its K = L//2 + 1 one-sided bins, which carry
+all of a real signal's spectrum, in one call, and divided by X_s in place
 (:func:`estimate_transfer`), giving one transfer estimate H[k] = Y[k]/X_s[k]
 per row.  The mean and variance over the M rows separate the time-invariant
 response from the random/time-varying one
@@ -11,6 +11,8 @@ response from the random/time-varying one
 results of P different test signals separate the LTI response from the
 signal-dependent one (:func:`signal_dependent_response`).  Both spreads
 are unbiased sample variances (denominators M-1 and P-1).
+:func:`time_invariant_block` runs the first two steps and reduces the
+estimate in its own memory, so no array the size of H is made beside it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "segment_block",
     "excitation_bins",
     "estimate_transfer",
+    "time_invariant_block",
     "time_invariant_response",
     "signal_dependent_response",
     "fractional_octave_smooth",
@@ -88,80 +91,81 @@ def excitation_bins(period: np.ndarray) -> np.ndarray:
     return x_bins
 
 
-# Rows per FFT call in segment_spectra: about 1 MiB of complex output at a
-# time, so a long block never materializes all its spectra at once.
-_FFT_CHUNK_POINTS = 1 << 16
-
-
-def segment_spectra(block: np.ndarray) -> np.ndarray:
-    """Bins 0..L//2 of the forward DFT of each row of an (M, L) block."""
-    m, L = block.shape
-    rows = max(1, _FFT_CHUNK_POINTS // L)
-    out = np.empty((m, L // 2 + 1), dtype=np.complex128)
-    for i in range(0, m, rows):
-        out[i : i + rows] = forward_dft_raw(block[i : i + rows])
-    return out
-
-
 def divide_spectra(y_bins: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
-    """Bin-wise H = Y/X_s, one row per segment; a non-finite H raises.
+    """Bin-wise H = Y/X_s in the memory of ``y_bins``, one row per segment; a non-finite H raises.
 
     ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
     """
-    h = y_bins / x_bins
-    if not np.all(np.isfinite(h)):
+    y_bins /= x_bins
+    if not np.all(np.isfinite(y_bins)):
         raise ValueError("transfer estimate has non-finite bins")
-    return h
+    return y_bins
 
 
 def estimate_transfer(block: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
     """(M, L//2 + 1) transfer estimates of an (M, L) segment block.
 
     ``x_bins`` comes from :func:`excitation_bins` of a length-L period,
-    which checked it for zeros.
+    which checked it for zeros.  The spectra are divided in place, so the
+    estimate is the only (M, K) array made.
     """
     L = block.shape[1]
     if x_bins.shape != (L // 2 + 1,):
         raise ValueError(f"{x_bins.size} excitation bins for segments of length {L}")
-    return divide_spectra(segment_spectra(block), x_bins)
+    return divide_spectra(forward_dft_raw(block), x_bins)
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0, adding the rows in order.
 
-    numpy reduces axis 0 of a C-contiguous (M, K) array row by row when
-    K >= 2; a single column it sums pairwise, so that case accumulates.
+    numpy reduces axis 0 of an (M, K) array row by row when K >= 2; a
+    single column it sums pairwise, so that case accumulates.
     """
     return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
-def _mean_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin-wise mean and unbiased sample variance over the first axis.
+def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin-wise mean and unbiased sample variance over the rows of a complex (n, K) array.
 
-    The rows are added in order and squared magnitudes are formed as
-    re^2 + im^2, so the result is bit-identical to a direct summation of
-    the formulas.
+    ``rows`` is overwritten: the deviations from the mean, squared part by
+    part, are formed in its memory.  The rows are added in order and
+    squared magnitudes are formed as re^2 + im^2, so the result is
+    bit-identical to a direct summation of the formulas.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2:
         raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
     n = rows.shape[0]
     mean = _sum_rows(rows) / n
-    sq = (rows - mean).view(np.float64)  # re, im of each deviation, interleaved
+    rows -= mean
+    sq = rows.view(np.float64)  # re, im of each deviation, interleaved
     sq *= sq
-    return mean, _sum_rows(sq[:, 0::2] + sq[:, 1::2]) / (n - 1)
+    re = sq[:, 0::2]
+    np.add(re, sq[:, 1::2], out=re)
+    return mean, _sum_rows(re) / (n - 1)
+
+
+def _check_repetitions(m: int) -> None:
+    if m < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
+
+
+def time_invariant_block(block: np.ndarray, x_bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`time_invariant_response` of :func:`estimate_transfer` of an (M, L) block.
+
+    The estimate is reduced in its own memory and not returned.
+    """
+    _check_repetitions(len(block))
+    return _reduce_rows(estimate_transfer(block, x_bins))
 
 
 def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean response and unbiased per-bin variance over the M rows of an (M, K) array.
 
     Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
-    squared absolute random/time-varying response.
+    squared absolute random/time-varying response.  ``h`` is not modified.
     """
-    m = len(h)
-    if m < 2:
-        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
-    return _mean_and_variance(h)
+    _check_repetitions(len(h))
+    return _reduce_rows(np.array(h, dtype=np.complex128))
 
 
 def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +173,12 @@ def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray,
 
     Each row is one test signal's h_sti.  Returns ``(h_slti, h_ssdr_sq)``:
     the LTI response and the squared absolute signal-dependent response.
+    The input is not modified.
     """
     p = len(per_signal_h_sti)
     if p < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p}")
-    return _mean_and_variance(per_signal_h_sti)
+    return _reduce_rows(np.array(per_signal_h_sti, dtype=np.complex128))
 
 
 def fractional_octave_smooth(

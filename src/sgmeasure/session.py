@@ -17,19 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SampleStream
+from .core import SampleStream, forward_dft_raw
 from .errors import ManifestError, SampleRateMismatch, SilentRecording
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
     SeparationResult,
     divide_spectra,
-    estimate_transfer,
     excitation_bins,
     segment_block,
-    segment_spectra,
     signal_dependent_response,
     smooth_one_sided,
-    time_invariant_response,
+    time_invariant_block,
 )
 from .wavio import read_audio
 
@@ -181,7 +179,7 @@ def separate_session(
         if power == 0.0:
             raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
         output_power.append(power)
-        mean, var = time_invariant_response(estimate_transfer(block, x_bins))
+        mean, var = time_invariant_block(block, x_bins)
         h_sti.append(mean)
         d_stv_sq.append(var)
     h_sti, d_stv_sq = np.vstack(h_sti), np.vstack(d_stv_sq)
@@ -210,8 +208,8 @@ def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) 
 
     The background segments are transformed once.  The sum runs signal by
     signal, segment by segment, the order that fixes the report's bytes;
-    each segment is divided and squared on its own, so no (segments, bins)
-    quotient is held.
+    each segment's spectrum serves every signal, so a copy of it is divided
+    and squared on its own and no (segments, bins) quotient is held.
     """
     recording = _read_checked(manifest.background_recording, manifest)
     L = manifest.period_length
@@ -219,11 +217,11 @@ def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) 
     if usable < 1:
         raise ManifestError("background recording too short for one segment")
     block = segment_block(recording.samples, L, usable, manifest.skip_preamble)
-    y_bins = segment_spectra(block)
+    y_bins = forward_dft_raw(block)
     acc = np.zeros(y_bins.shape[1])
     for x_bins in excitations:
         for y in y_bins:
-            acc += np.abs(divide_spectra(y, x_bins)) ** 2
+            acc += np.abs(divide_spectra(y.copy(), x_bins)) ** 2
     return acc / (len(excitations) * usable)
 
 

@@ -27,7 +27,7 @@ from .separation import (
     excitation_bins,
     segment_block,
     signal_dependent_response,
-    time_invariant_response,
+    time_invariant_block,
 )
 
 __all__ = [
@@ -233,17 +233,16 @@ def _safeguarded_excitation(signal, spectrum, theta_db):
     return safeguarded, excitation_bins(safeguarded.samples)
 
 
-def _measured_estimates(excitation, x_bins, config, m_count, transfer):
-    """Run m_count + 1 periods through the chain and estimate H on bins 0..L//2.
+def _measured_block(excitation, config, m_count, transfer):
+    """Run m_count + 1 periods through the chain.
 
     The first period is the preamble.  Returns the recorded stream and the
-    (m_count, L//2 + 1) transfer estimates of the periods after it.
+    (m_count, L) segment block of the periods after it.
     """
     period = SampleStream(excitation.samples, excitation.sample_rate)
     recorded = simulate_chain(period, config, repeats=m_count + 1, transfer=transfer)
     L = excitation.period_length
-    block = segment_block(recorded.samples, L, m_count, skip=L)
-    return recorded, estimate_transfer(block, x_bins)
+    return recorded, segment_block(recorded.samples, L, m_count, skip=L)
 
 
 def run_max_deviation_sweep(
@@ -262,8 +261,8 @@ def run_max_deviation_sweep(
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
-            _, h = _measured_estimates(excitation, x_bins, config, 1, transfer)
-            gain_db = 20.0 * np.log10(np.abs(h[0]))
+            _, block = _measured_block(excitation, config, 1, transfer)
+            gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
             cols[i].append(float(np.max(np.abs(gain_db))))
     metrics = {
         f"max_deviation_db_snr{snr_db:g}": tuple(col)
@@ -294,8 +293,8 @@ def run_random_response_experiment(
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
-        _, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
-        _, d_stv_sq = time_invariant_response(h)
+        _, block = _measured_block(excitation, config, m_count, transfer)
+        _, d_stv_sq = time_invariant_block(block, x_bins)
         levels.append(_db(full_spectrum_mean(d_stv_sq, period_length)))
     return ExperimentResult(
         axis_name="theta_db",
@@ -343,9 +342,9 @@ def run_nonlinearity_experiment(
                 input_level_db=level_db,
                 seed=seed + 4099 * (j + 1) + p,
             )
-            recorded, h = _measured_estimates(excitation, x_bins, config, m_count, transfer)
+            recorded, block = _measured_block(excitation, config, m_count, transfer)
             output_power.append(float(np.mean(recorded.samples**2)))
-            h_sti, d_stv_sq = time_invariant_response(h)
+            h_sti, d_stv_sq = time_invariant_block(block, x_bins)
             per_signal_h_sti.append(h_sti)
             per_signal_rand.append(full_spectrum_mean(d_stv_sq, period_length))
         _, h_ssdr_sq = signal_dependent_response(per_signal_h_sti)

@@ -5,6 +5,11 @@ to mono), in a plain fmt chunk or a ``WAVE_FORMAT_EXTENSIBLE`` (0xFFFE) one
 whose subformat GUID is PCM or IEEE float.  Writes mono files, 32-bit
 float by default.  The stdlib wave module cannot handle float data, hence
 the hand-rolled chunk parsing.
+
+PCM24 is decoded through one strided view of the file bytes: a little-endian
+32-bit word every 3 bytes from one byte before the data (the chunk's size
+field), so each word holds a sample above a spare byte, and an arithmetic
+right shift by 8 sign-extends it.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ def read_audio(path: str | Path) -> SampleStream:
         raise CorruptFile(f"{path} is not a RIFF/WAVE file")
 
     view = memoryview(data)  # chunk bodies are views: the payload is not copied
-    fmt = None
-    frames = None
+    fmt = frames = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
@@ -67,7 +71,7 @@ def read_audio(path: str | Path) -> SampleStream:
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise CorruptFile(f"{path}: truncated data chunk")
-            frames = body
+            frames, frames_start = body, pos + 8
         pos += 8 + chunk_size + (chunk_size & 1)
     if fmt is None or frames is None:
         raise CorruptFile(f"{path}: missing fmt or data chunk")
@@ -80,15 +84,11 @@ def read_audio(path: str | Path) -> SampleStream:
     if audio_format == _FORMAT_PCM and bits == 16:
         raw = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 2.0**15
     elif audio_format == _FORMAT_PCM and bits == 24:
-        b = np.frombuffer(frames, dtype=np.uint8)
-        if b.size % 3:
+        count, extra = divmod(len(frames), 3)
+        if extra:
             raise CorruptFile(f"{path}: data size not a multiple of the frame size")
-        b = b.reshape(-1, 3)
-        raw = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int8).astype(np.int32) << 16)
-        ).astype(np.float64) / 2.0**23
+        words = np.ndarray((count,), "<i4", data, frames_start - 1, (3,))
+        raw = np.right_shift(words, 8) / 2.0**23
     elif audio_format == _FORMAT_FLOAT and bits == 32:
         raw = np.frombuffer(frames, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(raw)):
