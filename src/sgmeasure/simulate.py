@@ -104,7 +104,8 @@ def white_noise_period(length: int, sample_rate: int, seed: int) -> PeriodicSign
 def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     """Memoryless exponential nonlinearity (exp(alpha*x) - 1)/alpha.
 
-    alpha = 0 is the analytic linear limit and returns x exactly.
+    alpha = 0 is the analytic linear limit and returns x exactly.  ``expm1``
+    keeps the numerator precise at small drive levels, where it would cancel.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -114,7 +115,7 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if alpha * peak > 700.0:  # exp overflow bound for float64
         raise LevelOutOfRange(f"exp({alpha * peak:.1f}) exceeds float64 range")
-    return (np.exp(alpha * x) - 1.0) / alpha
+    return np.expm1(alpha * x) / alpha
 
 
 def simulate_chain(

@@ -288,6 +288,21 @@ def test_simulate_nonlinearity_monotone_then_saturating(tmp_path):
     assert -5.5 < sdr[-1] - rand[-1] < -0.5  # saturated near the averaged noise floor
 
 
+def test_simulate_nonlinearity_distortion_falls_with_drive_level(tmp_path):
+    """The second-order distortion falls 2 dB per dB of drive, down to -280 dB: no cancellation."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "input_level_db_list": [0, -40, -120, -200, -280], "period_length": 1024,
+        "snr_db": 1e9, "seed": 1,
+    }))
+    out = tmp_path / "nl.csv"
+    assert main(["simulate", "--config", str(config), "--experiment", "nonlinearity",
+                 "--out", str(out)]) == 0
+    sdr = read_report(out).table["signal_dependent_level_norm_db"]
+    assert sdr[3] - sdr[2] == pytest.approx(-80.0, abs=1.0)
+    assert sdr[4] - sdr[3] == pytest.approx(-80.0, abs=1.0)
+
+
 def test_simulate_unknown_config_key(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 1, "typo_key": 5}))

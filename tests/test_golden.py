@@ -133,7 +133,7 @@ GOLDEN = {
     "random.json":
         "09d7a586c177b2df8a77a332d02901c6ca56ea7c6f12c93bd59606a749862405",
     "nonlinearity.csv":
-        "8334e5a66afdd4f903809d6814d1462e6d5705b86ef6b6b02899131b9299ae5e",
+        "8aba9c326053acea217b05170a9b50ab0fa9f1a035f24bc30479dfe3382bd209",
 }
 
 
