@@ -57,6 +57,20 @@ def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, 
     return int(np.count_nonzero(low)), np.fft.ifft(out).real
 
 
+def pcm24_samples(payload: bytes) -> np.ndarray:
+    """PCM24 samples assembled byte by byte: low, middle and signed high byte, over 2**23.
+
+    :func:`sgmeasure.wavio.read_audio` decodes the same bytes through one
+    strided view and must agree bit for bit.
+    """
+    b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+    return (
+        b[:, 0].astype(np.int32)
+        | (b[:, 1].astype(np.int32) << 8)
+        | (b[:, 2].astype(np.int8).astype(np.int32) << 16)
+    ).astype(np.float64) / 2.0**23
+
+
 def _clean(value):
     if isinstance(value, float):
         return float(value) if math.isfinite(value) else None

@@ -13,7 +13,7 @@ from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
 from sgmeasure.reports import _CSV_BLOCK_ROWS, AnalysisReport, read_report, write_report
 from sgmeasure.wavio import read_audio, write_audio
 
-from oracles import report_csv, report_json
+from oracles import pcm24_samples, report_csv, report_json
 
 FS = 44100
 
@@ -175,6 +175,75 @@ def test_extensible_truncated_extension_is_corrupt(tmp_path, capsys, cut):
         read_audio(extensible)
     rc = main([
         "safeguard", "--in", str(extensible), "--period", "1024",
+        "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 3
+    assert '"CorruptFile"' in capsys.readouterr().err
+
+
+def riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """A RIFF/WAVE file of (id, body) chunks, each odd-sized body followed by its pad byte."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm24_fmt(channels: int) -> bytes:
+    return struct.pack("<HHIIHH", 1, channels, FS, FS * 3 * channels, 3 * channels, 24)
+
+
+# Layouts a PCM24 data chunk is read from; the file ends with the data chunk
+# unless a chunk follows it.
+PCM24_LAYOUTS = ("plain", "after odd chunk", "after LIST", "before LIST", "stereo", "extensible")
+PCM24_EDGES = (-(2**23), -1, 0, 1, 2**23 - 1)
+
+
+def pcm24_file(layout: str, payload: bytes) -> bytes:
+    channels = 2 if layout == "stereo" else 1
+    fmt = (b"fmt ", pcm24_fmt(channels))
+    data = (b"data", payload)
+    info = (b"LIST", b"INFOISFT" + struct.pack("<I", 6) + b"test\0\0")
+    if layout == "after odd chunk":
+        return riff(fmt, (b"junk", b"abc"), data)
+    if layout == "after LIST":
+        return riff(fmt, info, data)
+    if layout == "before LIST":
+        return riff(fmt, data, info)
+    plain = riff(fmt, data)
+    return as_extensible(plain, PCM_GUID) if layout == "extensible" else plain
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    codes=st.lists(st.integers(-(2**23), 2**23 - 1), max_size=40),
+    layout=st.sampled_from(PCM24_LAYOUTS),
+)
+def test_pcm24_decode_equals_byte_assembly(tmp_path_factory, codes, layout):
+    codes = np.array([*PCM24_EDGES, *codes], dtype="<i4")
+    if layout == "stereo" and codes.size % 2:
+        codes = codes[:-1]
+    payload = codes.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    path = tmp_path_factory.mktemp("pcm24") / "p24.wav"
+    path.write_bytes(pcm24_file(layout, payload))
+    expected = pcm24_samples(payload)
+    if layout == "stereo":
+        expected = expected.reshape(-1, 2).mean(axis=1)
+    else:
+        assert np.array_equal(expected * 2.0**23, codes)
+    assert np.array_equal(read_audio(path).samples, expected)
+
+
+def test_pcm24_data_size_not_a_multiple_of_three_is_corrupt(tmp_path, capsys):
+    from sgmeasure.cli import main
+
+    path = tmp_path / "p24.wav"
+    path.write_bytes(riff((b"fmt ", pcm24_fmt(1)), (b"data", bytes(3 * 2048 + 1))))
+    with pytest.raises(CorruptFile, match="multiple of the frame size"):
+        read_audio(path)
+    rc = main([
+        "safeguard", "--in", str(path), "--period", "1024",
         "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json"),
     ])
     assert rc == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from sgmeasure.separation import (
     segment_block,
     signal_dependent_response,
     smooth_one_sided,
+    time_invariant_block,
     time_invariant_response,
 )
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
@@ -163,9 +166,11 @@ def assert_block_path_matches_reference(samples, x, L, m, skip):
     ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip)
     assert np.array_equal(h, ref_h)
     assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+    mean, var = time_invariant_block(block, x[: L // 2 + 1])  # reduced in place
+    assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
 
 
-# (4096, 20) spans two FFT chunks of segment_spectra
+# (4096, 20): twenty of the longest rows the property below draws, in one transform
 @pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (4096, 20)])
 def test_block_path_matches_per_segment_path_exactly(L, m):
     excitation, x_bins = safeguarded_excitation(L, seed=36)
@@ -179,7 +184,7 @@ def test_block_path_matches_per_segment_path_exactly(L, m):
 def block_layouts(draw):
     """(L, M, skip, stream length), the stream sometimes a little too short."""
     L = draw(st.integers(2, 4096))
-    m = draw(st.integers(2, 40))  # M > 65536 // L spans FFT chunks
+    m = draw(st.integers(2, 40))
     skip = draw(st.integers(0, 2 * L))
     n = skip + m * L + draw(st.integers(-L, L))
     return L, m, skip, n
@@ -197,6 +202,32 @@ def test_block_path_property(layout, seed):
             segment_block(samples, L, m, skip)
     else:
         assert_block_path_matches_reference(samples, x, L, m, skip)
+
+
+def test_time_invariant_block_holds_one_estimate():
+    """Estimating and reducing a (64, 4096) block makes no array of H's size beside H."""
+    rng = np.random.default_rng(50)
+    block = rng.standard_normal((64, 4096))
+    x = np.fft.rfft(rng.standard_normal(4096))
+    h_bytes = 64 * 2049 * 16
+    tracemalloc.start()
+    try:
+        time_invariant_block(block, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rfft output is 1.06x H's bytes; a quotient or deviation copy adds 1x
+    assert peak <= 1.2 * h_bytes
+
+
+def test_statistics_leave_their_input_unchanged():
+    rng = np.random.default_rng(51)
+    h = rng.standard_normal((5, 33)) + 1j * rng.standard_normal((5, 33))
+    before = h.tobytes()
+    time_invariant_response(h)
+    assert h.tobytes() == before
+    signal_dependent_response(h)
+    assert h.tobytes() == before
 
 
 def test_segment_block_checks_capacity():
@@ -272,6 +303,12 @@ def test_time_invariant_block_needs_two_rows():
     assert h.shape == (1, 33)
     with pytest.raises(InsufficientRepetitions):
         time_invariant_response(h)
+
+
+def test_time_invariant_block_of_one_segment_is_insufficient():
+    _, x_bins = safeguarded_excitation(64, seed=36)
+    with pytest.raises(InsufficientRepetitions):
+        time_invariant_block(np.ones((1, 64)), x_bins)
 
 
 def test_statistics_need_one_estimate_per_row():
