@@ -119,26 +119,25 @@ def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:
     These are the bins a length-``length`` block is multiplied by.
     """
     h = np.asarray(h, dtype=np.float64)
+    if h.size == 0:
+        raise ValueError("impulse response is empty")
     if h.size > length:
         raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds block length {length}")
     return np.fft.rfft(h, n=length)
 
 
-def circular_convolve_fast(
-    samples: np.ndarray, h: np.ndarray, transfer: np.ndarray | None = None
-) -> np.ndarray:
-    """Spectral-multiplication circular convolution over the full block length.
+def circular_convolve_fast(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Circular convolution over the full block length.
 
-    ``transfer`` is ``lti_transfer(h, len(samples))`` when the caller
-    already holds it (one per stream length, however many blocks).
+    A one-tap ``h`` is a gain: ``h[0] * samples`` is the exact convolution,
+    with no transform.  Longer responses multiply the block's spectrum by
+    :func:`lti_transfer`.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if transfer is None:
-        transfer = lti_transfer(h, samples.size)
-    elif transfer.shape != (samples.size // 2 + 1,):
-        raise ValueError(
-            f"transfer has {transfer.size} bins for a block of {samples.size} samples"
-        )
+    h = np.asarray(h, dtype=np.float64)
+    if h.size == 1 and samples.size >= 1:  # lti_transfer rejects every other empty or long h
+        return h[0] * samples
+    transfer = lti_transfer(h, samples.size)
     return np.fft.irfft(np.fft.rfft(samples) * transfer, n=samples.size)
 
 

@@ -2,7 +2,7 @@
 
 The chain is fixed as gain -> memoryless nonlinearity -> circular-periodic
 LTI convolution -> additive Gaussian noise; the deterministic stages run on
-one period.  Noise power is set relative to the pre-noise output power
+one period, and a one-tap LTI stage (the default identity) is a gain.  Noise power is set relative to the pre-noise output power
 (the safeguarded signal's own level), so the configured SNR refers to what
 actually reaches the virtual microphone.  All randomness flows through
 counter-based Philox generators keyed on the configured seed, so identical
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
-    lti_transfer,
 )
 from .errors import DegenerateFit, LevelOutOfRange
 from .safeguard import safeguard_signal, threshold_from_db
@@ -73,6 +72,8 @@ class SimulationConfig:
         object.__setattr__(
             self, "impulse_response", tuple(float(v) for v in self.impulse_response)
         )
+        if not self.impulse_response:
+            raise ValueError("impulse_response must have at least one tap")
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def simulate_chain(
-    test: SampleStream, config: SimulationConfig, *, repeats: int = 1,
-    transfer: np.ndarray | None = None,
+    test: SampleStream, config: SimulationConfig, *, repeats: int = 1
 ) -> SampleStream:
     """Play ``repeats`` back-to-back copies of the period ``test`` through the virtual chain.
 
@@ -128,8 +128,6 @@ def simulate_chain(
     the period, run once on the period: their output tiled ``repeats``
     times is the periodic steady state of the whole stream.  Noise is
     drawn over the whole stream, scaled to the period's output power.
-    ``transfer`` is ``lti_transfer(config.impulse_response, len(test))``
-    when the caller runs many periods of one length through one response.
     A drive level whose gain underflows to zero, whose gain or output
     overflows, or whose output from a non-zero period has zero power raises
     :class:`LevelOutOfRange`.
@@ -148,7 +146,7 @@ def simulate_chain(
         raise ValueError("repeats must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
         driven = nonlinearity(gain * test.samples, config.alpha)
-        out = circular_convolve_fast(driven, config.impulse_response, transfer)
+        out = circular_convolve_fast(driven, config.impulse_response)
     if not np.all(np.isfinite(out)):
         raise LevelOutOfRange(f"input level {config.input_level_db} dB overflows the output")
     power = float(np.mean(out**2))
@@ -234,14 +232,14 @@ def _safeguarded_excitation(signal, spectrum, theta_db):
     return safeguarded, excitation_bins(safeguarded.samples)
 
 
-def _measured_block(excitation, config, m_count, transfer):
+def _measured_block(excitation, config, m_count):
     """Run m_count + 1 periods through the chain.
 
     The first period is the preamble.  Returns the recorded stream and the
     (m_count, L) segment block of the periods after it.
     """
     period = SampleStream(excitation.samples, excitation.sample_rate)
-    recorded = simulate_chain(period, config, repeats=m_count + 1, transfer=transfer)
+    recorded = simulate_chain(period, config, repeats=m_count + 1)
     L = excitation.period_length
     return recorded, segment_block(recorded.samples, L, m_count, skip=L)
 
@@ -257,12 +255,11 @@ def run_max_deviation_sweep(
     cols: list[list[float]] = [[] for _ in snr_db_list]
     signal = white_noise_period(period_length, sample_rate, seed)
     spectrum = forward_dft(signal)
-    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
-            _, block = _measured_block(excitation, config, 1, transfer)
+            _, block = _measured_block(excitation, config, 1)
             gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
             cols[i].append(float(np.max(np.abs(gain_db))))
     metrics = {
@@ -290,11 +287,10 @@ def run_random_response_experiment(
     levels = []
     signal = white_noise_period(period_length, sample_rate, seed)
     spectrum = forward_dft(signal)
-    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
-        _, block = _measured_block(excitation, config, m_count, transfer)
+        _, block = _measured_block(excitation, config, m_count)
         _, d_stv_sq = time_invariant_block(block, x_bins)
         levels.append(_db(full_spectrum_mean(d_stv_sq, period_length)))
     return ExperimentResult(
@@ -327,7 +323,6 @@ def run_nonlinearity_experiment(
         white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
     )
     excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
-    transfer = lti_transfer(IDENTITY_RESPONSE, period_length)
     excitation_power = float(
         np.mean([np.mean(e.samples**2) for e, _ in excitations])
     )
@@ -343,7 +338,7 @@ def run_nonlinearity_experiment(
                 input_level_db=level_db,
                 seed=seed + 4099 * (j + 1) + p,
             )
-            recorded, block = _measured_block(excitation, config, m_count, transfer)
+            recorded, block = _measured_block(excitation, config, m_count)
             output_power.append(float(np.mean(recorded.samples**2)))
             h_sti, d_stv_sq = time_invariant_block(block, x_bins)
             per_signal_h_sti.append(h_sti)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmeasure.core import (
     PeriodicSignal,
@@ -154,19 +156,33 @@ def test_fast_convolution_matches_oracle():
 
 
 @pytest.mark.parametrize("length", [2, 3, 63, 64, 441, 1000])
-@pytest.mark.parametrize("given_transfer", [False, True])
-def test_fast_convolution_matches_oracle_odd_and_even(length, given_transfer):
+@pytest.mark.parametrize("one_tap", [False, True])
+def test_fast_convolution_matches_oracle_odd_and_even(length, one_tap):
     rng = np.random.default_rng(length)
     x = PeriodicSignal(rng.standard_normal(length), FS)
-    h = rng.standard_normal(min(length, 16))
-    transfer = lti_transfer(h, length) if given_transfer else None
-    fast = circular_convolve_fast(x.samples, h, transfer)
+    h = rng.standard_normal(1 if one_tap else min(length, 16))
+    fast = circular_convolve_fast(x.samples, h)
     assert np.max(np.abs(circular_convolve(x, h).samples - fast)) < 1e-10
 
 
-def test_fast_convolution_rejects_a_transfer_of_another_length():
-    with pytest.raises(ValueError, match="bins"):
-        circular_convolve_fast(np.ones(64), [1.0], np.ones(64, dtype=complex))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.integers(2, 2000),
+    gain=st.one_of(st.sampled_from([0.0, -1.5, 1.0]), st.floats(-1e6, 1e6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_tap_convolution_is_the_oracle_bit_for_bit(length, gain, seed):
+    """A one-tap response is a gain: no transform, and the direct summation exactly."""
+    x = PeriodicSignal(np.random.default_rng(seed).standard_normal(length), FS)
+    fast = circular_convolve_fast(x.samples, [gain])
+    assert np.array_equal(fast, circular_convolve(x, [gain]).samples)
+
+
+def test_fast_convolution_rejects_an_empty_response():
+    with pytest.raises(ValueError, match="empty"):
+        circular_convolve_fast(np.ones(4), [])
+    with pytest.raises(ValueError, match="empty"):
+        lti_transfer([], 4)
 
 
 def test_one_sided_transforms_keep_bins_up_to_nyquist():
@@ -188,6 +204,8 @@ def test_impulse_response_too_long():
         circular_convolve(x, np.ones(9))
     with pytest.raises(ImpulseResponseTooLong):
         circular_convolve_fast(x.samples, np.ones(9))
+    with pytest.raises(ImpulseResponseTooLong):
+        circular_convolve_fast(np.ones(0), [2.0])  # one tap does not fit an empty block
 
 
 def test_power_db_values():

@@ -129,11 +129,11 @@ GOLDEN = {
     "regression.json":
         "06e6d70ec69a83645bb0291bec63d96880b447682d5152a6ae4848736d75d585",
     "max-deviation.csv":
-        "d0434bd772bc09fbedb900801a3c0a49970e4728fd85dc68e58c131c45e8de93",
+        "a2830ca269c461037ee490a8698610fd8bc760c4404efb4adb0f0c8c5b9862a1",
     "random.json":
-        "09d7a586c177b2df8a77a332d02901c6ca56ea7c6f12c93bd59606a749862405",
+        "003151c24846bc200965577d30d34bcd64637a2140437fe2ecb953b1d18ef15b",
     "nonlinearity.csv":
-        "8aba9c326053acea217b05170a9b50ab0fa9f1a035f24bc30479dfe3382bd209",
+        "68fcc75ca047f2ebb81d92019de4db04f8a599cbb4968373d86bde68caaff1eb",
 }
 
 

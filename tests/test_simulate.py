@@ -82,6 +82,11 @@ def test_one_sided_mean_equals_full_spectrum_mean(length, scale, seed):
     assert abs(full_spectrum_mean(one_sided, length) - expected) <= 1e-15 * expected
 
 
+def test_config_rejects_an_empty_impulse_response():
+    with pytest.raises(ValueError, match="one tap"):
+        SimulationConfig(impulse_response=())
+
+
 def test_transparent_chain():
     stream = build_test_stream(white_noise_period(256, FS, seed=1), 3)
     out = simulate_chain(stream, SimulationConfig(input_level_db=-6.0))
@@ -287,23 +292,26 @@ def count_calls(monkeypatch, name, modules):
 
 @pytest.mark.parametrize("runner", [run_random_response_experiment, run_max_deviation_sweep])
 def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
-    """One spectrum of the shared noise period, one per floored excitation, one LTI transfer."""
+    """One spectrum of the shared noise period, one per floored excitation, no LTI transfer.
+
+    The chain's identity response is one tap, a gain, so no LTI stage transforms.
+    """
     dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
-    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
+    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.core])
     runner(period_length=1024)
     assert len(dfts) == 1 and len(excitations) == len(DEFAULT_THETA_DB_GRID)
-    assert [length for _, length in transfers] == [1024]  # at the period length
+    assert transfers == []
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
     dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
-    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.simulate, sgmeasure.core])
+    transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.core])
     result = run_nonlinearity_experiment(period_length=1024)
     assert len(result.axis) == len(DEFAULT_INPUT_LEVEL_GRID)
     assert len(dfts) == 4 and len(excitations) == 4  # per period: its spectrum, the excitation's
-    assert [length for _, length in transfers] == [1024]
+    assert transfers == []
 
 
 def test_flooring_regression_transforms_its_period_once(monkeypatch):
