@@ -20,6 +20,7 @@ from .safeguard import (
     apply_floor,
     build_test_stream,
     default_threshold,
+    floor_report,
     safeguard_signal,
     threshold_from_db,
 )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (
     PeriodicSignal, SampleStream, Spectrum, forward_dft, full_spectrum_mean, hermitian_sum,
-    inverse_dft, power_db,
+    inverse_dft,
 )
 from .errors import DegenerateSpectrum, LevelOutOfRange
 
@@ -25,6 +25,7 @@ __all__ = [
     "default_threshold",
     "threshold_from_db",
     "apply_floor",
+    "floor_report",
     "safeguard_signal",
     "build_test_stream",
 ]
@@ -51,7 +52,8 @@ class SafeguardReport:
     """What flooring did: bins touched and added deterministic level.
 
     ``added_component_db`` is the power of (x_s - x) relative to the power
-    of x; -inf when no bin changed.
+    of x, read from the spectrum by :func:`floor_report`; -inf when no bin
+    changed.
     """
 
     bins_changed: int
@@ -105,10 +107,26 @@ def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
     return Spectrum(out, spectrum.sample_rate, spectrum.length)
 
 
-def count_floored_bins(spectrum: Spectrum, theta: FloorThreshold) -> int:
-    """Number of the L bins apply_floor would modify."""
-    low = np.abs(spectrum.bins) < theta.theta_linear * (1.0 - 2.0**-50)
-    return int(hermitian_sum(low, spectrum.length))
+def floor_report(spectrum: Spectrum, theta: FloorThreshold) -> SafeguardReport:
+    """What :func:`apply_floor` does to ``spectrum``, read from the bins alone.
+
+    A floored bin k gains (theta - |X[k]|) in magnitude along its own
+    phase, so by Parseval the added component's power over the signal's is
+    sum (theta - |X[k]|)^2 over the floored bins / sum |X[k]|^2, with no
+    inverse transform.  Flooring a silent period adds +inf dB.
+    """
+    th = theta.theta_linear
+    length = spectrum.length
+    mag = np.abs(spectrum.bins)
+    low = mag < th * (1.0 - 2.0**-50)
+    changed = int(hermitian_sum(low, length))
+    if changed == 0:
+        return SafeguardReport(0, 0.0, -math.inf)
+    added = hermitian_sum(np.where(low, th - mag, 0.0) ** 2, length)
+    total = hermitian_sum(mag**2, length)
+    with np.errstate(divide="ignore", over="ignore"):
+        added_db = float(10.0 * np.log10(added / total)) if total > 0 else math.inf
+    return SafeguardReport(changed, changed / length, added_db)
 
 
 def safeguard_signal(
@@ -128,19 +146,10 @@ def safeguard_signal(
             f"spectrum of {spectrum.length} bins at {spectrum.sample_rate} Hz does not "
             f"belong to a period of {signal.period_length} at {signal.sample_rate} Hz"
         )
-    changed = count_floored_bins(spectrum, theta)
-    if changed == 0:
-        report = SafeguardReport(0, 0.0, float("-inf"))
+    report = floor_report(spectrum, theta)
+    if report.bins_changed == 0:
         return signal, report
-    floored = apply_floor(spectrum, theta)
-    safeguarded = inverse_dft(floored)
-    added_db = power_db(safeguarded.samples - signal.samples) - power_db(signal.samples)
-    report = SafeguardReport(
-        bins_changed=changed,
-        fraction_changed=changed / signal.period_length,
-        added_component_db=added_db,
-    )
-    return safeguarded, report
+    return inverse_dft(apply_floor(spectrum, theta)), report
 
 
 def build_test_stream(period: PeriodicSignal, repeats: int, label: str = "") -> SampleStream:

@@ -2,7 +2,8 @@
 
 The chain is fixed as gain -> memoryless nonlinearity -> circular-periodic
 LTI convolution -> additive Gaussian noise; the deterministic stages run on
-one period, and a one-tap LTI stage (the default identity) is a gain.  Noise power is set relative to the pre-noise output power
+one period, and a one-tap LTI stage (the default identity) is a gain, with
+no transform.  Noise power is set relative to the pre-noise output power
 (the safeguarded signal's own level), so the configured SNR refers to what
 actually reaches the virtual microphone.  All randomness flows through
 counter-based Philox generators keyed on the configured seed, so identical
@@ -20,7 +21,7 @@ from .core import (
     PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
 )
 from .errors import DegenerateFit, LevelOutOfRange
-from .safeguard import safeguard_signal, threshold_from_db
+from .safeguard import floor_report, safeguard_signal, threshold_from_db
 from .separation import (
     estimate_transfer,
     excitation_bins,
@@ -196,8 +197,7 @@ def run_flooring_regression(
     bins_changed: list[float] = []
     used: list[float] = []
     for theta_db in theta_db_grid:
-        theta = threshold_from_db(spectrum, theta_db)
-        _, report = safeguard_signal(signal, theta, spectrum)
+        report = floor_report(spectrum, threshold_from_db(spectrum, theta_db))
         sigma_db.append(report.added_component_db)
         bins_changed.append(float(report.bins_changed))
         usable = (

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from sgmeasure.core import PeriodicSignal
+from sgmeasure.core import PeriodicSignal, inverse_dft, power_db
 from sgmeasure.errors import ImpulseResponseTooLong
 
 
@@ -55,6 +55,16 @@ def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, 
     out[scaled] = theta_linear * bins[scaled] / mag[scaled]
     out[mag == 0] = theta_linear
     return int(np.count_nonzero(low)), np.fft.ifft(out).real
+
+
+def added_component_db(samples: np.ndarray, floored) -> float:
+    """The floored period's change measured in time: power_db(irfft(floored) - x) - power_db(x).
+
+    :func:`sgmeasure.safeguard.floor_report` reads the same level from the
+    bins by Parseval, without the inverse transform.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    return power_db(inverse_dft(floored).samples - x) - power_db(x)
 
 
 def pcm24_samples(payload: bytes) -> np.ndarray:

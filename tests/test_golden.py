@@ -125,9 +125,9 @@ GOLDEN = {
     "analyze-none.json":
         "0edbeccdfa2a0be502714433634d42ae4d4fa5b9990b9335d676393422401b78",
     "regression.csv":
-        "247ce0d24ced17df702c165c5daf1d9be91d6ab74c1e406e6ff534dcb24a33fb",
+        "3d5f15c24c6df6810f65f94ca77d603bab0d971e9608e361d81bd19edd5d6b81",
     "regression.json":
-        "06e6d70ec69a83645bb0291bec63d96880b447682d5152a6ae4848736d75d585",
+        "5d2aba990da7c48285110a0ad686a59901591c268b5245d935dc883c211763cc",
     "max-deviation.csv":
         "a2830ca269c461037ee490a8698610fd8bc760c4404efb4adb0f0c8c5b9862a1",
     "random.json":

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ from sgmeasure.safeguard import (
     apply_floor,
     build_test_stream,
     default_threshold,
+    floor_report,
     safeguard_signal,
     threshold_from_db,
 )
 from sgmeasure.simulate import white_noise_period
 
-from oracles import floor_full_spectrum
+from oracles import added_component_db, floor_full_spectrum
 
 FS = 44100
 
@@ -252,3 +255,67 @@ def test_one_sided_flooring_matches_full_spectrum_oracle(signal, level_db):
     assert np.max(np.abs(safeguarded.samples - oracle)) <= 1e-12 * peak
     once = apply_floor(spectrum, theta)
     assert apply_floor(once, theta).bins.tobytes() == once.bins.tobytes()
+
+
+@st.composite
+def floor_cases(draw):
+    """A one-sided spectrum of odd or even length, some bins zero or all of them, and a floor.
+
+    The floor is vacuous (half the smallest magnitude), a level relative to
+    the mean magnitude, or full (twice the largest); a silent spectrum gets
+    an explicit threshold.
+    """
+    length = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = np.fft.rfft(draw(st.sampled_from([1e-6, 1.0, 1e6])) * rng.standard_normal(length))
+    bins[rng.integers(0, bins.size, draw(st.integers(0, 3)))] = 0.0
+    if draw(st.integers(0, 4)) == 0:
+        bins[:] = 0.0
+    spectrum = Spectrum(bins, FS, length)
+    mag = np.abs(bins)
+    if not np.any(mag):
+        return spectrum, FloorThreshold(draw(st.sampled_from([1e-3, 1.0, 1e3])), 0.0)
+    floor = draw(st.sampled_from(["vacuous", "level", "full"]))
+    if floor == "vacuous" and np.all(mag > 0):
+        return spectrum, FloorThreshold(0.5 * float(np.min(mag)), -math.inf)
+    if floor == "full":
+        return spectrum, FloorThreshold(2.0 * float(np.max(mag)), math.inf)
+    level_db = draw(st.sampled_from([-40.0, -20.0, -10.0, 0.0, 5.0, 10.0]))
+    return spectrum, threshold_from_db(spectrum, level_db)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=floor_cases())
+def test_floor_report_matches_time_domain_formula(case):
+    """The spectral report counts the floored bins exactly and gives the time-domain level."""
+    spectrum, theta = case
+    L = spectrum.length
+    report = floor_report(spectrum, theta)
+    mirrored = np.concatenate([spectrum.bins, np.conj(spectrum.bins[1 : (L + 1) // 2][::-1])])
+    expected_changed = int(np.count_nonzero(np.abs(mirrored) < theta.theta_linear * (1 - 2.0**-50)))
+    assert report.bins_changed == expected_changed
+    assert report.fraction_changed == expected_changed / L
+    samples = np.fft.irfft(spectrum.bins, n=L)
+    expected_db = added_component_db(samples, apply_floor(spectrum, theta))
+    if math.isinf(expected_db):
+        assert report.added_component_db == expected_db
+    else:
+        assert abs(report.added_component_db - expected_db) <= 1e-9
+    if expected_changed == 0:
+        assert report.added_component_db == -math.inf
+
+
+def test_floor_report_of_a_silent_period_is_plus_inf():
+    report = floor_report(Spectrum(np.zeros(5), FS, 9), FloorThreshold(1.0, 0.0))
+    assert (report.bins_changed, report.fraction_changed) == (9, 1.0)
+    assert report.added_component_db == math.inf
+
+
+def test_safeguard_signal_reports_floor_report():
+    signal = white_noise_period(1000, FS, seed=25)
+    spectrum = forward_dft(signal)
+    theta = threshold_from_db(spectrum, -5.0)
+    safeguarded, report = safeguard_signal(signal, theta, spectrum)
+    assert report == floor_report(spectrum, theta)
+    floored = inverse_dft(apply_floor(spectrum, theta))
+    assert safeguarded.samples.tobytes() == floored.samples.tobytes()

@@ -315,7 +315,10 @@ def test_nonlinearity_transforms_each_period_once(monkeypatch):
 
 
 def test_flooring_regression_transforms_its_period_once(monkeypatch):
+    """One forward transform; every report comes from the spectrum, with no inverse."""
     dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    inverses = count_calls(monkeypatch, "inverse_dft", [sgmeasure.safeguard, sgmeasure.core])
     result = run_flooring_regression()
     assert len(result.axis) == len(DEFAULT_THETA_DB_GRID)
     assert len(dfts) == 1
+    assert inverses == []
