@@ -28,7 +28,6 @@ from .separation import (
     SeparationResult,
     estimate_transfer,
     excitation_bins,
-    fractional_octave_smooth,
     impulse_response,
     segment_block,
     signal_dependent_response,

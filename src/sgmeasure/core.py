@@ -74,11 +74,10 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SampleStream:
-    """A real sample sequence of any length with provenance label."""
+    """A real sample sequence of any length."""
 
     samples: np.ndarray
     sample_rate: int
-    label: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

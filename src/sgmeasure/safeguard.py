@@ -152,8 +152,8 @@ def safeguard_signal(
     return inverse_dft(apply_floor(spectrum, theta)), report
 
 
-def build_test_stream(period: PeriodicSignal, repeats: int, label: str = "") -> SampleStream:
+def build_test_stream(period: PeriodicSignal, repeats: int) -> SampleStream:
     """Concatenate the period ``repeats`` times into a playable test stream."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    return SampleStream(np.tile(period.samples, repeats), period.sample_rate, label=label)
+    return SampleStream(np.tile(period.samples, repeats), period.sample_rate)

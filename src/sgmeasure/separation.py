@@ -37,7 +37,6 @@ __all__ = [
     "time_invariant_block",
     "time_invariant_response",
     "signal_dependent_response",
-    "fractional_octave_smooth",
     "impulse_response",
 ]
 
@@ -181,33 +180,13 @@ def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray,
     return _reduce_rows(np.array(per_signal_h_sti, dtype=np.complex128))
 
 
-def fractional_octave_smooth(
-    power_spectrum: np.ndarray,
-    fraction: float = 1.0 / 3.0,
-) -> np.ndarray:
-    """Rectangular log-frequency smoothing of a power spectrum.
-
-    Each bin k > 0 up to L/2 is replaced by the arithmetic mean of the
-    power over bins whose frequency lies within +-fraction/2 octave of the
-    bin center, clamped to the valid band.  Bin 0 passes through and the
-    upper half mirrors the lower to keep the symmetry of a real signal's
-    spectrum.
-    """
-    p = np.asarray(power_spectrum, dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("power spectrum must be nonnegative")
-    L = p.size
-    half = L // 2
-    out = np.empty(L)
-    out[: half + 1] = smooth_one_sided(p[: half + 1], fraction)
-    # mirror onto the conjugate half (excludes Nyquist for even L, bin 0 always)
-    mirror = np.arange(half + 1, L)
-    out[mirror] = out[L - mirror]
-    return out
-
-
 def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
-    """:func:`fractional_octave_smooth` on bins 0..L/2 of a power spectrum."""
+    """Rectangular log-frequency smoothing of bins 0..L/2 of a power spectrum.
+
+    Each bin k > 0 is replaced by the arithmetic mean of the power over
+    bins whose frequency lies within +-fraction/2 octave of the bin center,
+    clamped to the valid band; bin 0 passes through.
+    """
     if fraction <= 0:
         raise ValueError("fraction must be positive")
     half = power.size - 1

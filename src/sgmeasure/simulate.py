@@ -162,7 +162,7 @@ def simulate_chain(
         samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy
     else:
         samples = np.tile(out, repeats)
-    return SampleStream(samples, test.sample_rate, label="simulated")
+    return SampleStream(samples, test.sample_rate)
 
 
 def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -102,7 +102,7 @@ def read_audio(path: str | Path) -> SampleStream:
         if raw.size % 2:
             raise CorruptFile(f"{path}: odd sample count for a stereo file")
         raw = raw.reshape(-1, 2).mean(axis=1)
-    return SampleStream(raw, sample_rate, label=str(path))
+    return SampleStream(raw, sample_rate)
 
 
 def _pcm_integers(stream: SampleStream, bits: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 
 from sgmeasure.core import PeriodicSignal, inverse_dft, power_db
 from sgmeasure.errors import ImpulseResponseTooLong
+from sgmeasure.separation import smooth_one_sided
 
 
 def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
@@ -55,6 +56,25 @@ def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, 
     out[scaled] = theta_linear * bins[scaled] / mag[scaled]
     out[mag == 0] = theta_linear
     return int(np.count_nonzero(low)), np.fft.ifft(out).real
+
+
+def fractional_octave_smooth(power_spectrum: np.ndarray, fraction: float = 1.0 / 3.0):
+    """:func:`sgmeasure.separation.smooth_one_sided` over all L bins of a power spectrum.
+
+    Bins 0..L/2 are smoothed and the upper half mirrors the lower, keeping
+    the symmetry of a real signal's spectrum.
+    """
+    p = np.asarray(power_spectrum, dtype=np.float64)
+    if np.any(p < 0):
+        raise ValueError("power spectrum must be nonnegative")
+    L = p.size
+    half = L // 2
+    out = np.empty(L)
+    out[: half + 1] = smooth_one_sided(p[: half + 1], fraction)
+    # mirror onto the conjugate half (excludes Nyquist for even L, bin 0 always)
+    mirror = np.arange(half + 1, L)
+    out[mirror] = out[L - mirror]
+    return out
 
 
 def added_component_db(samples: np.ndarray, floored) -> float:

@@ -20,7 +20,7 @@ FS = 44100
 
 def sine_stream(freq=1000.0, n=4410, amp=0.5):
     t = np.arange(n) / FS
-    return SampleStream(amp * np.sin(2 * np.pi * freq * t), FS, label="sine")
+    return SampleStream(amp * np.sin(2 * np.pi * freq * t), FS)
 
 
 def test_float_round_trip_is_lossless(tmp_path):

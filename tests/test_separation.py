@@ -17,7 +17,6 @@ from sgmeasure.separation import (
     divide_spectra,
     estimate_transfer,
     excitation_bins,
-    fractional_octave_smooth,
     impulse_response,
     segment_block,
     signal_dependent_response,
@@ -27,7 +26,7 @@ from sgmeasure.separation import (
 )
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 
-from oracles import circular_convolve
+from oracles import circular_convolve, fractional_octave_smooth
 
 FS = 44100
 
