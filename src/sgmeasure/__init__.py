@@ -25,11 +25,11 @@ from .safeguard import (
     threshold_from_db,
 )
 from .separation import (
-    SeparationResult,
     estimate_transfer,
     excitation_bins,
     impulse_response,
     segment_block,
+    separate_signals,
     signal_dependent_response,
     time_invariant_block,
     time_invariant_response,

@@ -54,6 +54,28 @@ def _smooth_fraction(text: str) -> float | None:
     return fraction
 
 
+def _period_length(text: str) -> int:
+    """argparse type of ``--period``: an integer number of samples, at least 2."""
+    try:
+        length = int(text)
+    except ValueError:
+        length = 0
+    if length < 2:
+        raise argparse.ArgumentTypeError(f"not a period of at least 2 samples: {text!r}")
+    return length
+
+
+def _finite_db(text: str) -> float:
+    """argparse type of ``--theta-db``: a finite level in dB."""
+    try:
+        level = float(text)
+    except ValueError:
+        level = math.nan
+    if not math.isfinite(level):
+        raise argparse.ArgumentTypeError(f"not a finite level in dB: {text!r}")
+    return level
+
+
 def _cmd_safeguard(args) -> int:
     stream = read_audio(args.infile)
     if len(stream) < args.period:
@@ -195,10 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("safeguard", help="floor a period's DFT magnitudes")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--period", type=int, required=True, help="period length L in samples")
+    p.add_argument(
+        "--period", type=_period_length, required=True, help="period length L >= 2 in samples"
+    )
     p.add_argument(
         "--theta-db",
-        type=float,
+        type=_finite_db,
         default=0.0,
         help="flooring level in dB relative to the mean bin magnitude",
     )

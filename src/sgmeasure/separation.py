@@ -13,11 +13,14 @@ signal-dependent one (:func:`signal_dependent_response`).  Both spreads
 are unbiased sample variances (denominators M-1 and P-1).
 :func:`time_invariant_block` runs the first two steps and reduces the
 estimate in its own memory, so no array the size of H is made beside it.
+:func:`separate_signals` runs the whole separation on P blocks, reducing
+each one as it arrives, so a generator of blocks keeps one in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from itertools import starmap
 
 import numpy as np
 
@@ -30,33 +33,15 @@ from .errors import (
 )
 
 __all__ = [
-    "SeparationResult",
     "segment_block",
     "excitation_bins",
     "estimate_transfer",
     "time_invariant_block",
     "time_invariant_response",
     "signal_dependent_response",
+    "separate_signals",
     "impulse_response",
 ]
-
-
-@dataclass(frozen=True)
-class SeparationResult:
-    """Separated responses for a full session.
-
-    ``h_sti`` and ``d_stv_sq`` are stacked per test signal (shape (P, K),
-    K = L//2 + 1 one-sided bins);
-    ``h_slti`` / ``h_ssdr_sq`` aggregate over signals and are None when
-    only one signal was measured.
-    """
-
-    h_sti: np.ndarray
-    d_stv_sq: np.ndarray
-    h_slti: np.ndarray | None
-    h_ssdr_sq: np.ndarray | None
-    m_count: int
-    p_count: int
 
 
 def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int) -> np.ndarray:
@@ -178,6 +163,35 @@ def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray,
     if p < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p}")
     return _reduce_rows(np.array(per_signal_h_sti, dtype=np.complex128))
+
+
+def separate_signals(
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Separate the responses of P test signals from their ``(block, x_bins)`` pairs.
+
+    Each (M, L) block is reduced by :func:`time_invariant_block` as it
+    arrives and is not referenced once reduced, so ``pairs`` may be a
+    generator that makes one block at a time.  Returns ``(h_sti, d_stv_sq,
+    h_slti, h_ssdr_sq)``: the per-signal statistics stacked as (P, K)
+    arrays, then :func:`signal_dependent_response` of ``h_sti``; with P = 1,
+    ``h_slti`` is the single row and ``h_ssdr_sq`` is None.
+    """
+    means, variances = [], []
+    # starmap binds no pair between calls; a loop over ``pairs`` would keep
+    # the last block alive while the next one is made
+    for mean, var in starmap(time_invariant_block, pairs):
+        means.append(mean)
+        variances.append(var)
+    if not means:
+        raise InsufficientSignals("need at least one signal")
+    h_sti = np.vstack(means)
+    del means  # each list goes once it is stacked, so no row is held twice for long
+    d_stv_sq = np.vstack(variances)
+    del variances
+    if len(h_sti) == 1:
+        return h_sti, d_stv_sq, h_sti[0], None
+    return h_sti, d_stv_sq, *signal_dependent_response(h_sti)
 
 
 def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:

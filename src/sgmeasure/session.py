@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,13 +22,11 @@ from .core import SampleStream, forward_dft_raw
 from .errors import ManifestError, SampleRateMismatch, SilentRecording
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import (
-    SeparationResult,
     divide_spectra,
     excitation_bins,
     segment_block,
-    signal_dependent_response,
+    separate_signals,
     smooth_one_sided,
-    time_invariant_block,
 )
 from .wavio import read_audio
 
@@ -69,8 +68,11 @@ ENTRY_KEYS = frozenset({"excitation", "recording"})
 def load_manifest(path: str | Path) -> SessionManifest:
     """Load and validate a session manifest; file paths resolve relative to it.
 
-    Unknown keys, an unsupported schema version, and segment bookkeeping
-    that is not an integer or out of range raise :class:`ManifestError`.
+    Unknown keys, an unsupported schema version, segment bookkeeping that
+    is not an integer or out of range, and a summary key of the wrong type
+    (``seed`` an integer or null, ``theta_reference_db`` a finite number or
+    null, ``calibration`` an object, ``background_recording`` a non-empty
+    file name or null) raise :class:`ManifestError`.
     """
     path = Path(path)
     try:
@@ -99,6 +101,12 @@ def load_manifest(path: str | Path) -> SessionManifest:
             raise ManifestError(f"{path}: {name} must be >= {least}, got {value}")
         return int(value)
 
+    def typed(name: str, default, ok, expected: str):
+        value = doc.get(name, default)
+        if not ok(value):
+            raise ManifestError(f"{path}: {name} must be {expected}, got {value!r}")
+        return value
+
     try:
         schema_version = integer(
             "schema_version", doc.get("schema_version", SCHEMA_VERSION), 1
@@ -115,11 +123,20 @@ def load_manifest(path: str | Path) -> SessionManifest:
         sample_rate = integer("sample_rate", doc["sample_rate"], 1)
         segments = integer("segments_per_recording", doc["segments_per_recording"], 1)
         skip = integer("skip_preamble", doc.get("skip_preamble", period_length), 0)
-        theta_db = doc.get("theta_reference_db")
+        seed = typed("seed", None, lambda v: v is None or type(v) is int, "an integer or null")
+        theta_db = typed(
+            "theta_reference_db", None,
+            lambda v: v is None or type(v) in (int, float) and math.isfinite(v),
+            "a finite number or null",
+        )
         theta_db = float(theta_db) if theta_db is not None else None
+        calibration = typed("calibration", {}, lambda v: isinstance(v, dict), "an object")
         entries = tuple(entry(e) for e in doc["entries"])
-        background = doc.get("background_recording")
-        background = resolve(background) if background else None
+        background = typed(
+            "background_recording", None,
+            lambda v: v is None or isinstance(v, str) and v != "", "a non-empty file name or null",
+        )
+        background = resolve(background) if background is not None else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"invalid manifest {path}: {exc}") from exc
     if not entries:
@@ -131,9 +148,9 @@ def load_manifest(path: str | Path) -> SessionManifest:
         skip_preamble=skip,
         entries=entries,
         background_recording=background,
-        seed=doc.get("seed"),
+        seed=seed,
         theta_reference_db=theta_db,
-        calibration=doc.get("calibration", {}),
+        calibration=calibration,
         schema_version=schema_version,
     )
 
@@ -158,52 +175,30 @@ def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndar
 
 
 def separate_session(
-    manifest: SessionManifest,
-) -> tuple[SeparationResult, dict, list[np.ndarray]]:
-    """Run the estimation pipeline on bins 0..L/2.
+    manifest: SessionManifest, log: list
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each entry's (M, L) segment block and excitation bins, reading one pair at a time.
 
-    Returns the separation, the power bookkeeping, and the one-sided
-    excitation spectra for the background estimate.
+    Appends ``(x_bins, excitation power, output power)`` per entry to ``log``.
     """
-    L = manifest.period_length
-    M = manifest.segments_per_recording
-    excitations, h_sti, d_stv_sq = [], [], []
-    output_power, excitation_power = [], []
     for entry in manifest.entries:
         x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
-        excitations.append(x_bins)
-        excitation_power.append(exc_power)
         recording = _read_checked(entry.recording, manifest)
-        block = segment_block(recording.samples, L, M, manifest.skip_preamble)
+        block = segment_block(
+            recording.samples, manifest.period_length, manifest.segments_per_recording,
+            manifest.skip_preamble,
+        )
         power = float(np.mean(block.ravel() ** 2))
         if power == 0.0:
             raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
-        output_power.append(power)
-        mean, var = time_invariant_block(block, x_bins)
-        h_sti.append(mean)
-        d_stv_sq.append(var)
-    h_sti, d_stv_sq = np.vstack(h_sti), np.vstack(d_stv_sq)
-    p_count = len(manifest.entries)
-    if p_count >= 2:
-        h_slti, h_ssdr_sq = signal_dependent_response(h_sti)
-    else:
-        h_slti, h_ssdr_sq = h_sti[0], None
-    result = SeparationResult(
-        h_sti=h_sti,
-        d_stv_sq=d_stv_sq,
-        h_slti=h_slti,
-        h_ssdr_sq=h_ssdr_sq,
-        m_count=M,
-        p_count=p_count,
-    )
-    powers = {
-        "output_power": float(np.mean(output_power)),
-        "excitation_power": float(np.mean(excitation_power)),
-    }
-    return result, powers, excitations
+        log.append((x_bins, exc_power, power))
+        yield block, x_bins
+        del recording, block  # before the next recording is read
 
 
-def _background_level(manifest: SessionManifest, excitations: list[np.ndarray]) -> np.ndarray:
+def _background_level(
+    manifest: SessionManifest, excitations: tuple[np.ndarray, ...]
+) -> np.ndarray:
     """Mean |noise DFT / X_s|^2 over all signals and available segments.
 
     The background segments are transformed once.  The sum runs signal by
@@ -240,20 +235,22 @@ def analyze_session(
     summary.  Smoothing operates on the power quantities.  Each table column
     is a float64 array, one row per bin 0..L/2.
     """
-    result, powers, excitations = separate_session(manifest)
+    log: list[tuple[np.ndarray, float, float]] = []
+    h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(separate_session(manifest, log))
+    excitations, excitation_power, output_power = zip(*log)
     L = manifest.period_length
     half = L // 2
 
-    lti_power = np.abs(result.h_slti) ** 2
-    random_power = np.mean(result.d_stv_sq, axis=0)
-    sdr_power = result.h_ssdr_sq
+    lti_power = np.abs(h_slti) ** 2
+    random_power = np.mean(d_stv_sq, axis=0)
+    del h_sti, d_stv_sq, h_slti  # the (P, K) stacks go before the background is read
     background_power = None
     if manifest.background_recording is not None:
         background_power = _background_level(manifest, excitations)
 
-    normalization_db = 10.0 * math.log10(
-        powers["output_power"] / powers["excitation_power"]
-    )
+    output_power = float(np.mean(output_power))
+    excitation_power = float(np.mean(excitation_power))
+    normalization_db = 10.0 * math.log10(output_power / excitation_power)
     freq = np.arange(half + 1) * (manifest.sample_rate / L)
     table: dict[str, np.ndarray] = {"frequency_hz": freq}
 
@@ -284,13 +281,13 @@ def analyze_session(
     summary = {
         "sample_rate": manifest.sample_rate,
         "period_length": L,
-        "m_count": result.m_count,
-        "p_count": result.p_count,
+        "m_count": manifest.segments_per_recording,
+        "p_count": len(manifest.entries),
         "skip_preamble": manifest.skip_preamble,
         "smoothing_fraction": smooth_fraction,
         "normalization_db": normalization_db,
-        "output_power_db": 10.0 * math.log10(powers["output_power"]),
-        "excitation_power_db": 10.0 * math.log10(powers["excitation_power"]),
+        "output_power_db": 10.0 * math.log10(output_power),
+        "excitation_power_db": 10.0 * math.log10(excitation_power),
         "theta_reference_db": manifest.theta_reference_db,
         "seed": manifest.seed,
         "calibration": manifest.calibration,

@@ -26,7 +26,7 @@ from .separation import (
     estimate_transfer,
     excitation_bins,
     segment_block,
-    signal_dependent_response,
+    separate_signals,
     time_invariant_block,
 )
 
@@ -328,10 +328,10 @@ def run_nonlinearity_experiment(
     )
     rand_raw, sdr_raw, rand_norm, sdr_norm = [], [], [], []
     for j, level_db in enumerate(input_level_db_list):
-        per_signal_h_sti = []
-        per_signal_rand = []
         output_power = []
-        for p, (excitation, x_bins) in enumerate(excitations):
+
+        def measured(p):
+            excitation, x_bins = excitations[p]
             config = SimulationConfig(
                 alpha=alpha,
                 snr_db=snr_db,
@@ -340,12 +340,11 @@ def run_nonlinearity_experiment(
             )
             recorded, block = _measured_block(excitation, config, m_count)
             output_power.append(float(np.mean(recorded.samples**2)))
-            h_sti, d_stv_sq = time_invariant_block(block, x_bins)
-            per_signal_h_sti.append(h_sti)
-            per_signal_rand.append(full_spectrum_mean(d_stv_sq, period_length))
-        _, h_ssdr_sq = signal_dependent_response(per_signal_h_sti)
+            return block, x_bins
+
+        _, d_stv_sq, _, h_ssdr_sq = separate_signals(map(measured, range(p_count)))
         norm_db = _db(float(np.mean(output_power)) / excitation_power)
-        rand_db = _db(float(np.mean(per_signal_rand)))
+        rand_db = _db(float(np.mean([full_spectrum_mean(d, period_length) for d in d_stv_sq])))
         sdr_db = _db(full_spectrum_mean(h_ssdr_sq, period_length))
         rand_raw.append(rand_db)
         sdr_raw.append(sdr_db)

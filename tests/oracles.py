@@ -7,7 +7,11 @@ import numpy as np
 
 from sgmeasure.core import PeriodicSignal, inverse_dft, power_db
 from sgmeasure.errors import ImpulseResponseTooLong
-from sgmeasure.separation import smooth_one_sided
+from sgmeasure.separation import (
+    signal_dependent_response,
+    smooth_one_sided,
+    time_invariant_block,
+)
 
 
 def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
@@ -75,6 +79,21 @@ def fractional_octave_smooth(power_spectrum: np.ndarray, fraction: float = 1.0 /
     mirror = np.arange(half + 1, L)
     out[mirror] = out[L - mirror]
     return out
+
+
+def separate_stacked(pairs) -> tuple:
+    """Every (block, x_bins) pair reduced over M, the P rows stacked, then reduced over P.
+
+    :func:`sgmeasure.separation.separate_signals` reduces each block as it
+    arrives and must agree bit for bit.  With P = 1 the LTI response is
+    the single row and there is no signal-dependent response.
+    """
+    rows = [time_invariant_block(block, x_bins) for block, x_bins in pairs]
+    h_sti = np.vstack([mean for mean, _ in rows])
+    d_stv_sq = np.vstack([var for _, var in rows])
+    if len(rows) == 1:
+        return h_sti, d_stv_sq, h_sti[0], None
+    return (h_sti, d_stv_sq, *signal_dependent_response(h_sti))
 
 
 def added_component_db(samples: np.ndarray, floored) -> float:

@@ -89,6 +89,23 @@ def test_safeguard_command_short_input(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("option", [
+    "--period=-4000", "--period=0", "--period=1", "--theta-db=nan", "--theta-db=inf",
+    "--theta-db=-inf",
+])
+def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
+    # a negative period once sliced from the end and floored the last samples
+    infile = tmp_path / "in.wav"
+    write_audio(infile, SampleStream(white_noise_period(4096, FS, seed=3).samples * 0.05, FS))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    args = ["--period=4096", option] if option.startswith("--theta-db") else [option]
+    with pytest.raises(SystemExit) as exc:
+        main(["safeguard", "--in", str(infile), *args, "--out", str(out), "--report", str(report)])
+    assert exc.value.code == 2
+    assert option.split("=")[0] in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_make_test_identity(tmp_path):
     infile = tmp_path / "in.wav"
     write_period(infile, seed=4)
@@ -219,6 +236,17 @@ def test_analyze_missing_file_exit_code(tmp_path):
         {"skip_preamble": 1e400},
         {"sample_rate": True},
         {"entries": [{"excitation": "exc0.wav", "recording": "rec0.wav", "gain": 2}]},
+        {"seed": "abc"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"calibration": [1, 2]},
+        {"calibration": None},
+        {"theta_reference_db": "-inf"},
+        {"theta_reference_db": "0"},
+        {"theta_reference_db": float("nan")},
+        {"theta_reference_db": False},
+        {"background_recording": ""},
+        {"background_recording": 5},
     ],
 )
 def test_analyze_invalid_manifest_is_input_error(tmp_path, capsys, change):
@@ -229,6 +257,24 @@ def test_analyze_invalid_manifest_is_input_error(tmp_path, capsys, change):
     rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
+def test_analyze_summary_keys_are_echoed(tmp_path):
+    """Valid summary keys pass through; a null background is no background."""
+    manifest = make_session(tmp_path, snr_db=40.0)
+    plain = tmp_path / "plain.csv"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(plain)]) == 0
+    doc = json.loads(manifest.read_text())
+    doc.update(seed=None, theta_reference_db=-3, calibration={"mic": "a"},
+               background_recording=None)
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "echo.csv"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report.summary["seed"] is None
+    assert report.summary["theta_reference_db"] == -3.0
+    assert report.summary["calibration"] == {"mic": "a"}
+    assert out.read_bytes().split(b"\n")[2:] == plain.read_bytes().split(b"\n")[2:]
 
 
 def test_analyze_manifest_not_an_object(tmp_path, capsys):

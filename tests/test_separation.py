@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,14 +20,17 @@ from sgmeasure.separation import (
     excitation_bins,
     impulse_response,
     segment_block,
+    separate_signals,
     signal_dependent_response,
     smooth_one_sided,
     time_invariant_block,
     time_invariant_response,
 )
+from sgmeasure.session import analyze_session, load_manifest
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
+from sgmeasure.wavio import write_audio
 
-from oracles import circular_convolve, fractional_octave_smooth
+from oracles import circular_convolve, fractional_octave_smooth, separate_stacked
 
 FS = 44100
 
@@ -219,6 +223,44 @@ def test_time_invariant_block_holds_one_estimate():
     assert peak <= 1.2 * h_bytes
 
 
+def test_analyze_holds_one_recording_at_a_time(tmp_path):
+    """A P = 4 session with a background never holds two recordings at once.
+
+    Besides the P per-signal results and excitation bins, which the
+    P-axis statistics and the background level need, the peak is one
+    recording's float64 samples with the float32 file bytes decoded into
+    them, and one (M, K) estimate.  A second recording alive adds a
+    recording's bytes, more than the half-recording margin; so do the
+    (P, K) stacks kept while the background is read.
+    """
+    L, M, P = 16384, 8, 4
+    K = L // 2 + 1
+    rng = np.random.default_rng(52)
+    entries = []
+    for p in range(P):
+        period = rng.standard_normal(L) * 0.1
+        recording = np.tile(period, M + 1) + rng.standard_normal((M + 1) * L) * 1e-3
+        write_audio(tmp_path / f"exc{p}.wav", SampleStream(period, FS))
+        write_audio(tmp_path / f"rec{p}.wav", SampleStream(recording, FS))
+        entries.append({"excitation": f"exc{p}.wav", "recording": f"rec{p}.wav"})
+    write_audio(tmp_path / "bg.wav", SampleStream(rng.standard_normal((M + 1) * L) * 1e-3, FS))
+    (tmp_path / "session.json").write_text(json.dumps({
+        "sample_rate": FS, "period_length": L, "segments_per_recording": M,
+        "entries": entries, "background_recording": "bg.wav",
+    }))
+    manifest = load_manifest(tmp_path / "session.json")
+    recording_bytes = (M + 1) * L * 8
+    estimate_bytes = M * K * 16
+    per_signal_bytes = P * K * (16 + 16 + 8)  # x_bins, h_sti and d_stv_sq rows
+    tracemalloc.start()
+    try:
+        analyze_session(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_signal_bytes + 1.5 * recording_bytes + estimate_bytes
+
+
 def test_statistics_leave_their_input_unchanged():
     rng = np.random.default_rng(51)
     h = rng.standard_normal((5, 33)) + 1j * rng.standard_normal((5, 33))
@@ -315,6 +357,49 @@ def test_statistics_need_one_estimate_per_row():
         time_invariant_response(np.ones(4, dtype=complex))
     with pytest.raises(ValueError, match="2-D"):
         signal_dependent_response(np.ones(4, dtype=complex))
+
+
+@st.composite
+def signal_blocks(draw):
+    """P (block, x_bins) pairs of random (M, L) blocks and nonzero excitation bins."""
+    p = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 6))
+    L = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = L // 2 + 1
+    return [
+        (rng.standard_normal((m, L)), rng.standard_normal(k) + 1j * rng.standard_normal(k) + 0.1)
+        for _ in range(p)
+    ]
+
+
+def assert_same_separation(a, b):
+    for x, y in zip(a[:3], b[:3]):
+        assert np.array_equal(x, y)
+    assert (a[3] is None and b[3] is None) or np.array_equal(a[3], b[3])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pairs=signal_blocks())
+def test_separation_core_streamed_listed_and_stacked_agree(pairs):
+    before = [(block.tobytes(), x.tobytes()) for block, x in pairs]
+    streamed = separate_signals(pair for pair in pairs)
+    listed = separate_signals(pairs)
+    stacked = separate_stacked(pairs)
+    assert_same_separation(streamed, listed)
+    assert_same_separation(streamed, stacked)
+    assert [(block.tobytes(), x.tobytes()) for block, x in pairs] == before
+    h_sti, d_stv_sq, h_slti, h_ssdr_sq = streamed
+    assert h_sti.shape == d_stv_sq.shape == (len(pairs), pairs[0][1].size)
+    if len(pairs) == 1:
+        assert h_ssdr_sq is None and np.array_equal(h_slti, h_sti[0])
+    else:
+        assert h_ssdr_sq.shape == h_slti.shape == (pairs[0][1].size,)
+
+
+def test_separation_core_needs_a_signal():
+    with pytest.raises(InsufficientSignals):
+        separate_signals(iter([]))
 
 
 def test_identical_signals_have_zero_signal_dependence():
