@@ -12,14 +12,12 @@ from .core import (
     Spectrum,
     forward_dft,
     inverse_dft,
-    power_db,
 )
 from .safeguard import (
     FloorThreshold,
     SafeguardReport,
     apply_floor,
     build_test_stream,
-    default_threshold,
     floor_report,
     safeguard_signal,
     threshold_from_db,
@@ -32,11 +30,9 @@ from .separation import (
     separate_signals,
     signal_dependent_response,
     time_invariant_block,
-    time_invariant_response,
 )
 from .session import SessionManifest, analyze_session, load_manifest
 from .simulate import (
-    ExperimentResult,
     SimulationConfig,
     nonlinearity,
     run_flooring_regression,

@@ -15,14 +15,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PeriodicSignal, SampleStream
+from .core import PeriodicSignal, SampleStream, forward_dft
 from .errors import AnalysisError, InputFormatError, SgMeasureError
-from .reports import SCHEMA_VERSION, AnalysisReport, write_report
-from .core import forward_dft
+from .reports import SCHEMA_VERSION, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
 from .simulate import (
-    ExperimentResult,
     run_flooring_regression,
     run_max_deviation_sweep,
     run_nonlinearity_experiment,
@@ -107,6 +105,8 @@ def _cmd_safeguard(args) -> int:
 
 def _cmd_make_test(args) -> int:
     stream = read_audio(args.infile)
+    if len(stream) < 2:
+        raise InputFormatError(f"{args.infile}: {len(stream)} samples, a period needs at least 2")
     period = PeriodicSignal(stream.samples, stream.sample_rate)
     write_audio(args.out, build_test_stream(period, args.repeats))
     return 0
@@ -117,17 +117,6 @@ def _cmd_analyze(args) -> int:
     report = analyze_session(manifest, smooth_fraction=args.smooth)
     write_report(args.out, report)
     return 0
-
-
-def _experiment_report(name: str, result: ExperimentResult, config: dict) -> AnalysisReport:
-    summary = {"experiment": name, "config": config}
-    if result.slope is not None:
-        summary["slope"] = result.slope
-        summary["intercept"] = result.intercept
-    table: dict[str, list] = {result.axis_name: list(result.axis)}
-    for metric, col in result.metrics.items():
-        table[metric] = list(col)
-    return AnalysisReport(summary=summary, table=table)
 
 
 def _experiments() -> dict:
@@ -203,8 +192,9 @@ def _cmd_simulate(args) -> int:
             raise InputFormatError("simulation config must be a JSON object")
     config.setdefault("seed", _default_seed())
     runner = _experiments()[args.experiment]
-    result = runner(**_runner_kwargs(runner, config))
-    write_report(args.out, _experiment_report(args.experiment, result, config))
+    report = runner(**_runner_kwargs(runner, config))
+    report.summary.update(experiment=args.experiment, config=config)
+    write_report(args.out, report)
     return 0
 
 

@@ -4,13 +4,14 @@ Convention: unnormalized forward DFT, 1/L-normalized inverse.  Real signals
 live in :class:`PeriodicSignal` / :class:`SampleStream`.  Every transform
 keeps only bins 0..L//2, which carry all of a real signal's spectrum: a
 :class:`Spectrum` holds those bins of one period plus L, whose parity the
-bin count does not fix.  :func:`hermitian_sum` turns a quantity on those
-bins into its sum over all L bins.
+bin count does not fix, and computes their magnitudes once.
+:func:`hermitian_sum` turns a quantity on those bins into its sum over all L bins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "inverse_dft",
     "circular_convolve_fast",
     "lti_transfer",
-    "power_db",
 ]
 
 
@@ -57,7 +57,11 @@ class PeriodicSignal:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Bins 0..length//2 of the DFT of one real period of ``length`` samples."""
+    """Bins 0..length//2 of the DFT of one real period of ``length`` samples.
+
+    ``magnitude`` and ``mean_magnitude`` are computed on first read and kept,
+    so the bins must not be changed in place.
+    """
 
     bins: np.ndarray
     sample_rate: int
@@ -70,6 +74,18 @@ class Spectrum:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "bins", bins)
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """|X[k]| of the bins, read-only."""
+        magnitude = np.abs(self.bins)
+        magnitude.flags.writeable = False
+        return magnitude
+
+    @cached_property
+    def mean_magnitude(self) -> float:
+        """Mean |X[k]| over all ``length`` bins: the 0 dB flooring reference."""
+        return full_spectrum_mean(self.magnitude, self.length)
 
 
 @dataclass(frozen=True)
@@ -157,13 +173,3 @@ def full_spectrum_mean(one_sided: np.ndarray, length: int) -> float:
     """Mean over all ``length`` bins of a real signal's power or magnitude spectrum."""
     return float(hermitian_sum(one_sided, length) / length)
 
-
-def power_db(samples: np.ndarray) -> float:
-    """Mean-square power in dB; -inf for all-zero input."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("power_db of empty sequence")
-    mean_sq = float(np.mean(samples**2))
-    if mean_sq == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(mean_sq)

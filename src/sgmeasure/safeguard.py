@@ -13,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PeriodicSignal, SampleStream, Spectrum, forward_dft, full_spectrum_mean, hermitian_sum,
-    inverse_dft,
-)
+from .core import PeriodicSignal, SampleStream, Spectrum, hermitian_sum, inverse_dft
 from .errors import DegenerateSpectrum, LevelOutOfRange
 
 __all__ = [
     "FloorThreshold",
     "SafeguardReport",
-    "default_threshold",
     "threshold_from_db",
     "apply_floor",
     "floor_report",
@@ -33,18 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FloorThreshold:
-    """Magnitude floor in linear DFT units.
-
-    ``reference_db`` is 20*log10(theta / mean |X[k]|) of the spectrum the
-    threshold was derived from.
-    """
+    """Magnitude floor in linear DFT units: a positive, finite float."""
 
     theta_linear: float
-    reference_db: float
 
     def __post_init__(self):
-        if not (self.theta_linear > 0):
-            raise ValueError("theta_linear must be positive")
+        if not 0.0 < self.theta_linear < math.inf:
+            raise ValueError(f"theta_linear must be positive and finite, got {self.theta_linear}")
 
 
 @dataclass(frozen=True)
@@ -61,32 +52,22 @@ class SafeguardReport:
     added_component_db: float
 
 
-def _mean_magnitude(spectrum: Spectrum) -> float:
-    mean_mag = full_spectrum_mean(np.abs(spectrum.bins), spectrum.length)
-    if mean_mag == 0.0:
-        raise DegenerateSpectrum("all-zero spectrum has no magnitude reference")
-    return mean_mag
-
-
-def default_threshold(spectrum: Spectrum) -> FloorThreshold:
-    """Threshold at the average absolute bin magnitude (the 0 dB reference)."""
-    return FloorThreshold(_mean_magnitude(spectrum), 0.0)
-
-
 def threshold_from_db(spectrum: Spectrum, level_db: float) -> FloorThreshold:
     """Threshold at ``level_db`` relative to the mean absolute bin magnitude.
 
-    A level whose threshold overflows float64 or underflows to zero raises
-    :class:`LevelOutOfRange`.
+    0 dB is the mean magnitude itself.  A level whose threshold overflows
+    float64 or underflows to zero raises :class:`LevelOutOfRange`.
     """
-    mean_mag = _mean_magnitude(spectrum)
+    mean_mag = spectrum.mean_magnitude
+    if mean_mag == 0.0:
+        raise DegenerateSpectrum("all-zero spectrum has no magnitude reference")
     try:
         theta = mean_mag * 10.0 ** (level_db / 20.0)
     except OverflowError:
         theta = math.inf
     if not 0.0 < theta < math.inf:
         raise LevelOutOfRange(f"flooring level {level_db} dB gives threshold {theta}")
-    return FloorThreshold(theta, float(level_db))
+    return FloorThreshold(theta)
 
 
 def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
@@ -97,7 +78,7 @@ def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
     """
     th = theta.theta_linear
     bins = spectrum.bins
-    mag = np.abs(bins)
+    mag = spectrum.magnitude
     out = bins.copy()
     # few-ulp guard keeps repeated flooring bit-for-bit idempotent: a bin
     # already raised to the floor re-measures at th*(1 +- 2 ulp)
@@ -117,7 +98,7 @@ def floor_report(spectrum: Spectrum, theta: FloorThreshold) -> SafeguardReport:
     """
     th = theta.theta_linear
     length = spectrum.length
-    mag = np.abs(spectrum.bins)
+    mag = spectrum.magnitude
     low = mag < th * (1.0 - 2.0**-50)
     changed = int(hermitian_sum(low, length))
     if changed == 0:
@@ -130,18 +111,15 @@ def floor_report(spectrum: Spectrum, theta: FloorThreshold) -> SafeguardReport:
 
 
 def safeguard_signal(
-    signal: PeriodicSignal, theta: FloorThreshold, spectrum: Spectrum | None = None
+    signal: PeriodicSignal, theta: FloorThreshold, spectrum: Spectrum
 ) -> tuple[PeriodicSignal, SafeguardReport]:
     """Floor the period's spectrum and return the safeguarded period plus report.
 
-    ``spectrum`` is ``forward_dft(signal)`` when the caller already holds it
-    (typically from deriving ``theta``); the period is transformed only when
-    it is not given.  A vacuous floor (no bin below the threshold) returns
-    the input period unchanged rather than a transform round-trip of it.
+    ``spectrum`` is ``forward_dft(signal)``, the one ``theta`` is derived
+    from.  A vacuous floor (no bin below the threshold) returns the input
+    period unchanged rather than a transform round-trip of it.
     """
-    if spectrum is None:
-        spectrum = forward_dft(signal)
-    elif (spectrum.length, spectrum.sample_rate) != (signal.period_length, signal.sample_rate):
+    if (spectrum.length, spectrum.sample_rate) != (signal.period_length, signal.sample_rate):
         raise ValueError(
             f"spectrum of {spectrum.length} bins at {spectrum.sample_rate} Hz does not "
             f"belong to a period of {signal.period_length} at {signal.sample_rate} Hz"

@@ -6,13 +6,12 @@ The block is transformed onto its K = L//2 + 1 one-sided bins, which carry
 all of a real signal's spectrum, in one call, and divided by X_s in place
 (:func:`estimate_transfer`), giving one transfer estimate H[k] = Y[k]/X_s[k]
 per row.  The mean and variance over the M rows separate the time-invariant
-response from the random/time-varying one
-(:func:`time_invariant_response`); the mean and variance over the per-signal
-results of P different test signals separate the LTI response from the
-signal-dependent one (:func:`signal_dependent_response`).  Both spreads
-are unbiased sample variances (denominators M-1 and P-1).
-:func:`time_invariant_block` runs the first two steps and reduces the
-estimate in its own memory, so no array the size of H is made beside it.
+response from the random/time-varying one (:func:`time_invariant_block`,
+which reduces the estimate in its own memory, so no array the size of H is
+made beside it); the mean and variance over the per-signal results of P
+different test signals separate the LTI response from the signal-dependent
+one (:func:`signal_dependent_response`).  Both spreads are unbiased sample
+variances (denominators M-1 and P-1).
 :func:`separate_signals` runs the whole separation on P blocks, reducing
 each one as it arrives, so a generator of blocks keeps one in memory.
 """
@@ -37,7 +36,6 @@ __all__ = [
     "excitation_bins",
     "estimate_transfer",
     "time_invariant_block",
-    "time_invariant_response",
     "signal_dependent_response",
     "separate_signals",
     "impulse_response",
@@ -119,37 +117,28 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rows.ndim != 2:
         raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
     n = rows.shape[0]
-    mean = _sum_rows(rows) / n
+    mean = _sum_rows(rows)
+    mean /= n
     rows -= mean
     sq = rows.view(np.float64)  # re, im of each deviation, interleaved
     sq *= sq
     re = sq[:, 0::2]
     np.add(re, sq[:, 1::2], out=re)
-    return mean, _sum_rows(re) / (n - 1)
-
-
-def _check_repetitions(m: int) -> None:
-    if m < 2:
-        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m}")
+    var = _sum_rows(re)
+    var /= n - 1
+    return mean, var
 
 
 def time_invariant_block(block: np.ndarray, x_bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`time_invariant_response` of :func:`estimate_transfer` of an (M, L) block.
-
-    The estimate is reduced in its own memory and not returned.
-    """
-    _check_repetitions(len(block))
-    return _reduce_rows(estimate_transfer(block, x_bins))
-
-
-def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean response and unbiased per-bin variance over the M rows of an (M, K) array.
+    """Mean and unbiased per-bin variance over M of :func:`estimate_transfer` of an (M, L) block.
 
     Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
-    squared absolute random/time-varying response.  ``h`` is not modified.
+    squared absolute random/time-varying response.  The estimate is reduced
+    in its own memory and not returned.
     """
-    _check_repetitions(len(h))
-    return _reduce_rows(np.array(h, dtype=np.complex128))
+    if len(block) < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {len(block)}")
+    return _reduce_rows(estimate_transfer(block, x_bins))
 
 
 def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,10 @@ no transform.  Noise power is set relative to the pre-noise output power
 (the safeguarded signal's own level), so the configured SNR refers to what
 actually reaches the virtual microphone.  All randomness flows through
 counter-based Philox generators keyed on the configured seed, so identical
-configs give bit-identical streams.  Zero power is -inf dB (a null cell).
+configs give bit-identical streams.  Each experiment runner returns the
+report the ``simulate`` command writes: a table of its sweep axis followed
+by its metric columns, and the fitted line in the summary where it has one.
+Zero power is -inf dB (a null cell).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .core import (
     PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
 )
 from .errors import DegenerateFit, LevelOutOfRange
+from .reports import AnalysisReport
 from .safeguard import floor_report, safeguard_signal, threshold_from_db
 from .separation import (
     estimate_transfer,
@@ -32,7 +36,6 @@ from .separation import (
 
 __all__ = [
     "SimulationConfig",
-    "ExperimentResult",
     "white_noise_period",
     "nonlinearity",
     "simulate_chain",
@@ -75,22 +78,6 @@ class SimulationConfig:
         )
         if not self.impulse_response:
             raise ValueError("impulse_response must have at least one tap")
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Tabular output of one experiment: a sweep axis plus named metric columns."""
-
-    axis_name: str
-    axis: tuple[float, ...]
-    metrics: dict[str, tuple[float, ...]]
-    slope: float | None = None
-    intercept: float | None = None
-
-    def __post_init__(self):
-        for name, col in self.metrics.items():
-            if len(col) != len(self.axis):
-                raise ValueError(f"metric {name!r} length disagrees with axis")
 
 
 def _db(power: float) -> float:
@@ -182,7 +169,7 @@ def run_flooring_regression(
     theta_db_grid: tuple[float, ...] = DEFAULT_THETA_DB_GRID,
     min_changed_bins: int = 100,
     max_changed_fraction: float = 0.9,
-) -> ExperimentResult:
+) -> AnalysisReport:
     """Sweep the flooring level on white noise and regress the added level.
 
     The fit uses only sweep points where flooring is statistically in its
@@ -209,16 +196,14 @@ def run_flooring_regression(
     slope, intercept = least_squares_line(
         np.asarray(theta_db_grid)[mask], np.asarray(sigma_db)[mask]
     )
-    return ExperimentResult(
-        axis_name="theta_db",
-        axis=tuple(theta_db_grid),
-        metrics={
-            "sigma_db": tuple(sigma_db),
-            "bins_changed": tuple(bins_changed),
-            "used_in_fit": tuple(used),
+    return AnalysisReport(
+        summary={"slope": slope, "intercept": intercept},
+        table={
+            "theta_db": list(theta_db_grid),
+            "sigma_db": sigma_db,
+            "bins_changed": bins_changed,
+            "used_in_fit": used,
         },
-        slope=slope,
-        intercept=intercept,
     )
 
 
@@ -250,7 +235,7 @@ def run_max_deviation_sweep(
     seed: int = 0,
     period_length: int = 16384,
     sample_rate: int = 44100,
-) -> ExperimentResult:
+) -> AnalysisReport:
     """Max gain deviation from the identity ground truth per (SNR, flooring level)."""
     cols: list[list[float]] = [[] for _ in snr_db_list]
     signal = white_noise_period(period_length, sample_rate, seed)
@@ -262,11 +247,10 @@ def run_max_deviation_sweep(
             _, block = _measured_block(excitation, config, 1)
             gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
             cols[i].append(float(np.max(np.abs(gain_db))))
-    metrics = {
-        f"max_deviation_db_snr{snr_db:g}": tuple(col)
-        for snr_db, col in zip(snr_db_list, cols)
-    }
-    return ExperimentResult(axis_name="theta_db", axis=tuple(theta_db_list), metrics=metrics)
+    table = {"theta_db": list(theta_db_list)}
+    for snr_db, col in zip(snr_db_list, cols):
+        table[f"max_deviation_db_snr{snr_db:g}"] = col
+    return AnalysisReport(summary={}, table=table)
 
 
 def run_random_response_experiment(
@@ -276,7 +260,7 @@ def run_random_response_experiment(
     seed: int = 0,
     period_length: int = 16384,
     sample_rate: int = 44100,
-) -> ExperimentResult:
+) -> AnalysisReport:
     """Estimated random-response level versus flooring level.
 
     At full flooring the excitation is periodic pseudo-random noise and the
@@ -293,10 +277,8 @@ def run_random_response_experiment(
         _, block = _measured_block(excitation, config, m_count)
         _, d_stv_sq = time_invariant_block(block, x_bins)
         levels.append(_db(full_spectrum_mean(d_stv_sq, period_length)))
-    return ExperimentResult(
-        axis_name="theta_db",
-        axis=tuple(theta_db_list),
-        metrics={"random_level_db": tuple(levels)},
+    return AnalysisReport(
+        summary={}, table={"theta_db": list(theta_db_list), "random_level_db": levels}
     )
 
 
@@ -310,7 +292,7 @@ def run_nonlinearity_experiment(
     theta_db: float = 0.0,
     period_length: int = 16384,
     sample_rate: int = 44100,
-) -> ExperimentResult:
+) -> AnalysisReport:
     """Random vs signal-dependent level across a drive-level sweep.
 
     Uses ``p_count`` distinct safeguarded white-noise periods, each
@@ -350,13 +332,13 @@ def run_nonlinearity_experiment(
         sdr_raw.append(sdr_db)
         rand_norm.append(rand_db - norm_db)
         sdr_norm.append(sdr_db - norm_db)
-    return ExperimentResult(
-        axis_name="input_level_db",
-        axis=tuple(input_level_db_list),
-        metrics={
-            "random_level_db": tuple(rand_raw),
-            "signal_dependent_level_db": tuple(sdr_raw),
-            "random_level_norm_db": tuple(rand_norm),
-            "signal_dependent_level_norm_db": tuple(sdr_norm),
+    return AnalysisReport(
+        summary={},
+        table={
+            "input_level_db": list(input_level_db_list),
+            "random_level_db": rand_raw,
+            "signal_dependent_level_db": sdr_raw,
+            "random_level_norm_db": rand_norm,
+            "signal_dependent_level_norm_db": sdr_norm,
         },
     )

@@ -5,13 +5,37 @@ import math
 
 import numpy as np
 
-from sgmeasure.core import PeriodicSignal, inverse_dft, power_db
+from sgmeasure.core import PeriodicSignal, inverse_dft
 from sgmeasure.errors import ImpulseResponseTooLong
 from sgmeasure.separation import (
     signal_dependent_response,
     smooth_one_sided,
     time_invariant_block,
 )
+
+
+def power_db(samples: np.ndarray) -> float:
+    """Mean-square power in dB; -inf for all-zero input."""
+    mean_sq = float(np.mean(np.asarray(samples, dtype=np.float64) ** 2))
+    return 10.0 * np.log10(mean_sq) if mean_sq > 0.0 else float("-inf")
+
+
+def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased variance over the M rows of an (M, K) estimate, summed row by row.
+
+    Returns ``(h_sti, d_stv_sq)``.  :func:`sgmeasure.separation.time_invariant_block`
+    reduces the estimate of a block in its own memory and must agree bit for bit.
+    """
+    rows = list(np.asarray(h, dtype=np.complex128))
+    total = 0
+    for row in rows:
+        total = total + row
+    mean = total / len(rows)
+    spread = 0
+    for row in rows:
+        d = row - mean
+        spread = spread + (d.real**2 + d.imag**2)
+    return mean, spread / (len(rows) - 1)
 
 
 def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:

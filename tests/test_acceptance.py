@@ -15,7 +15,7 @@ from sgmeasure.separation import (
     segment_block,
     signal_dependent_response,
     smooth_one_sided,
-    time_invariant_response,
+    time_invariant_block,
 )
 from sgmeasure.simulate import (
     SimulationConfig,
@@ -39,8 +39,8 @@ def _verdict(number, description, ok):
 
 def safeguarded(length, seed, theta_db=0.0):
     signal = white_noise_period(length, FS, seed=seed)
-    theta = threshold_from_db(forward_dft(signal), theta_db)
-    out, _ = safeguard_signal(signal, theta)
+    spectrum = forward_dft(signal)
+    out, _ = safeguard_signal(signal, threshold_from_db(spectrum, theta_db), spectrum)
     return out, excitation_bins(out.samples)
 
 
@@ -97,8 +97,8 @@ def test_criterion_2_regression_law():
     slopes, intercepts = [], []
     for seed in range(5):
         result = run_flooring_regression(seed=seed)
-        slopes.append(result.slope)
-        intercepts.append(result.intercept)
+        slopes.append(result.summary["slope"])
+        intercepts.append(result.summary["intercept"])
     slope = float(np.mean(slopes))
     intercept = float(np.mean(intercepts))
     elapsed = time.monotonic() - t0
@@ -118,7 +118,7 @@ def test_criterion_3_flooring_benefit():
             snr_db_list=(40.0,), theta_db_list=(-50.0, 0.0), seed=seed,
             period_length=16384,
         )
-        col = result.metrics["max_deviation_db_snr40"]
+        col = result.table["max_deviation_db_snr40"]
         unfloored.append(col[0])
         floored.append(col[1])
     gain = float(np.median(unfloored) - np.median(floored))
@@ -133,8 +133,8 @@ def test_criterion_3_flooring_benefit():
 
 def test_criterion_4_minus10db_flooring_snr():
     signal = white_noise_period(100000, FS, seed=0)
-    theta = threshold_from_db(forward_dft(signal), -10.0)
-    _, report = safeguard_signal(signal, theta)
+    spectrum = forward_dft(signal)
+    _, report = safeguard_signal(signal, threshold_from_db(spectrum, -10.0), spectrum)
     snr = -report.added_component_db
     _verdict(4, f"-10 dB flooring adds component at SNR {snr:.2f} dB (30 +- 1.5)",
              abs(snr - 30.0) <= 1.5)
@@ -147,7 +147,7 @@ def test_criterion_5_random_response_recovery():
             theta_db_list=(20.0,), snr_db=snr_db, m_count=4, seed=0,
             period_length=16384,
         )
-        errors.append(abs(result.metrics["random_level_db"][0] - (-snr_db)))
+        errors.append(abs(result.table["random_level_db"][0] - (-snr_db)))
     worst = max(errors)
     _verdict(5, f"full-floor random level within {worst:.2f} dB of injected (< 1 dB)",
              worst < 1.0)
@@ -155,9 +155,9 @@ def test_criterion_5_random_response_recovery():
 
 def test_criterion_6_nonlinearity_separation():
     result = run_nonlinearity_experiment(seed=0)
-    rand = np.array(result.metrics["random_level_norm_db"])
-    sdr = np.array(result.metrics["signal_dependent_level_norm_db"])
-    levels = np.array(result.axis)
+    rand = np.array(result.table["random_level_norm_db"])
+    sdr = np.array(result.table["signal_dependent_level_norm_db"])
+    levels = np.array(result.table["input_level_db"])
     spread = float(np.max(rand) - np.min(rand))
     top = sdr[levels >= levels[0] - 20.0]
     decreasing = bool(np.all(np.diff(top) < 0))
@@ -191,8 +191,11 @@ def test_criterion_7_smoothing_reduces_deviation():
 
 def test_criterion_8_estimator_algebra():
     rng = np.random.default_rng(200)
-    per_segment = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
-    h_sti, d_stv_sq = time_invariant_response(np.vstack(per_segment))
+    # three segments of length 14, whose estimates have 8 bins
+    block = rng.standard_normal((3, 14))
+    x_bins = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    per_segment = estimate_transfer(block, x_bins)
+    h_sti, d_stv_sq = time_invariant_block(block, x_bins)
 
     # independent direct-summation implementation of the sample statistics
     def direct_mean_var(rows):

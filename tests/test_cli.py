@@ -6,7 +6,7 @@ import pytest
 from sgmeasure.cli import main
 from sgmeasure.core import SampleStream, forward_dft
 from sgmeasure.reports import read_report
-from sgmeasure.safeguard import default_threshold, safeguard_signal
+from sgmeasure.safeguard import safeguard_signal, threshold_from_db
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
 
@@ -24,7 +24,8 @@ def make_session(tmp_path, p_count=2, m_count=4, snr_db=float("inf"), seed=9):
     entries = []
     for p in range(p_count):
         raw = white_noise_period(L, FS, seed=seed + p)
-        safeguarded, _ = safeguard_signal(raw, default_threshold(forward_dft(raw)))
+        spectrum = forward_dft(raw)
+        safeguarded, _ = safeguard_signal(raw, threshold_from_db(spectrum, 0.0), spectrum)
         exc_path = tmp_path / f"exc{p}.wav"
         write_audio(exc_path, SampleStream(safeguarded.samples, FS))
         # re-read so the recording is built from the same float32 period
@@ -128,6 +129,15 @@ def test_make_test_zero_repeats_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["make-test", "--in", str(infile), "--repeats", "0", "--out", str(tmp_path / "o.wav")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_make_test_shorter_than_a_period_is_input_error(tmp_path, capsys, samples):
+    infile, out = tmp_path / "in.wav", tmp_path / "o.wav"
+    write_audio(infile, SampleStream(np.full(samples, 0.5), FS))
+    assert main(["make-test", "--in", str(infile), "--repeats", "2", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+    assert not out.exists()
 
 
 def test_analyze_noiseless_session_recovers_unit_gain(tmp_path):

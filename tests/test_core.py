@@ -1,8 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgmeasure
 from sgmeasure.core import (
     PeriodicSignal,
     SampleStream,
@@ -13,11 +16,10 @@ from sgmeasure.core import (
     hermitian_sum,
     inverse_dft,
     lti_transfer,
-    power_db,
 )
 from sgmeasure.errors import ImpulseResponseTooLong
 
-from oracles import circular_convolve
+from oracles import circular_convolve, power_db
 
 FS = 44100
 
@@ -212,6 +214,24 @@ def test_power_db_values():
     assert power_db(np.ones(10)) == pytest.approx(0.0, abs=1e-12)
     assert power_db(np.full(10, 0.1)) == pytest.approx(-20.0, abs=1e-12)
     assert power_db(np.zeros(5)) == float("-inf")
+
+
+def test_package_exports_exactly_these_names():
+    """Adding or dropping a public name of the package is a deliberate edit of this list."""
+    exported = {
+        name for name, value in vars(sgmeasure).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(exported) == [
+        "FloorThreshold", "PeriodicSignal", "SafeguardReport", "SampleStream",
+        "SessionManifest", "SimulationConfig", "Spectrum", "analyze_session",
+        "apply_floor", "build_test_stream", "estimate_transfer", "excitation_bins",
+        "floor_report", "forward_dft", "impulse_response", "inverse_dft", "load_manifest",
+        "nonlinearity", "read_audio", "run_flooring_regression", "run_max_deviation_sweep",
+        "run_nonlinearity_experiment", "run_random_response_experiment", "safeguard_signal",
+        "segment_block", "separate_signals", "signal_dependent_response", "simulate_chain",
+        "threshold_from_db", "time_invariant_block", "white_noise_period", "write_audio",
+    ]
 
 
 def test_periodic_signal_validation():

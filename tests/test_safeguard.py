@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import PeriodicSignal, forward_dft, inverse_dft, power_db, Spectrum
+from sgmeasure.core import PeriodicSignal, forward_dft, inverse_dft, Spectrum
 from sgmeasure.errors import DegenerateSpectrum
 from sgmeasure.safeguard import (
     FloorThreshold,
     apply_floor,
     build_test_stream,
-    default_threshold,
     floor_report,
     safeguard_signal,
     threshold_from_db,
 )
 from sgmeasure.simulate import white_noise_period
 
-from oracles import added_component_db, floor_full_spectrum
+from oracles import added_component_db, floor_full_spectrum, power_db
 
 FS = 44100
 
@@ -27,47 +26,69 @@ def hermitian_spectrum(rng, length):
     return forward_dft(PeriodicSignal(rng.standard_normal(length), FS))
 
 
+# The default threshold is the 0 dB level: the mean bin magnitude itself.
+
+
 def test_default_threshold_constant_magnitude():
     spec = Spectrum([1, 1, 1], FS, 4)
-    assert default_threshold(spec).theta_linear == pytest.approx(1.0)
+    assert threshold_from_db(spec, 0.0).theta_linear == pytest.approx(1.0)
 
 
 def test_default_threshold_arithmetic_mean():
     spec = Spectrum([0, 2, 0], FS, 4)  # all four bins: 0, 2, 0, 2
-    theta = default_threshold(spec)
-    assert theta.theta_linear == pytest.approx(1.0)
-    assert theta.reference_db == 0.0
+    assert threshold_from_db(spec, 0.0).theta_linear == 1.0
+    assert spec.mean_magnitude == 1.0
 
 
 def test_default_threshold_matches_direct_recomputation():
     for length in (1024, 1025):
         signal = white_noise_period(length, FS, seed=11)
-        theta = default_threshold(forward_dft(signal))
+        theta = threshold_from_db(forward_dft(signal), 0.0)
         expected = sum(abs(b) for b in np.fft.fft(signal.samples)) / length
         assert abs(theta.theta_linear - expected) < 1e-12 * expected
 
 
 def test_default_threshold_degenerate():
     with pytest.raises(DegenerateSpectrum):
-        default_threshold(Spectrum(np.zeros(5), FS, 8))
+        threshold_from_db(Spectrum(np.zeros(5), FS, 8), 0.0)
 
 
 def test_threshold_must_be_positive():
-    with pytest.raises(ValueError):
-        FloorThreshold(0.0, 0.0)
+    for theta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FloorThreshold(theta)
+
+
+def test_magnitude_is_computed_once_per_spectrum(monkeypatch):
+    """Thresholds at every level, their reports and floors take one |X| of the spectrum."""
+    spectrum = forward_dft(white_noise_period(1000, FS, seed=26))
+    calls = []
+    original = np.abs
+
+    def counted(x, *args, **kwargs):
+        calls.append(x is spectrum.bins)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted)
+    for level_db in (-10.0, 0.0, 5.0):
+        theta = threshold_from_db(spectrum, level_db)
+        floor_report(spectrum, theta)
+        apply_floor(spectrum, theta)
+    assert calls.count(True) == 1
+    assert not spectrum.magnitude.flags.writeable
 
 
 def test_floor_is_noop_above_threshold():
     rng = np.random.default_rng(12)
     spec = hermitian_spectrum(rng, 64)
-    theta = FloorThreshold(float(np.min(np.abs(spec.bins))) * 0.5, -99.0)
+    theta = FloorThreshold(float(np.min(np.abs(spec.bins))) * 0.5)
     out = apply_floor(spec, theta)
     assert np.array_equal(out.bins, spec.bins)
 
 
 def test_floor_fills_zero_bin_with_real_theta():
     spec = Spectrum([0, 1, 4], FS, 4)
-    out = apply_floor(spec, FloorThreshold(0.5, 0.0))
+    out = apply_floor(spec, FloorThreshold(0.5))
     assert out.bins[0] == 0.5 + 0.0j
     assert out.length == 4
 
@@ -75,7 +96,7 @@ def test_floor_fills_zero_bin_with_real_theta():
 def test_floor_scales_magnitude_preserving_phase():
     phi = 0.7
     bins = np.array([1.0, 0.1 * np.exp(1j * phi), 1.0])
-    out = apply_floor(Spectrum(bins, FS, 4), FloorThreshold(1.0, 20.0))
+    out = apply_floor(Spectrum(bins, FS, 4), FloorThreshold(1.0))
     assert abs(out.bins[1]) == pytest.approx(1.0, abs=1e-15)
     assert np.angle(out.bins[1]) == pytest.approx(phi, abs=1e-12)
 
@@ -83,7 +104,7 @@ def test_floor_scales_magnitude_preserving_phase():
 def test_floor_magnitude_bound_and_phase_preservation():
     rng = np.random.default_rng(13)
     spec = hermitian_spectrum(rng, 256)
-    theta = default_threshold(spec)
+    theta = threshold_from_db(spec, 0.0)
     out = apply_floor(spec, theta)
     assert np.all(np.abs(out.bins) >= theta.theta_linear - 1e-12)
     nonzero = np.abs(spec.bins) > 0
@@ -94,7 +115,7 @@ def test_floor_magnitude_bound_and_phase_preservation():
 def test_floor_idempotent_bit_for_bit():
     rng = np.random.default_rng(14)
     spec = hermitian_spectrum(rng, 128)
-    theta = default_threshold(spec)
+    theta = threshold_from_db(spec, 0.0)
     once = apply_floor(spec, theta)
     twice = apply_floor(once, theta)
     assert np.array_equal(once.bins, twice.bins)
@@ -105,7 +126,7 @@ def test_bins_changed_monotone_in_theta():
     spec = forward_dft(signal)
     previous = -1
     for theta_db in (-40.0, -20.0, -10.0, 0.0, 10.0, 20.0):
-        _, report = safeguard_signal(signal, threshold_from_db(spec, theta_db))
+        _, report = safeguard_signal(signal, threshold_from_db(spec, theta_db), spec)
         assert report.bins_changed >= previous
         previous = report.bins_changed
 
@@ -113,7 +134,7 @@ def test_bins_changed_monotone_in_theta():
 def test_safeguarded_signal_is_real():
     """Flooring all L bins keeps the spectrum Hermitian; the one-sided inverse is its real part."""
     signal = white_noise_period(1024, FS, seed=16)
-    theta = default_threshold(forward_dft(signal))
+    theta = threshold_from_db(forward_dft(signal), 0.0)
     floored = inverse_dft(apply_floor(forward_dft(signal), theta)).samples
     bins = np.fft.fft(signal.samples)
     mag = np.abs(bins)
@@ -125,16 +146,16 @@ def test_safeguarded_signal_is_real():
 
 def test_flooring_only_raises_power():
     signal = white_noise_period(2048, FS, seed=17)
-    theta = default_threshold(forward_dft(signal))
-    safeguarded, _ = safeguard_signal(signal, theta)
+    spec = forward_dft(signal)
+    safeguarded, _ = safeguard_signal(signal, threshold_from_db(spec, 0.0), spec)
     assert power_db(safeguarded.samples) >= power_db(signal.samples)
 
 
 def test_vacuous_floor_changes_nothing():
     signal = white_noise_period(256, FS, seed=18)
     spec = forward_dft(signal)
-    theta = FloorThreshold(float(np.min(np.abs(spec.bins))) * 0.9, -60.0)
-    safeguarded, report = safeguard_signal(signal, theta)
+    theta = FloorThreshold(float(np.min(np.abs(spec.bins))) * 0.9)
+    safeguarded, report = safeguard_signal(signal, theta, spec)
     assert report.bins_changed == 0
     assert report.added_component_db == float("-inf")
     assert np.max(np.abs(safeguarded.samples - signal.samples)) < 1e-12
@@ -142,20 +163,25 @@ def test_vacuous_floor_changes_nothing():
 
 @pytest.mark.parametrize("theta_db", [-200.0, -10.0, 0.0, 20.0])  # -200: vacuous floor
 def test_given_spectrum_floors_like_own_transform(theta_db):
+    """The period floored from the given spectrum is that of a fresh transform of it.
+
+    A vacuous floor returns the period itself.
+    """
     signal = white_noise_period(4096, FS, seed=23)
     spectrum = forward_dft(signal)
     theta = threshold_from_db(spectrum, theta_db)
-    own, own_report = safeguard_signal(signal, theta)
     given, given_report = safeguard_signal(signal, theta, spectrum)
-    assert given.samples.tobytes() == own.samples.tobytes()
-    assert given.sample_rate == own.sample_rate
-    assert given_report == own_report
+    own = forward_dft(signal)
+    assert given_report == floor_report(own, theta)
     assert (given_report.bins_changed == 0) == (theta_db == -200.0)
+    expected = signal if theta_db == -200.0 else inverse_dft(apply_floor(own, theta))
+    assert given.samples.tobytes() == expected.samples.tobytes()
+    assert given.sample_rate == signal.sample_rate
 
 
 def test_given_spectrum_of_another_period_rejected():
     signal = white_noise_period(256, FS, seed=24)
-    theta = default_threshold(forward_dft(signal))
+    theta = threshold_from_db(forward_dft(signal), 0.0)
     for other in (white_noise_period(128, FS, seed=24), white_noise_period(256, 48000, seed=24)):
         with pytest.raises(ValueError):
             safeguard_signal(signal, theta, forward_dft(other))
@@ -163,17 +189,15 @@ def test_given_spectrum_of_another_period_rejected():
 
 def test_added_component_level_at_mean_flooring():
     # white noise, L=100000, theta at the mean magnitude: about -10.3 dB
-    signal = white_noise_period(100000, FS, seed=19)
-    theta = default_threshold(forward_dft(signal))
-    _, report = safeguard_signal(signal, theta)
+    spec = forward_dft(white_noise_period(100000, FS, seed=19))
+    report = floor_report(spec, threshold_from_db(spec, 0.0))
     assert report.added_component_db == pytest.approx(-10.3, abs=1.0)
 
 
 def test_added_component_level_at_minus_10db_flooring():
     # -10 dB flooring adds a component 30 dB below the signal
-    signal = white_noise_period(100000, FS, seed=20)
-    theta = threshold_from_db(forward_dft(signal), -10.0)
-    _, report = safeguard_signal(signal, theta)
+    spec = forward_dft(white_noise_period(100000, FS, seed=20))
+    report = floor_report(spec, threshold_from_db(spec, -10.0))
     assert report.added_component_db == pytest.approx(-30.0, abs=1.5)
 
 
@@ -183,7 +207,7 @@ def test_regression_law_over_sweep():
     spec = forward_dft(signal)
     pts = []
     for theta_db in range(-50, 25, 5):
-        _, report = safeguard_signal(signal, threshold_from_db(spec, float(theta_db)))
+        report = floor_report(spec, threshold_from_db(spec, float(theta_db)))
         if 100 <= report.bins_changed <= 0.9 * 100000:
             pts.append((theta_db, report.added_component_db))
     slope, intercept = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)
@@ -274,12 +298,12 @@ def floor_cases(draw):
     spectrum = Spectrum(bins, FS, length)
     mag = np.abs(bins)
     if not np.any(mag):
-        return spectrum, FloorThreshold(draw(st.sampled_from([1e-3, 1.0, 1e3])), 0.0)
+        return spectrum, FloorThreshold(draw(st.sampled_from([1e-3, 1.0, 1e3])))
     floor = draw(st.sampled_from(["vacuous", "level", "full"]))
     if floor == "vacuous" and np.all(mag > 0):
-        return spectrum, FloorThreshold(0.5 * float(np.min(mag)), -math.inf)
+        return spectrum, FloorThreshold(0.5 * float(np.min(mag)))
     if floor == "full":
-        return spectrum, FloorThreshold(2.0 * float(np.max(mag)), math.inf)
+        return spectrum, FloorThreshold(2.0 * float(np.max(mag)))
     level_db = draw(st.sampled_from([-40.0, -20.0, -10.0, 0.0, 5.0, 10.0]))
     return spectrum, threshold_from_db(spectrum, level_db)
 
@@ -306,7 +330,7 @@ def test_floor_report_matches_time_domain_formula(case):
 
 
 def test_floor_report_of_a_silent_period_is_plus_inf():
-    report = floor_report(Spectrum(np.zeros(5), FS, 9), FloorThreshold(1.0, 0.0))
+    report = floor_report(Spectrum(np.zeros(5), FS, 9), FloorThreshold(1.0))
     assert (report.bins_changed, report.fraction_changed) == (9, 1.0)
     assert report.added_component_db == math.inf
 

@@ -13,7 +13,7 @@ from sgmeasure.errors import (
     StreamTooShort,
     ZeroBinExcitation,
 )
-from sgmeasure.safeguard import build_test_stream, default_threshold, safeguard_signal
+from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from sgmeasure.separation import (
     divide_spectra,
     estimate_transfer,
@@ -24,13 +24,17 @@ from sgmeasure.separation import (
     signal_dependent_response,
     smooth_one_sided,
     time_invariant_block,
-    time_invariant_response,
 )
 from sgmeasure.session import analyze_session, load_manifest
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import write_audio
 
-from oracles import circular_convolve, fractional_octave_smooth, separate_stacked
+from oracles import (
+    circular_convolve,
+    fractional_octave_smooth,
+    separate_stacked,
+    time_invariant_response,
+)
 
 FS = 44100
 
@@ -38,7 +42,8 @@ FS = 44100
 def safeguarded_excitation(length, seed):
     """A safeguarded white-noise period and its L//2 + 1 excitation bins."""
     signal = white_noise_period(length, FS, seed=seed)
-    safeguarded, _ = safeguard_signal(signal, default_threshold(forward_dft(signal)))
+    spectrum = forward_dft(signal)
+    safeguarded, _ = safeguard_signal(signal, threshold_from_db(spectrum, 0.0), spectrum)
     return safeguarded, excitation_bins(safeguarded.samples)
 
 
@@ -150,25 +155,15 @@ def reference_estimates(samples, x, L, m, skip):
     """Per-segment one-sided FFT / X, then mean and variance summed in a Python loop."""
     k = L // 2 + 1
     rows = [np.fft.rfft(samples[s : s + L]) / x[:k] for s in range(skip, skip + m * L, L)]
-    total = 0
-    for row in rows:
-        total = total + row
-    mean = total / m
-    spread = 0
-    for row in rows:
-        d = row - mean
-        spread = spread + (d.real**2 + d.imag**2)
-    return np.vstack(rows), mean, spread / (m - 1)
+    return (np.vstack(rows), *time_invariant_response(rows))
 
 
 def assert_block_path_matches_reference(samples, x, L, m, skip):
     block = segment_block(samples, L, m, skip)
     assert block.shape == (m, L) and np.shares_memory(block, samples)
     h = estimate_transfer(block, x[: L // 2 + 1])
-    mean, var = time_invariant_response(h)
     ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip)
     assert np.array_equal(h, ref_h)
-    assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
     mean, var = time_invariant_block(block, x[: L // 2 + 1])  # reduced in place
     assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
 
@@ -265,8 +260,6 @@ def test_statistics_leave_their_input_unchanged():
     rng = np.random.default_rng(51)
     h = rng.standard_normal((5, 33)) + 1j * rng.standard_normal((5, 33))
     before = h.tobytes()
-    time_invariant_response(h)
-    assert h.tobytes() == before
     signal_dependent_response(h)
     assert h.tobytes() == before
 
@@ -307,6 +300,7 @@ def test_one_sided_smoothing_matches_full_length():
 
 
 # --- averaging and variances --------------------------------------------
+# The hand-computed cases check the row-by-row oracle the block path is held to.
 
 
 def test_identical_estimates_have_zero_variance():
@@ -326,24 +320,23 @@ def test_opposite_estimates_hand_computed_variance():
 def test_noiseless_chain_variance_is_negligible():
     excitation, x_bins = safeguarded_excitation(256, seed=35)
     stream = build_test_stream(excitation, 5)
-    h = estimate_transfer(segment_block(stream.samples, 256, 4, 256), x_bins)
-    h_sti, d_stv_sq = time_invariant_response(h)
+    h_sti, d_stv_sq = time_invariant_block(segment_block(stream.samples, 256, 4, 256), x_bins)
     assert np.max(d_stv_sq) < 1e-16 * np.max(np.abs(h_sti) ** 2)
 
 
 def test_insufficient_repetitions():
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_response(np.ones((1, 4), dtype=complex))
+        time_invariant_block(np.ones((1, 4)), np.ones(3, dtype=complex))
 
 
 def test_time_invariant_block_needs_two_rows():
     # A block of one segment gives a single (1, L) row of estimates: no variance.
     excitation, x_bins = safeguarded_excitation(64, seed=36)
     stream = build_test_stream(excitation, 3)
-    h = estimate_transfer(segment_block(stream.samples, 64, 1, 64), x_bins)
-    assert h.shape == (1, 33)
+    block = segment_block(stream.samples, 64, 1, 64)
+    assert estimate_transfer(block, x_bins).shape == (1, 33)
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_response(h)
+        time_invariant_block(block, x_bins)
 
 
 def test_time_invariant_block_of_one_segment_is_insufficient():
@@ -353,8 +346,6 @@ def test_time_invariant_block_of_one_segment_is_insufficient():
 
 
 def test_statistics_need_one_estimate_per_row():
-    with pytest.raises(ValueError, match="2-D"):
-        time_invariant_response(np.ones(4, dtype=complex))
     with pytest.raises(ValueError, match="2-D"):
         signal_dependent_response(np.ones(4, dtype=complex))
 
@@ -414,8 +405,7 @@ def test_linear_chain_has_no_signal_dependence():
     for p in range(4):
         excitation, x_bins = safeguarded_excitation(256, seed=40 + p)
         stream = build_test_stream(excitation, 5)
-        h = estimate_transfer(segment_block(stream.samples, 256, 4, 256), x_bins)
-        h_sti, _ = time_invariant_response(h)
+        h_sti, _ = time_invariant_block(segment_block(stream.samples, 256, 4, 256), x_bins)
         per_signal.append(h_sti)
     h_slti, h_ssdr_sq = signal_dependent_response(np.vstack(per_signal))
     assert np.max(h_ssdr_sq) < 1e-16 * np.max(np.abs(h_slti) ** 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream, power_db
+from sgmeasure.core import SampleStream
 from sgmeasure.errors import AnalysisError, DegenerateFit, LevelOutOfRange
 from sgmeasure.safeguard import build_test_stream
 import sgmeasure.core
@@ -28,7 +28,7 @@ from sgmeasure.simulate import (
     white_noise_period,
 )
 
-from oracles import chain_full_stream
+from oracles import chain_full_stream, power_db
 
 FS = 44100
 
@@ -212,9 +212,9 @@ def test_regression_degenerate_when_grid_unusable():
 
 def test_regression_experiment_meets_reported_relation():
     result = run_flooring_regression(seed=0)
-    assert result.slope == pytest.approx(1.995, abs=0.10)
-    assert result.intercept == pytest.approx(-10.321, abs=1.0)
-    assert result.metrics["bins_changed"][-1] == 100000  # +20 dB floors every bin
+    assert result.summary["slope"] == pytest.approx(1.995, abs=0.10)
+    assert result.summary["intercept"] == pytest.approx(-10.321, abs=1.0)
+    assert result.table["bins_changed"][-1] == 100000  # +20 dB floors every bin
 
 
 def test_max_deviation_noise_off_recovers_exactly():
@@ -222,14 +222,14 @@ def test_max_deviation_noise_off_recovers_exactly():
         snr_db_list=(math.inf,), theta_db_list=(-50.0, 0.0, 20.0), seed=1,
         period_length=2048,
     )
-    assert max(result.metrics["max_deviation_db_snrinf"]) < 1e-7
+    assert max(result.table["max_deviation_db_snrinf"]) < 1e-7
 
 
 def test_max_deviation_flooring_benefit():
     result = run_max_deviation_sweep(
         snr_db_list=(40.0,), theta_db_list=(-50.0, 0.0), seed=2, period_length=16384
     )
-    col = result.metrics["max_deviation_db_snr40"]
+    col = result.table["max_deviation_db_snr40"]
     assert col[1] < col[0]
 
 
@@ -239,7 +239,7 @@ def test_max_deviation_trend_over_grid():
     per_seed = [
         run_max_deviation_sweep(
             snr_db_list=(40.0,), theta_db_list=grid, seed=s, period_length=8192
-        ).metrics["max_deviation_db_snr40"]
+        ).table["max_deviation_db_snr40"]
         for s in range(5)
     ]
     medians = np.median(np.array(per_seed), axis=0)
@@ -250,14 +250,14 @@ def test_random_response_full_floor_recovers_noise_level():
     result = run_random_response_experiment(
         theta_db_list=(20.0,), snr_db=40.0, m_count=4, seed=3, period_length=16384
     )
-    assert result.metrics["random_level_db"][0] == pytest.approx(-40.0, abs=1.0)
+    assert result.table["random_level_db"][0] == pytest.approx(-40.0, abs=1.0)
 
 
 def test_random_response_noise_off_is_negligible():
     result = run_random_response_experiment(
         theta_db_list=(20.0,), snr_db=math.inf, m_count=4, seed=4, period_length=4096
     )
-    assert result.metrics["random_level_db"][0] < -140.0
+    assert result.table["random_level_db"][0] < -140.0
 
 
 def test_full_floor_excitation_has_flat_magnitude():
@@ -267,13 +267,10 @@ def test_full_floor_excitation_has_flat_magnitude():
     signal = white_noise_period(4096, FS, seed=5)
     spectrum = forward_dft(signal)
     theta = threshold_from_db(spectrum, 20.0)
-    safeguarded, report = safeguard_signal(signal, theta)
+    safeguarded, report = safeguard_signal(signal, theta, spectrum)
     assert report.bins_changed == 4096
     mags = np.abs(forward_dft(safeguarded).bins)
     assert np.max(np.abs(mags - theta.theta_linear)) < 1e-12 * theta.theta_linear
-
-
-DFT_CALLERS = [sgmeasure.simulate, sgmeasure.safeguard]
 
 
 def count_calls(monkeypatch, name, modules):
@@ -296,7 +293,7 @@ def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
 
     The chain's identity response is one tap, a gain, so no LTI stage transforms.
     """
-    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.core])
     runner(period_length=1024)
@@ -305,20 +302,20 @@ def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
-    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     transfers = count_calls(monkeypatch, "lti_transfer", [sgmeasure.core])
     result = run_nonlinearity_experiment(period_length=1024)
-    assert len(result.axis) == len(DEFAULT_INPUT_LEVEL_GRID)
+    assert len(result.table["input_level_db"]) == len(DEFAULT_INPUT_LEVEL_GRID)
     assert len(dfts) == 4 and len(excitations) == 4  # per period: its spectrum, the excitation's
     assert transfers == []
 
 
 def test_flooring_regression_transforms_its_period_once(monkeypatch):
     """One forward transform; every report comes from the spectrum, with no inverse."""
-    dfts = count_calls(monkeypatch, "forward_dft", DFT_CALLERS)
+    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
     inverses = count_calls(monkeypatch, "inverse_dft", [sgmeasure.safeguard, sgmeasure.core])
     result = run_flooring_regression()
-    assert len(result.axis) == len(DEFAULT_THETA_DB_GRID)
+    assert len(result.table["theta_db"]) == len(DEFAULT_THETA_DB_GRID)
     assert len(dfts) == 1
     assert inverses == []
