@@ -1,7 +1,8 @@
 """Command-line surface: safeguard, make-test, analyze, simulate.
 
 Exit codes: 0 success, 2 usage, 3 input format, 4 analysis precondition.
-Module errors are reported as one machine-readable JSON object on stderr.
+Package errors are reported as one machine-readable JSON object on stderr;
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import PeriodicSignal, SampleStream, forward_dft
-from .errors import AnalysisError, InputFormatError, SgMeasureError
+from .errors import InputFormatError, SgMeasureError
 from .reports import SCHEMA_VERSION, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
@@ -186,7 +187,7 @@ def _cmd_simulate(args) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long integers
             raise InputFormatError(f"cannot load config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputFormatError("simulation config must be a JSON object")
@@ -259,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         _emit_error(exc)
         return 3
-    except (AnalysisError, SgMeasureError, ValueError) as exc:
+    except SgMeasureError as exc:
         _emit_error(exc)
         return 4
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpulseResponseTooLong
+from .errors import ImpulseResponseTooLong, LevelOutOfRange
 
 __all__ = [
     "PeriodicSignal",
@@ -123,9 +123,16 @@ def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:
     """1/L-normalized inverse DFT of the real period whose bins 0..L//2 these are.
 
     The imaginary parts of bin 0 and, for even L, bin L/2 are ignored: a
-    real period has none.
+    real period has none.  Bins whose period overflows float64 raise
+    :class:`LevelOutOfRange`.
     """
-    return PeriodicSignal(np.fft.irfft(spectrum.bins, n=spectrum.length), spectrum.sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        samples = np.fft.irfft(spectrum.bins, n=spectrum.length)
+    try:
+        return PeriodicSignal(samples, spectrum.sample_rate)
+    except ValueError:  # non-finite samples: Spectrum has checked the length and the rate
+        peak = float(np.max(spectrum.magnitude))
+        raise LevelOutOfRange(f"inverse DFT of bins up to {peak!r} overflows float64") from None
 
 
 def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:

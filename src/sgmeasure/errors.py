@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-``InputFormatError`` subclasses map to CLI exit code 3, ``AnalysisError``
-subclasses to exit code 4.
+These types alone decide the CLI's exit code: ``InputFormatError`` and its
+subclasses map to exit code 3, every other ``SgMeasureError`` to exit code 4.
 """
 
 

@@ -194,9 +194,9 @@ def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
         raise ValueError("fraction must be positive")
     half = power.size - 1
     k = np.arange(1, half + 1)
-    factor = 2.0 ** (fraction / 2.0)
+    factor = 2.0 ** min(fraction / 2.0, 64.0)  # 2**64 spans every bin an array can hold
     lo = np.maximum(np.ceil(k / factor).astype(np.int64), 1)
-    hi = np.minimum(np.floor(k * factor).astype(np.int64), half)
+    hi = np.minimum(np.floor(k * factor), half).astype(np.int64)  # clamped before the cast
     csum = np.concatenate(([0.0], np.cumsum(power[1:])))
     out = power.copy()
     out[1:] = (csum[hi] - csum[lo - 1]) / (hi - lo + 1)

@@ -77,7 +77,7 @@ def load_manifest(path: str | Path) -> SessionManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long integers
         raise ManifestError(f"cannot load manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"invalid manifest {path}: not a JSON object")

@@ -81,7 +81,9 @@ class SimulationConfig:
 
 
 def _db(power: float) -> float:
-    """10*log10 of a power; -inf for zero power."""
+    """10*log10 of a power; -inf for zero power, :class:`LevelOutOfRange` for an overflowed one."""
+    if not power < math.inf:
+        raise LevelOutOfRange(f"a power of {power} overflows float64")
     return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
@@ -116,9 +118,9 @@ def simulate_chain(
     the period, run once on the period: their output tiled ``repeats``
     times is the periodic steady state of the whole stream.  Noise is
     drawn over the whole stream, scaled to the period's output power.
-    A drive level whose gain underflows to zero, whose gain or output
-    overflows, or whose output from a non-zero period has zero power raises
-    :class:`LevelOutOfRange`.
+    A drive level whose gain underflows to zero, whose gain, output power
+    or noise power overflows, or whose output from a non-zero period has
+    zero power raises :class:`LevelOutOfRange`.
     """
     try:
         gain = 10.0 ** (config.input_level_db / 20.0)
@@ -132,12 +134,12 @@ def simulate_chain(
         raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here, without a warning
         driven = nonlinearity(gain * test.samples, config.alpha)
         out = circular_convolve_fast(driven, config.impulse_response)
-    if not np.all(np.isfinite(out)):
-        raise LevelOutOfRange(f"input level {config.input_level_db} dB overflows the output")
-    power = float(np.mean(out**2))
+        power = float(np.mean(out**2))  # finite only if every output sample is
+        if not (math.isfinite(power) and math.isfinite(power * noise_ratio)):
+            raise LevelOutOfRange(f"{config} overflows the output or its noise power")
     if power == 0.0 and np.any(test.samples):
         raise LevelOutOfRange(
             f"input level {config.input_level_db} dB underflows the output power to zero"

@@ -27,6 +27,7 @@ __all__ = ["read_audio", "write_audio"]
 _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
 _FORMAT_EXTENSIBLE = 0xFFFE
+_DECODABLE = ((_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_FLOAT, 32))  # (format code, bits)
 # A KSDATAFORMAT_SUBTYPE_* GUID is a 2-byte format code followed by this tail.
 _SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
@@ -81,28 +82,34 @@ def read_audio(path: str | Path) -> SampleStream:
         audio_format = _extensible_format(fmt, path)
     if channels not in (1, 2):
         raise UnsupportedFormat(f"{path}: {channels} channels (mono/stereo only)")
-    if audio_format == _FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 2.0**15
-    elif audio_format == _FORMAT_PCM and bits == 24:
-        count, extra = divmod(len(frames), 3)
-        if extra:
-            raise CorruptFile(f"{path}: data size not a multiple of the frame size")
-        words = np.ndarray((count,), "<i4", data, frames_start - 1, (3,))
-        raw = np.right_shift(words, 8) / 2.0**23
-    elif audio_format == _FORMAT_FLOAT and bits == 32:
-        raw = np.frombuffer(frames, dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(raw)):
-            raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
-    else:
+    if (audio_format, bits) not in _DECODABLE:
         raise UnsupportedFormat(
             f"{path}: format code {audio_format} at {bits} bits "
             "(PCM 16/24-bit or 32-bit float only)"
         )
+    if len(frames) % (channels * bits // 8):
+        raise CorruptFile(f"{path}: data size not a multiple of the frame size")
+    if sample_rate == 0:
+        raise CorruptFile(f"{path}: fmt chunk gives a sample rate of 0")
+    if bits == 16:
+        raw = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 2.0**15
+    elif bits == 24:
+        words = np.ndarray((len(frames) // 3,), "<i4", data, frames_start - 1, (3,))
+        raw = np.right_shift(words, 8) / 2.0**23
+    else:
+        raw = np.frombuffer(frames, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(raw)):
+            raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
     if channels == 2:
-        if raw.size % 2:
-            raise CorruptFile(f"{path}: odd sample count for a stereo file")
         raw = raw.reshape(-1, 2).mean(axis=1)
     return SampleStream(raw, sample_rate)
+
+
+def _refuse_unencodable(stream: SampleStream, out: np.ndarray, limit: str) -> None:
+    """Raise :class:`ClippedOutput` if ``out`` marks any sample as beyond ``limit``."""
+    if np.any(out):
+        peak = float(np.max(np.abs(stream.samples)))
+        raise ClippedOutput(f"{int(np.count_nonzero(out))} samples beyond {limit} (peak {peak!r})")
 
 
 def _pcm_integers(stream: SampleStream, bits: int) -> np.ndarray:
@@ -110,12 +117,7 @@ def _pcm_integers(stream: SampleStream, bits: int) -> np.ndarray:
     full_scale = 2.0 ** (bits - 1)
     scaled = np.round(stream.samples * full_scale)
     out = (scaled < -full_scale) | (scaled > full_scale - 1)
-    if np.any(out):
-        peak = float(np.max(np.abs(stream.samples)))
-        raise ClippedOutput(
-            f"{int(np.count_nonzero(out))} samples beyond {bits}-bit full scale "
-            f"(peak {peak!r}); scale the stream or write float32"
-        )
+    _refuse_unencodable(stream, out, f"{bits}-bit full scale; scale the stream or write float32")
     return scaled
 
 
@@ -123,13 +125,18 @@ def write_audio(path: str | Path, stream: SampleStream, encoding: str = "float32
     """Write a mono WAV file.
 
     ``encoding`` is one of ``float32`` (default, lossless for our data),
-    ``pcm16`` or ``pcm24``.  A PCM encoding refuses samples that would
-    clip, i.e. that round beyond its integer range, with
-    :class:`ClippedOutput`.
+    ``pcm16`` or ``pcm24``.  Samples the encoding cannot hold raise
+    :class:`ClippedOutput`: for PCM those that round beyond its integer
+    range, for float32 those beyond float32's range.  A sample rate whose
+    byte rate does not fit the header's 32-bit field raises
+    :class:`UnsupportedFormat`.  Both are checked before the file is opened.
     """
     if encoding == "float32":
         audio_format, bits = _FORMAT_FLOAT, 32
-        payload = stream.samples.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):  # an overflow is counted below
+            f32 = stream.samples.astype("<f4")
+        _refuse_unencodable(stream, ~np.isfinite(f32), "float32 range")
+        payload = f32.tobytes()
     elif encoding == "pcm16":
         audio_format, bits = _FORMAT_PCM, 16
         payload = _pcm_integers(stream, bits).astype("<i2").tobytes()
@@ -145,6 +152,10 @@ def write_audio(path: str | Path, stream: SampleStream, encoding: str = "float32
         raise UnsupportedFormat(f"unknown encoding {encoding!r}")
 
     byte_rate = stream.sample_rate * bits // 8
+    if byte_rate > 0xFFFFFFFF:
+        raise UnsupportedFormat(
+            f"sample rate {stream.sample_rate} Hz: its byte rate does not fit a WAV header"
+        )
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",

@@ -107,6 +107,21 @@ def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("theta_db,error", [
+    ("3000", "ClippedOutput"), ("6160", "LevelOutOfRange"),
+])
+def test_safeguard_level_beyond_float_range_is_analysis_error(tmp_path, capsys, theta_db, error):
+    """The floored period exceeds float32's range, or float64's in the inverse DFT."""
+    infile = tmp_path / "in.wav"
+    write_audio(infile, SampleStream(white_noise_period(64, FS, seed=3).samples * 0.05, FS))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    rc = main(["safeguard", "--in", str(infile), "--period", "64", "--theta-db", theta_db,
+               "--out", str(out), "--report", str(report)])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists() and not report.exists()
+
+
 def test_make_test_identity(tmp_path):
     infile = tmp_path / "in.wav"
     write_period(infile, seed=4)
@@ -295,6 +310,20 @@ def test_analyze_manifest_not_an_object(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
+@pytest.mark.parametrize("text", [
+    b'{"period_length": 8, "a": "\xff"}',
+    b"RIFF\x24\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00\x01\x00\x44\xac\x00\x00",
+    b'{"period_length": ' + b"9" * 5000 + b"}",
+], ids=["bad utf-8", "wav header", "5000 digits"])
+def test_analyze_manifest_not_utf8_or_json_is_input_error(tmp_path, capsys, text):
+    """Bad UTF-8 (a WAV given as the manifest) and integers longer than int() parses."""
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(text)
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
 def test_analyze_is_deterministic(tmp_path):
     manifest = make_session(tmp_path, snr_db=40.0)
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -431,6 +460,9 @@ def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experime
     ("nonlinearity", {"input_level_db_list": [-6000]}),
     ("nonlinearity", {"alpha": 0, "input_level_db_list": [-6000]}),
     ("nonlinearity", {"input_level_db_list": [-400, -6000]}),
+    ("random", {"snr_db": -3080}),
+    ("nonlinearity", {"period_length": 2, "theta_db": 64}),
+    ("random", {"snr_db": -3060}),
 ])
 def test_simulate_level_beyond_float_range_is_analysis_error(
     tmp_path, capsys, experiment, change
@@ -454,6 +486,18 @@ def test_simulate_noise_off_writes_zero_power_as_null(tmp_path):
     assert read_report(out).table["random_level_db"] == [None, None]
 
 
+@pytest.mark.parametrize("text", [
+    b'{"seed": 1, "a": "\xff"}', b'{"seed": ' + b"9" * 5000 + b"}",
+], ids=["bad utf-8", "5000 digits"])
+def test_simulate_config_not_utf8_or_json_is_input_error(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    rc = main(["simulate", "--config", str(config), "--experiment", "random",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+
+
 def test_simulate_config_numbers_pass_unconverted(tmp_path):
     """Integers are accepted for float parameters and echoed as configured."""
     config = tmp_path / "config.json"
@@ -469,7 +513,8 @@ def test_simulate_config_numbers_pass_unconverted(tmp_path):
     assert report.table["theta_db"] == [0, 20]
 
 
-@pytest.mark.parametrize("seed", ["abc", "1.5", "-3"])
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-3", "9" * 5000],
+                         ids=["abc", "1.5", "-3", "5000 digits"])
 def test_seed_env_var_must_be_non_negative_integer(tmp_path, capsys, monkeypatch, seed):
     monkeypatch.setenv("SGMEASURE_SEED", seed)
     rc = main(["simulate", "--experiment", "random", "--out", str(tmp_path / "o.csv")])

@@ -17,7 +17,7 @@ from sgmeasure.core import (
     inverse_dft,
     lti_transfer,
 )
-from sgmeasure.errors import ImpulseResponseTooLong
+from sgmeasure.errors import ImpulseResponseTooLong, LevelOutOfRange
 
 from oracles import circular_convolve, power_db
 
@@ -59,6 +59,12 @@ def test_inverse_dft_dc_only():
     sig = inverse_dft(Spectrum([4, 0, 0], FS, 4))
     assert np.allclose(sig.samples, 1.0, atol=1e-14)
     assert sig.period_length == 4
+
+
+def test_inverse_dft_beyond_float_range_is_out_of_range():
+    """Each bin is finite, but the sum the inverse forms is not."""
+    with pytest.raises(LevelOutOfRange, match="overflows"):
+        inverse_dft(Spectrum([1e308, 1e308, 1e308], FS, 4))
 
 
 @pytest.mark.parametrize("length", [4, 5])

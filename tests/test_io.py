@@ -68,6 +68,36 @@ def test_float_write_keeps_samples_beyond_full_scale(tmp_path):
     assert read_audio(path).samples.tolist() == np.float32([0.5, 1.7, -2.0]).tolist()
 
 
+def test_float_write_refuses_samples_beyond_float32_range(tmp_path, capsys):
+    from sgmeasure.cli import main
+
+    path = tmp_path / "f32.wav"
+    with pytest.raises(ClippedOutput, match=r"1 samples beyond float32 range \(peak 3\.5e\+38"):
+        write_audio(path, SampleStream([0.5, 3.5e38, -2.0], FS))
+    assert not path.exists()
+    # flooring a float32 period near full range lifts samples beyond it
+    write_audio(path, SampleStream(np.full(64, 3.0e38), FS))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    assert main(["safeguard", "--in", str(path), "--period", "64",
+                 "--out", str(out), "--report", str(report)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ClippedOutput"
+    assert not out.exists()
+
+
+def test_write_refuses_a_sample_rate_the_header_cannot_hold(tmp_path, capsys):
+    from sgmeasure.cli import main
+
+    path = tmp_path / "f32.wav"
+    with pytest.raises(UnsupportedFormat, match="byte rate"):
+        write_audio(path, SampleStream([0.5, -0.5], 2**32 - 1))
+    assert not path.exists()
+    fmt = struct.pack("<HHIIHH", 3, 1, 2**32 - 1, 0, 4, 32)
+    path.write_bytes(riff((b"fmt ", fmt), (b"data", np.float32([0.5, -0.5]).tobytes())))
+    assert main(["make-test", "--in", str(path), "--repeats", "2",
+                 "--out", str(tmp_path / "o.wav")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedFormat"
+
+
 def write_stereo_pcm16(path, left, right, rate):
     frames = np.empty(left.size * 2, dtype="<i2")
     frames[0::2] = np.round(left * 2.0**15).astype("<i2")
@@ -248,6 +278,26 @@ def test_pcm24_data_size_not_a_multiple_of_three_is_corrupt(tmp_path, capsys):
     ])
     assert rc == 3
     assert '"CorruptFile"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,data,message", [
+    (struct.pack("<HHIIHH", 1, 1, FS, FS * 2, 2, 16), bytes(3), "multiple of the frame size"),
+    (struct.pack("<HHIIHH", 3, 1, FS, FS * 4, 4, 32), bytes(129), "multiple of the frame size"),
+    (struct.pack("<HHIIHH", 1, 2, FS, FS * 4, 4, 16), bytes(6), "multiple of the frame size"),
+    (struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32), bytes(128), "sample rate of 0"),
+], ids=["pcm16 3 bytes", "float32 129 bytes", "stereo pcm16 6 bytes", "rate 0"])
+def test_data_size_or_sample_rate_the_fmt_chunk_rules_out_is_corrupt(
+    tmp_path, capsys, fmt, data, message
+):
+    from sgmeasure.cli import main
+
+    path = tmp_path / "bad.wav"
+    path.write_bytes(riff((b"fmt ", fmt), (b"data", data)))
+    with pytest.raises(CorruptFile, match=message):
+        read_audio(path)
+    assert main(["make-test", "--in", str(path), "--repeats", "2",
+                 "--out", str(tmp_path / "o.wav")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "CorruptFile"
 
 
 def write_float32(path, samples):

@@ -435,6 +435,14 @@ def test_smoothing_of_constant_is_identity():
     assert np.allclose(out, 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("fraction", [200.0, 3000.0])
+def test_smoothing_wider_than_the_band_averages_every_bin(fraction):
+    """A factor beyond int64, or beyond float64, clamps to the whole band."""
+    p = np.arange(1.0, 10.0)
+    out = smooth_one_sided(p, fraction)
+    assert out[0] == 1.0 and np.all(out[1:] == np.mean(p[1:]))
+
+
 def test_smoothing_impulse_bin_bounded_mean():
     p = np.zeros(256)
     # single spectral line: mirrored pair at +-k0

@@ -190,6 +190,19 @@ def test_level_that_overflows_the_output_is_out_of_range():
             simulate_chain(test, SimulationConfig(input_level_db=6160.0), repeats=3)
 
 
+@pytest.mark.parametrize("input_level_db,snr_db", [
+    (3100.0, math.inf), (3100.0, 40.0), (20.0, -3080.0),
+])
+def test_output_or_noise_power_beyond_float_range_is_out_of_range(input_level_db, snr_db):
+    """Every output sample is finite, but the output's power or its noise power is not."""
+    test = SampleStream(white_noise_period(64, FS, seed=9).samples, FS)
+    config = SimulationConfig(snr_db=snr_db, input_level_db=input_level_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
+        with pytest.raises(LevelOutOfRange, match="noise power"):
+            simulate_chain(test, config, repeats=3)
+
+
 def test_fit_oracle_exact_line():
     x = np.array([-20.0, -10.0, 0.0, 10.0])
     slope, intercept = least_squares_line(x, 2.0 * x - 10.0)
