@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import PeriodicSignal, SampleStream, forward_dft
-from .errors import InputFormatError, SgMeasureError
+from .errors import InputFormatError, SgMeasureError, UnwritableOutput
 from .reports import SCHEMA_VERSION, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
@@ -100,7 +100,11 @@ def _cmd_safeguard(args) -> int:
             else None
         ),
     }
-    Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        Path(args.out).unlink()  # no half of the command's output is left
+        raise UnwritableOutput(f"cannot write {args.report}: {exc}") from exc
     return 0
 
 

@@ -54,11 +54,12 @@ class SilentRecording(AnalysisError):
 
 
 class ClippedOutput(AnalysisError):
-    """Samples beyond the full scale of the requested PCM encoding."""
+    """Samples beyond float32's range, which a written WAV file cannot hold."""
 
 
 class UnsupportedFormat(InputFormatError):
-    """WAV encoding not handled (only PCM 16/24-bit and 32-bit float)."""
+    """WAV layout not handled: only mono PCM 16/24-bit or 32-bit float is read, and
+    only a sample rate whose byte rate fits the header is written."""
 
 
 class SampleRateMismatch(InputFormatError):
@@ -71,3 +72,7 @@ class CorruptFile(InputFormatError):
 
 class ManifestError(InputFormatError):
     """Session manifest failed validation."""
+
+
+class UnwritableOutput(InputFormatError):
+    """An output path could not be opened or written (a missing directory, a directory)."""

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import UnwritableOutput
+
 SCHEMA_VERSION = 1
 
 __all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
@@ -152,12 +154,17 @@ def write_report(path: str | Path, report: AnalysisReport) -> None:
 
     The table is formatted as it is written, one JSON column or one block of
     CSV rows at a time.  A summary that cannot be serialized raises before
-    the file is opened; a write that fails part-way removes the file.
+    the file is opened, a path that cannot be opened raises
+    :class:`~sgmeasure.errors.UnwritableOutput`, and a write that fails
+    part-way removes the file.
     """
     path = Path(path)
     chunks = _json_chunks(report) if path.suffix.lower() == ".json" else _csv_chunks(report)
     head = next(chunks)
-    out = path.open("w")
+    try:
+        out = path.open("w")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
     try:
         with out:
             out.write(head)

@@ -94,7 +94,8 @@ def floor_report(spectrum: Spectrum, theta: FloorThreshold) -> SafeguardReport:
     A floored bin k gains (theta - |X[k]|) in magnitude along its own
     phase, so by Parseval the added component's power over the signal's is
     sum (theta - |X[k]|)^2 over the floored bins / sum |X[k]|^2, with no
-    inverse transform.  Flooring a silent period adds +inf dB.
+    inverse transform.  Flooring a silent period adds +inf dB, and so does
+    an added power beyond float64.
     """
     th = theta.theta_linear
     length = spectrum.length
@@ -103,9 +104,11 @@ def floor_report(spectrum: Spectrum, theta: FloorThreshold) -> SafeguardReport:
     changed = int(hermitian_sum(low, length))
     if changed == 0:
         return SafeguardReport(0, 0.0, -math.inf)
-    added = hermitian_sum(np.where(low, th - mag, 0.0) ** 2, length)
-    total = hermitian_sum(mag**2, length)
+    # an overflowed square gives +inf dB: the regression refuses it, and the
+    # safeguard command refuses the floored period (beyond float32) first
     with np.errstate(divide="ignore", over="ignore"):
+        added = hermitian_sum(np.where(low, th - mag, 0.0) ** 2, length)
+        total = hermitian_sum(mag**2, length)
         added_db = float(10.0 * np.log10(added / total)) if total > 0 else math.inf
     return SafeguardReport(changed, changed / length, added_db)
 
@@ -127,7 +130,9 @@ def safeguard_signal(
     report = floor_report(spectrum, theta)
     if report.bins_changed == 0:
         return signal, report
-    return inverse_dft(apply_floor(spectrum, theta)), report
+    with np.errstate(over="ignore", invalid="ignore"):  # inverse_dft refuses a non-finite bin
+        floored = apply_floor(spectrum, theta)
+    return inverse_dft(floored), report
 
 
 def build_test_stream(period: PeriodicSignal, repeats: int) -> SampleStream:

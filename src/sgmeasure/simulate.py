@@ -187,6 +187,8 @@ def run_flooring_regression(
     used: list[float] = []
     for theta_db in theta_db_grid:
         report = floor_report(spectrum, threshold_from_db(spectrum, theta_db))
+        if report.added_component_db == math.inf:  # white noise is not silent: an overflow
+            raise LevelOutOfRange(f"flooring at {theta_db} dB adds a power beyond float64")
         sigma_db.append(report.added_component_db)
         bins_changed.append(float(report.bins_changed))
         usable = (
@@ -277,8 +279,10 @@ def run_random_response_experiment(
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, block = _measured_block(excitation, config, m_count)
-        _, d_stv_sq = time_invariant_block(block, x_bins)
-        levels.append(_db(full_spectrum_mean(d_stv_sq, period_length)))
+        with np.errstate(over="ignore"):  # _db refuses an overflowed level
+            _, d_stv_sq = time_invariant_block(block, x_bins)
+            level = full_spectrum_mean(d_stv_sq, period_length)
+        levels.append(_db(level))
     return AnalysisReport(
         summary={}, table={"theta_db": list(theta_db_list), "random_level_db": levels}
     )
@@ -307,9 +311,10 @@ def run_nonlinearity_experiment(
         white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
     )
     excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
-    excitation_power = float(
-        np.mean([np.mean(e.samples**2) for e, _ in excitations])
-    )
+    with np.errstate(over="ignore"):  # refused below
+        excitation_power = float(np.mean([np.mean(e.samples**2) for e, _ in excitations]))
+    if not excitation_power < math.inf:
+        raise LevelOutOfRange(f"an excitation power of {excitation_power} overflows float64")
     rand_raw, sdr_raw, rand_norm, sdr_norm = [], [], [], []
     for j, level_db in enumerate(input_level_db_list):
         output_power = []
@@ -326,10 +331,12 @@ def run_nonlinearity_experiment(
             output_power.append(float(np.mean(recorded.samples**2)))
             return block, x_bins
 
-        _, d_stv_sq, _, h_ssdr_sq = separate_signals(map(measured, range(p_count)))
-        norm_db = _db(float(np.mean(output_power)) / excitation_power)
-        rand_db = _db(float(np.mean([full_spectrum_mean(d, period_length) for d in d_stv_sq])))
-        sdr_db = _db(full_spectrum_mean(h_ssdr_sq, period_length))
+        with np.errstate(over="ignore"):  # _db refuses an overflowed level
+            _, d_stv_sq, _, h_ssdr_sq = separate_signals(map(measured, range(p_count)))
+            norm = float(np.mean(output_power)) / excitation_power
+            rand = float(np.mean([full_spectrum_mean(d, period_length) for d in d_stv_sq]))
+            sdr = full_spectrum_mean(h_ssdr_sq, period_length)
+        norm_db, rand_db, sdr_db = _db(norm), _db(rand), _db(sdr)
         rand_raw.append(rand_db)
         sdr_raw.append(sdr_db)
         rand_norm.append(rand_db - norm_db)

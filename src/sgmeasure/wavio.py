@@ -1,10 +1,11 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Reads PCM 16/24-bit and 32-bit float, mono or stereo (stereo is averaged
-to mono), in a plain fmt chunk or a ``WAVE_FORMAT_EXTENSIBLE`` (0xFFFE) one
-whose subformat GUID is PCM or IEEE float.  Writes mono files, 32-bit
-float by default.  The stdlib wave module cannot handle float data, hence
-the hand-rolled chunk parsing.
+Reads mono PCM 16/24-bit and 32-bit float, in a plain fmt chunk or a
+``WAVE_FORMAT_EXTENSIBLE`` (0xFFFE) one whose subformat GUID is PCM or IEEE
+float.  A file of any other channel count is refused: the estimate needs
+the recording of one path, and mixing channels would change it.  Writes
+mono 32-bit float files.  The stdlib wave module cannot handle float data,
+hence the hand-rolled chunk parsing.
 
 PCM24 is decoded through one strided view of the file bytes: a little-endian
 32-bit word every 3 bytes from one byte before the data (the chunk's size
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SampleStream
-from .errors import ClippedOutput, CorruptFile, UnsupportedFormat
+from .errors import ClippedOutput, CorruptFile, UnsupportedFormat, UnwritableOutput
 
 __all__ = ["read_audio", "write_audio"]
 
@@ -49,7 +50,7 @@ def _extensible_format(fmt: bytes, path: Path) -> int:
 
 
 def read_audio(path: str | Path) -> SampleStream:
-    """Read a WAV file into a mono SampleStream (stereo channels are averaged)."""
+    """Read a mono WAV file into a SampleStream; other channel counts raise UnsupportedFormat."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -80,14 +81,16 @@ def read_audio(path: str | Path) -> SampleStream:
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format == _FORMAT_EXTENSIBLE:
         audio_format = _extensible_format(fmt, path)
-    if channels not in (1, 2):
-        raise UnsupportedFormat(f"{path}: {channels} channels (mono/stereo only)")
+    if channels != 1:
+        raise UnsupportedFormat(
+            f"{path}: {channels} channels; give the measured channel as a mono file"
+        )
     if (audio_format, bits) not in _DECODABLE:
         raise UnsupportedFormat(
             f"{path}: format code {audio_format} at {bits} bits "
             "(PCM 16/24-bit or 32-bit float only)"
         )
-    if len(frames) % (channels * bits // 8):
+    if len(frames) % (bits // 8):  # a mono frame is one sample
         raise CorruptFile(f"{path}: data size not a multiple of the frame size")
     if sample_rate == 0:
         raise CorruptFile(f"{path}: fmt chunk gives a sample rate of 0")
@@ -100,62 +103,31 @@ def read_audio(path: str | Path) -> SampleStream:
         raw = np.frombuffer(frames, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(raw)):
             raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
-    if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
     return SampleStream(raw, sample_rate)
 
 
-def _refuse_unencodable(stream: SampleStream, out: np.ndarray, limit: str) -> None:
-    """Raise :class:`ClippedOutput` if ``out`` marks any sample as beyond ``limit``."""
-    if np.any(out):
-        peak = float(np.max(np.abs(stream.samples)))
-        raise ClippedOutput(f"{int(np.count_nonzero(out))} samples beyond {limit} (peak {peak!r})")
+def write_audio(path: str | Path, stream: SampleStream) -> None:
+    """Write a mono 32-bit float WAV file.
 
-
-def _pcm_integers(stream: SampleStream, bits: int) -> np.ndarray:
-    """Samples scaled and rounded to ``bits``-bit PCM integers; out-of-range samples raise."""
-    full_scale = 2.0 ** (bits - 1)
-    scaled = np.round(stream.samples * full_scale)
-    out = (scaled < -full_scale) | (scaled > full_scale - 1)
-    _refuse_unencodable(stream, out, f"{bits}-bit full scale; scale the stream or write float32")
-    return scaled
-
-
-def write_audio(path: str | Path, stream: SampleStream, encoding: str = "float32") -> None:
-    """Write a mono WAV file.
-
-    ``encoding`` is one of ``float32`` (default, lossless for our data),
-    ``pcm16`` or ``pcm24``.  Samples the encoding cannot hold raise
-    :class:`ClippedOutput`: for PCM those that round beyond its integer
-    range, for float32 those beyond float32's range.  A sample rate whose
-    byte rate does not fit the header's 32-bit field raises
-    :class:`UnsupportedFormat`.  Both are checked before the file is opened.
+    Samples beyond float32's range raise :class:`ClippedOutput`, and a
+    sample rate whose byte rate does not fit the header's 32-bit field
+    raises :class:`UnsupportedFormat`; both are checked before the file is
+    opened.  A path that cannot be written raises :class:`UnwritableOutput`.
     """
-    if encoding == "float32":
-        audio_format, bits = _FORMAT_FLOAT, 32
-        with np.errstate(over="ignore"):  # an overflow is counted below
-            f32 = stream.samples.astype("<f4")
-        _refuse_unencodable(stream, ~np.isfinite(f32), "float32 range")
-        payload = f32.tobytes()
-    elif encoding == "pcm16":
-        audio_format, bits = _FORMAT_PCM, 16
-        payload = _pcm_integers(stream, bits).astype("<i2").tobytes()
-    elif encoding == "pcm24":
-        audio_format, bits = _FORMAT_PCM, 24
-        ints = _pcm_integers(stream, bits).astype(np.int32)
-        b = np.empty((ints.size, 3), dtype=np.uint8)
-        b[:, 0] = ints & 0xFF
-        b[:, 1] = (ints >> 8) & 0xFF
-        b[:, 2] = (ints >> 16) & 0xFF
-        payload = b.tobytes()
-    else:
-        raise UnsupportedFormat(f"unknown encoding {encoding!r}")
-
-    byte_rate = stream.sample_rate * bits // 8
+    with np.errstate(over="ignore"):  # an overflow is counted below
+        f32 = stream.samples.astype("<f4")
+    beyond = ~np.isfinite(f32)
+    if np.any(beyond):
+        peak = float(np.max(np.abs(stream.samples)))
+        raise ClippedOutput(
+            f"{int(np.count_nonzero(beyond))} samples beyond float32 range (peak {peak!r})"
+        )
+    byte_rate = stream.sample_rate * 4
     if byte_rate > 0xFFFFFFFF:
         raise UnsupportedFormat(
             f"sample rate {stream.sample_rate} Hz: its byte rate does not fit a WAV header"
         )
+    payload = f32.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -163,13 +135,16 @@ def write_audio(path: str | Path, stream: SampleStream, encoding: str = "float32
         b"WAVE",
         b"fmt ",
         16,
-        audio_format,
+        _FORMAT_FLOAT,
         1,
         stream.sample_rate,
         byte_rate,
-        bits // 8,
-        bits,
+        4,
+        32,
         b"data",
         len(payload),
     )
-    Path(path).write_bytes(header + payload)
+    try:
+        Path(path).write_bytes(header + payload)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc

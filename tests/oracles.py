@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -130,18 +131,23 @@ def added_component_db(samples: np.ndarray, floored) -> float:
     return power_db(inverse_dft(floored).samples - x) - power_db(x)
 
 
-def pcm24_samples(payload: bytes) -> np.ndarray:
-    """PCM24 samples assembled byte by byte: low, middle and signed high byte, over 2**23.
+def pcm_samples(payload: bytes, width: int) -> np.ndarray:
+    """PCM samples of ``width`` bytes assembled byte by byte: the lower bytes unsigned,
+    the top byte signed, over 2**(8 * width - 1).
 
-    :func:`sgmeasure.wavio.read_audio` decodes the same bytes through one
-    strided view and must agree bit for bit.
+    :func:`sgmeasure.wavio.read_audio` decodes the same bytes through numpy
+    dtypes (PCM24 through one strided view) and must agree bit for bit.
     """
-    b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-    return (
-        b[:, 0].astype(np.int32)
-        | (b[:, 1].astype(np.int32) << 8)
-        | (b[:, 2].astype(np.int8).astype(np.int32) << 16)
-    ).astype(np.float64) / 2.0**23
+    b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
+    codes = b[:, -1].astype(np.int8).astype(np.int32) << 8 * (width - 1)
+    for i in range(width - 1):
+        codes |= b[:, i].astype(np.int32) << 8 * i
+    return codes.astype(np.float64) / 2.0 ** (8 * width - 1)
+
+
+def float32_samples(payload: bytes) -> np.ndarray:
+    """Little-endian float32 samples unpacked one by one with :mod:`struct`."""
+    return np.array(struct.unpack(f"<{len(payload) // 4}f", payload), dtype=np.float64)
 
 
 def _clean(value):

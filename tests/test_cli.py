@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgmeasure
 from sgmeasure.cli import main
 from sgmeasure.core import SampleStream, forward_dft
 from sgmeasure.reports import read_report
@@ -209,6 +214,20 @@ def test_analyze_silent_recordings_is_analysis_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "SilentRecording"
     assert "rec0.wav" in error["message"]
+
+
+def test_analyze_file_rate_unlike_the_manifest_is_input_error(tmp_path, capsys):
+    manifest = make_session(tmp_path, m_count=2)
+    doc = json.loads(manifest.read_text())
+    doc["sample_rate"] = 48000
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SampleRateMismatch"
+    assert str(tmp_path / "exc0.wav") in error["message"]
+    assert "44100 Hz" in error["message"] and "48000 Hz" in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("smooth", ["1/0", "0/0", "abc", "-1/3", "0.0", "1e400"])
@@ -463,6 +482,9 @@ def test_simulate_invalid_config_value_is_input_error(tmp_path, capsys, experime
     ("random", {"snr_db": -3080}),
     ("nonlinearity", {"period_length": 2, "theta_db": 64}),
     ("random", {"snr_db": -3060}),
+    ("regression", {"theta_db_grid": [0.0, 10.0, 3100.0], "max_changed_fraction": 1.0}),
+    ("nonlinearity", {"period_length": 2, "m_count": 2, "alpha": 0.0, "theta_db": 3079.0,
+                      "input_level_db_list": [-3000.0]}),
 ])
 def test_simulate_level_beyond_float_range_is_analysis_error(
     tmp_path, capsys, experiment, change
@@ -520,3 +542,74 @@ def test_seed_env_var_must_be_non_negative_integer(tmp_path, capsys, monkeypatch
     rc = main(["simulate", "--experiment", "random", "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("command,option", [
+    ("safeguard", "--out"), ("safeguard", "--report"), ("make-test", "--out"),
+    ("analyze", "--out"), ("simulate", "--out"),
+])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, command, option, target):
+    infile, config = tmp_path / "in.wav", tmp_path / "c.json"
+    write_period(infile, seed=8)
+    config.write_text(json.dumps({"period_length": 256, "theta_db_list": [0.0]}))
+    if target == "directory":
+        bad = tmp_path / "taken.json"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "nowhere" / "o.json"
+    paths = {"--out": str(tmp_path / "o.json"), "--report": str(tmp_path / "r.json")}
+    paths[option] = str(bad)
+    argv = {
+        "safeguard": ["--in", str(infile), "--period", str(L), "--report", paths["--report"]],
+        "make-test": ["--in", str(infile), "--repeats", "2"],
+        "analyze": ["--manifest", str(make_session(tmp_path, m_count=2))],
+        "simulate": ["--config", str(config), "--experiment", "random"],
+    }[command]
+    assert main([command, *argv, "--out", paths["--out"]]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UnwritableOutput"
+    assert str(bad) in error["message"]
+    assert bad.is_dir() == (target == "directory")
+    assert not any(Path(path).is_file() for path in paths.values())
+
+
+def assert_only_level_error(argv: list[str]) -> None:
+    """The CLI, run in a fresh interpreter, exits 4 with one LevelOutOfRange JSON line on
+    stderr and no numpy warning before it."""
+    src = str(Path(sgmeasure.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONWARNINGS="default")
+    result = subprocess.run([sys.executable, "-m", "sgmeasure.cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 4
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == "LevelOutOfRange"
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("random", {"seed": 1, "period_length": 256, "snr_db": -3080}),
+    ("regression", {"period_length": 256, "theta_db_grid": [0.0, 10.0, 3100.0]}),
+    ("nonlinearity", {"period_length": 2, "m_count": 2, "alpha": 0.0, "theta_db": 3079.0,
+                      "input_level_db_list": [-3000.0]}),
+])
+def test_simulate_overflow_prints_only_the_json_error(tmp_path, experiment, config):
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert_only_level_error(["simulate", "--experiment", experiment,
+                             "--config", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("period", [
+    0.01 * np.random.default_rng(14).standard_normal(2048),
+    np.array([0.9, -0.8, 0.5, 0.1, 0.0, 0.3]),  # the floored bins themselves overflow
+], ids=["noise", "full scale"])
+def test_safeguard_overflow_prints_only_the_json_error(tmp_path, period):
+    write_audio(tmp_path / "in.wav", SampleStream(period, FS))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    assert_only_level_error(["safeguard", "--in", str(tmp_path / "in.wav"),
+                             "--period", str(min(len(period), 1024)), "--theta-db", "6160",
+                             "--out", str(out), "--report", str(report)])
+    assert not out.exists() and not report.exists()

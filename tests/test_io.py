@@ -13,14 +13,48 @@ from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
 from sgmeasure.reports import _CSV_BLOCK_ROWS, AnalysisReport, read_report, write_report
 from sgmeasure.wavio import read_audio, write_audio
 
-from oracles import pcm24_samples, report_csv, report_json
+from oracles import float32_samples, pcm_samples, report_csv, report_json
 
 FS = 44100
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# (format code, bits) of each encoding the reader decodes
+ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
 
 
 def sine_stream(freq=1000.0, n=4410, amp=0.5):
     t = np.arange(n) / FS
     return SampleStream(amp * np.sin(2 * np.pi * freq * t), FS)
+
+
+def riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """A RIFF/WAVE file of (id, body) chunks, each odd-sized body followed by its pad byte."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(encoding: str, channels: int = 1, rate: int = FS) -> bytes:
+    code, bits = ENCODINGS[encoding]
+    align = channels * bits // 8
+    return struct.pack("<HHIIHH", code, channels, rate, rate * align, align, bits)
+
+
+def encode(samples, encoding: str) -> bytes:
+    """Samples as the data bytes of ``encoding``; PCM codes are rounded from full scale 1."""
+    x = np.asarray(samples, dtype=np.float64)
+    if encoding == "float32":
+        return x.astype("<f4").tobytes()
+    width = ENCODINGS[encoding][1] // 8
+    codes = np.round(x * 2.0 ** (8 * width - 1)).astype("<i4")
+    return codes.view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
+
+
+def wav_bytes(samples, encoding: str, channels: int = 1) -> bytes:
+    """A plain-fmt WAV file of interleaved ``samples``, written here in any encoding
+    the reader decodes (:func:`write_audio` writes float32 only)."""
+    return riff((b"fmt ", fmt_chunk(encoding, channels)), (b"data", encode(samples, encoding)))
 
 
 def test_float_round_trip_is_lossless(tmp_path):
@@ -32,34 +66,29 @@ def test_float_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.samples, stream.samples)
 
 
-def test_pcm16_round_trip_quantization_bound(tmp_path):
-    path = tmp_path / "p16.wav"
-    stream = sine_stream()
-    write_audio(path, stream, encoding="pcm16")
+# Finite float64 samples within float32's range, with the edges a float32 write meets:
+# signed zeros, float32 and float64 subnormals, |x| > 1 and float32's largest magnitude.
+WRITABLE_SAMPLES = st.one_of(
+    st.floats(-FLOAT32_MAX, FLOAT32_MAX),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.floats(-1e-36, 1e-36),
+    st.sampled_from([0.0, -0.0, 1e-45, -1.4e-45, 5e-324, 1.5, -2.0, FLOAT32_MAX, -FLOAT32_MAX]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    samples=st.lists(WRITABLE_SAMPLES, max_size=40),
+    rate=st.one_of(st.sampled_from([1, FS, 48000, 2**30 - 1]), st.integers(1, 2**30 - 1)),
+)
+def test_float_write_then_read_is_float32_bit_for_bit(tmp_path_factory, samples, rate):
+    path = tmp_path_factory.mktemp("f32") / "f32.wav"
+    samples = np.array(samples, dtype=np.float64)
+    write_audio(path, SampleStream(samples, rate))
     back = read_audio(path)
-    assert np.max(np.abs(back.samples - stream.samples)) <= 2.0**-15
-
-
-def test_pcm24_round_trip_quantization_bound(tmp_path):
-    path = tmp_path / "p24.wav"
-    stream = sine_stream()
-    write_audio(path, stream, encoding="pcm24")
-    back = read_audio(path)
-    assert np.max(np.abs(back.samples - stream.samples)) <= 2.0**-23
-
-
-@pytest.mark.parametrize("encoding", ["pcm16", "pcm24"])
-def test_pcm_write_refuses_to_clip(tmp_path, encoding):
-    path = tmp_path / "clip.wav"
-    with pytest.raises(ClippedOutput, match=r"2 samples .*peak 2\.0"):
-        write_audio(path, SampleStream([0.5, 1.7, -2.0], FS), encoding=encoding)
-    assert not path.exists()
-    # negative full scale is representable; one step past the top code is not
-    bits = 16 if encoding == "pcm16" else 24
-    write_audio(path, SampleStream([-1.0, 1.0 - 2.0 ** (1 - bits)], FS), encoding=encoding)
-    assert read_audio(path).samples.tolist() == [-1.0, 1.0 - 2.0 ** (1 - bits)]
-    with pytest.raises(ClippedOutput, match="1 samples"):
-        write_audio(path, SampleStream([1.0], FS), encoding=encoding)
+    assert back.sample_rate == rate
+    expected = samples.astype(np.float32).astype(np.float64)
+    assert back.samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_float_write_keeps_samples_beyond_full_scale(tmp_path):
@@ -98,26 +127,35 @@ def test_write_refuses_a_sample_rate_the_header_cannot_hold(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedFormat"
 
 
-def write_stereo_pcm16(path, left, right, rate):
-    frames = np.empty(left.size * 2, dtype="<i2")
-    frames[0::2] = np.round(left * 2.0**15).astype("<i2")
-    frames[1::2] = np.round(right * 2.0**15).astype("<i2")
-    payload = frames.tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 1, 2, rate, rate * 4, 4, 16,
-        b"data", len(payload),
-    )
-    path.write_bytes(header + payload)
+@pytest.mark.parametrize("channels", [2, 3])
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_multichannel_file_is_unsupported(tmp_path, capsys, encoding, channels):
+    """No channel is mixed into another: a file of more than one channel is refused,
+    by the reader and by every command that reads one, and no output is written."""
+    from sgmeasure.cli import main
 
-
-def test_stereo_averages_to_mono(tmp_path):
-    path = tmp_path / "stereo.wav"
-    a = sine_stream(amp=0.25).samples
-    write_stereo_pcm16(path, a, -a, FS)
-    back = read_audio(path)
-    assert np.max(np.abs(back.samples)) == 0.0
+    path = tmp_path / "multi.wav"
+    # a loopback reference beside the measured channel: mixing them would halve the path
+    frames = np.tile(sine_stream(n=2048, amp=0.25).samples, (channels, 1))
+    frames[1] = -1.0
+    path.write_bytes(wav_bytes(frames.T.ravel(), encoding, channels))
+    with pytest.raises(UnsupportedFormat, match=f"{channels} channels; give the measured channel"):
+        read_audio(path)
+    mono = tmp_path / "mono.wav"
+    write_audio(mono, sine_stream(n=2048))
+    manifest = {"sample_rate": FS, "period_length": 512, "segments_per_recording": 2,
+                "entries": [{"excitation": mono.name, "recording": path.name}]}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    for argv in (
+        ["safeguard", "--in", str(path), "--period", "512", "--out", str(out),
+         "--report", str(report)],
+        ["make-test", "--in", str(path), "--repeats", "2", "--out", str(out)],
+        ["analyze", "--manifest", str(tmp_path / "m.json"), "--out", str(report)],
+    ):
+        assert main(argv) == 3, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedFormat"
+        assert not out.exists() and not report.exists()
 
 
 def test_unsupported_format_rejected(tmp_path):
@@ -173,7 +211,7 @@ def as_extensible(plain: bytes, guid: bytes, cb_size: int = 22) -> bytes:
 ])
 def test_extensible_reads_like_plain_format(tmp_path, encoding, guid):
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    write_audio(plain, sine_stream(), encoding=encoding)
+    plain.write_bytes(wav_bytes(sine_stream().samples, encoding))
     extensible.write_bytes(as_extensible(plain.read_bytes(), guid))
     a, b = read_audio(plain), read_audio(extensible)
     assert b.sample_rate == a.sample_rate
@@ -182,7 +220,7 @@ def test_extensible_reads_like_plain_format(tmp_path, encoding, guid):
 
 def test_extensible_unknown_subformat_is_unsupported(tmp_path):
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    write_audio(plain, sine_stream(), encoding="pcm16")
+    plain.write_bytes(wav_bytes(sine_stream().samples, "pcm16"))
     alaw = bytes.fromhex("0600000000001000800000aa00389b71")
     other = bytes(range(16))  # not a KSDATAFORMAT_SUBTYPE GUID at all
     for guid in (alaw, other):
@@ -196,7 +234,7 @@ def test_extensible_truncated_extension_is_corrupt(tmp_path, capsys, cut):
     from sgmeasure.cli import main
 
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    write_audio(plain, sine_stream(), encoding="float32")
+    write_audio(plain, sine_stream())
     raw = as_extensible(plain.read_bytes(), FLOAT_GUID, cb_size=0 if cut == "cb_size" else 22)
     if cut == "guid":  # fmt chunk of 32 bytes: the GUID is cut in half
         raw = raw[:16] + struct.pack("<I", 32) + raw[20:52] + raw[60:]
@@ -211,28 +249,15 @@ def test_extensible_truncated_extension_is_corrupt(tmp_path, capsys, cut):
     assert '"CorruptFile"' in capsys.readouterr().err
 
 
-def riff(*chunks: tuple[bytes, bytes]) -> bytes:
-    """A RIFF/WAVE file of (id, body) chunks, each odd-sized body followed by its pad byte."""
-    body = b"WAVE" + b"".join(
-        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
-        for cid, data in chunks
-    )
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+# Layouts a data chunk is read from; the file ends with the data chunk unless a
+# chunk follows it.  A stereo file is refused whatever its data.
+LAYOUTS = ("plain", "after odd chunk", "after LIST", "before LIST", "stereo", "extensible")
+PCM_EDGES = {"pcm16": (-(2**15), -1, 0, 1, 2**15 - 1), "pcm24": (-(2**23), -1, 0, 1, 2**23 - 1)}
+FLOAT32_EDGES = (0.0, -0.0, 1e-45, -FLOAT32_MAX, FLOAT32_MAX, 1.5)
 
 
-def pcm24_fmt(channels: int) -> bytes:
-    return struct.pack("<HHIIHH", 1, channels, FS, FS * 3 * channels, 3 * channels, 24)
-
-
-# Layouts a PCM24 data chunk is read from; the file ends with the data chunk
-# unless a chunk follows it.
-PCM24_LAYOUTS = ("plain", "after odd chunk", "after LIST", "before LIST", "stereo", "extensible")
-PCM24_EDGES = (-(2**23), -1, 0, 1, 2**23 - 1)
-
-
-def pcm24_file(layout: str, payload: bytes) -> bytes:
-    channels = 2 if layout == "stereo" else 1
-    fmt = (b"fmt ", pcm24_fmt(channels))
+def wav_file(encoding: str, layout: str, payload: bytes) -> bytes:
+    fmt = (b"fmt ", fmt_chunk(encoding, 2 if layout == "stereo" else 1))
     data = (b"data", payload)
     info = (b"LIST", b"INFOISFT" + struct.pack("<I", 6) + b"test\0\0")
     if layout == "after odd chunk":
@@ -242,34 +267,48 @@ def pcm24_file(layout: str, payload: bytes) -> bytes:
     if layout == "before LIST":
         return riff(fmt, data, info)
     plain = riff(fmt, data)
-    return as_extensible(plain, PCM_GUID) if layout == "extensible" else plain
+    guid = FLOAT_GUID if encoding == "float32" else PCM_GUID
+    return as_extensible(plain, guid) if layout == "extensible" else plain
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    codes=st.lists(st.integers(-(2**23), 2**23 - 1), max_size=40),
-    layout=st.sampled_from(PCM24_LAYOUTS),
-)
-def test_pcm24_decode_equals_byte_assembly(tmp_path_factory, codes, layout):
-    codes = np.array([*PCM24_EDGES, *codes], dtype="<i4")
-    if layout == "stereo" and codes.size % 2:
-        codes = codes[:-1]
-    payload = codes.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    path = tmp_path_factory.mktemp("pcm24") / "p24.wav"
-    path.write_bytes(pcm24_file(layout, payload))
-    expected = pcm24_samples(payload)
+@st.composite
+def encoded_samples(draw):
+    """(encoding, data bytes, the values they hold): PCM codes over 2**(bits-1), or float32s."""
+    encoding = draw(st.sampled_from(sorted(ENCODINGS)))
+    if encoding == "float32":
+        values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        x = np.array([*FLOAT32_EDGES, *draw(st.lists(values, max_size=40))], dtype="<f4")
+        return encoding, x.tobytes(), x.astype(np.float64)
+    bits = ENCODINGS[encoding][1]
+    codes = st.integers(-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    x = np.array([*PCM_EDGES[encoding], *draw(st.lists(codes, max_size=40))]) / 2.0 ** (bits - 1)
+    return encoding, encode(x, encoding), x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(encoded=encoded_samples(), layout=st.sampled_from(LAYOUTS))
+def test_pcm24_decode_equals_byte_assembly(tmp_path_factory, encoded, layout):
+    """PCM16, PCM24 and float32 data decode to the values their bytes assemble to, bit for bit."""
+    encoding, payload, values = encoded
+    path = tmp_path_factory.mktemp("decode") / "in.wav"
+    path.write_bytes(wav_file(encoding, layout, payload))
     if layout == "stereo":
-        expected = expected.reshape(-1, 2).mean(axis=1)
+        with pytest.raises(UnsupportedFormat, match="2 channels"):
+            read_audio(path)
+        return
+    if encoding == "float32":
+        expected = float32_samples(payload)
     else:
-        assert np.array_equal(expected * 2.0**23, codes)
-    assert np.array_equal(read_audio(path).samples, expected)
+        expected = pcm_samples(payload, ENCODINGS[encoding][1] // 8)
+    assert expected.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert read_audio(path).samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_pcm24_data_size_not_a_multiple_of_three_is_corrupt(tmp_path, capsys):
     from sgmeasure.cli import main
 
     path = tmp_path / "p24.wav"
-    path.write_bytes(riff((b"fmt ", pcm24_fmt(1)), (b"data", bytes(3 * 2048 + 1))))
+    path.write_bytes(riff((b"fmt ", fmt_chunk("pcm24")), (b"data", bytes(3 * 2048 + 1))))
     with pytest.raises(CorruptFile, match="multiple of the frame size"):
         read_audio(path)
     rc = main([
@@ -280,35 +319,25 @@ def test_pcm24_data_size_not_a_multiple_of_three_is_corrupt(tmp_path, capsys):
     assert '"CorruptFile"' in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt,data,message", [
-    (struct.pack("<HHIIHH", 1, 1, FS, FS * 2, 2, 16), bytes(3), "multiple of the frame size"),
-    (struct.pack("<HHIIHH", 3, 1, FS, FS * 4, 4, 32), bytes(129), "multiple of the frame size"),
-    (struct.pack("<HHIIHH", 1, 2, FS, FS * 4, 4, 16), bytes(6), "multiple of the frame size"),
-    (struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32), bytes(128), "sample rate of 0"),
+@pytest.mark.parametrize("fmt,data,error,message", [
+    (fmt_chunk("pcm16"), bytes(3), CorruptFile, "multiple of the frame size"),
+    (fmt_chunk("float32"), bytes(129), CorruptFile, "multiple of the frame size"),
+    # whole stereo frames or not, a stereo file is refused before its size is checked
+    (fmt_chunk("pcm16", channels=2), bytes(6), UnsupportedFormat, "2 channels"),
+    (fmt_chunk("float32", rate=0), bytes(128), CorruptFile, "sample rate of 0"),
 ], ids=["pcm16 3 bytes", "float32 129 bytes", "stereo pcm16 6 bytes", "rate 0"])
 def test_data_size_or_sample_rate_the_fmt_chunk_rules_out_is_corrupt(
-    tmp_path, capsys, fmt, data, message
+    tmp_path, capsys, fmt, data, error, message
 ):
     from sgmeasure.cli import main
 
     path = tmp_path / "bad.wav"
     path.write_bytes(riff((b"fmt ", fmt), (b"data", data)))
-    with pytest.raises(CorruptFile, match=message):
+    with pytest.raises(error, match=message):
         read_audio(path)
     assert main(["make-test", "--in", str(path), "--repeats", "2",
                  "--out", str(tmp_path / "o.wav")]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "CorruptFile"
-
-
-def write_float32(path, samples):
-    payload = np.asarray(samples, dtype="<f4").tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 3, 1, FS, FS * 4, 4, 32,
-        b"data", len(payload),
-    )
-    path.write_bytes(header + payload)
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -316,7 +345,7 @@ def test_nonfinite_float_sample_is_corrupt_file(tmp_path, bad):
     path = tmp_path / "nan.wav"
     samples = sine_stream().samples
     samples[100] = bad
-    write_float32(path, samples)
+    path.write_bytes(wav_bytes(samples, "float32"))
     with pytest.raises(CorruptFile):
         read_audio(path)
 
@@ -327,7 +356,7 @@ def test_nonfinite_float_sample_exits_as_input_error(tmp_path, capsys):
     path = tmp_path / "nan.wav"
     samples = sine_stream().samples
     samples[7] = float("nan")
-    write_float32(path, samples)
+    path.write_bytes(wav_bytes(samples, "float32"))
     rc = main([
         "safeguard", "--in", str(path), "--period", "1024",
         "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json"),
@@ -340,7 +369,7 @@ def test_read_audio_holds_the_file_bytes_once(tmp_path):
     """The data chunk is decoded from the file's bytes, not from a copy of them."""
     path = tmp_path / "long.wav"
     n = 1 << 18
-    write_float32(path, np.linspace(-1.0, 1.0, n))
+    path.write_bytes(wav_bytes(np.linspace(-1.0, 1.0, n), "float32"))
     tracemalloc.start()
     try:
         read_audio(path)
