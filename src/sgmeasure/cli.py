@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import PeriodicSignal, SampleStream, forward_dft
-from .errors import InputFormatError, SgMeasureError, UnwritableOutput
+from .errors import InputFormatError, SgMeasureError, UnsupportedFormat, UnwritableOutput
 from .reports import SCHEMA_VERSION, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
@@ -27,7 +27,7 @@ from .simulate import (
     run_nonlinearity_experiment,
     run_random_response_experiment,
 )
-from .wavio import read_audio, write_audio
+from .wavio import MAX_FLOAT_SAMPLES, read_audio, write_audio
 
 SEED_ENV_VAR = "SGMEASURE_SEED"
 
@@ -112,6 +112,10 @@ def _cmd_make_test(args) -> int:
     stream = read_audio(args.infile)
     if len(stream) < 2:
         raise InputFormatError(f"{args.infile}: {len(stream)} samples, a period needs at least 2")
+    if args.repeats * len(stream) > MAX_FLOAT_SAMPLES:  # refused before the stream is made
+        raise UnsupportedFormat(
+            f"{args.repeats} repeats of {len(stream)} samples do not fit a WAV data chunk"
+        )
     period = PeriodicSignal(stream.samples, stream.sample_rate)
     write_audio(args.out, build_test_stream(period, args.repeats))
     return 0

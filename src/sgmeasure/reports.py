@@ -22,7 +22,7 @@ SCHEMA_VERSION = 1
 __all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
 
 
-# Rows per CSV write: a block of this many rows is the most cell text held at once.
+# Rows per CSV write and cells per JSON write: the most cell text held at once.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -79,7 +79,8 @@ def _cells(column, null: str) -> list[str]:
 def _json_chunks(report: AnalysisReport):
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the report, in pieces.
 
-    The first piece holds the summary; then each table column is one piece.
+    The first piece holds the summary; then each table column comes in
+    blocks of ``_CSV_BLOCK_ROWS`` cells.
     """
     head = json.dumps(
         {
@@ -96,8 +97,14 @@ def _json_chunks(report: AnalysisReport):
         return
     sep = "\n"
     for name in sorted(report.table):
-        cells = ",\n      ".join(_cells(report.table[name], "null"))
-        yield f"{sep}    {json.dumps(name)}: " + (f"[\n      {cells}\n    ]" if cells else "[]")
+        column = report.table[name]
+        yield f"{sep}    {json.dumps(name)}: ["
+        lead = "\n      "
+        for start in range(0, len(column), _CSV_BLOCK_ROWS):
+            cells = _cells(column[start : start + _CSV_BLOCK_ROWS], "null")
+            yield lead + ",\n      ".join(cells)
+            lead = ",\n      "
+        yield "\n    ]" if len(column) else "]"
         sep = ",\n"
     yield "\n  }\n}\n"
 

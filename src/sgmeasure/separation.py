@@ -12,14 +12,13 @@ made beside it); the mean and variance over the per-signal results of P
 different test signals separate the LTI response from the signal-dependent
 one (:func:`signal_dependent_response`).  Both spreads are unbiased sample
 variances (denominators M-1 and P-1).
-:func:`separate_signals` runs the whole separation on P blocks, reducing
-each one as it arrives, so a generator of blocks keeps one in memory.
+:func:`separate_signals` runs the whole separation on P estimates, reducing
+each one as it arrives, so a generator of estimates keeps one in memory.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import starmap
 
 import numpy as np
 
@@ -112,11 +111,15 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``rows`` is overwritten: the deviations from the mean, squared part by
     part, are formed in its memory.  The rows are added in order and
     squared magnitudes are formed as re^2 + im^2, so the result is
-    bit-identical to a direct summation of the formulas.
+    bit-identical to a direct summation of the formulas.  Fewer than two
+    rows raise :class:`InsufficientRepetitions`: a reduction over P checks
+    for two signals first.
     """
     if rows.ndim != 2:
         raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
     n = rows.shape[0]
+    if n < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {n}")
     mean = _sum_rows(rows)
     mean /= n
     rows -= mean
@@ -136,8 +139,6 @@ def time_invariant_block(block: np.ndarray, x_bins: np.ndarray) -> tuple[np.ndar
     squared absolute random/time-varying response.  The estimate is reduced
     in its own memory and not returned.
     """
-    if len(block) < 2:
-        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {len(block)}")
     return _reduce_rows(estimate_transfer(block, x_bins))
 
 
@@ -155,21 +156,22 @@ def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray,
 
 
 def separate_signals(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+    estimates: Iterable[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Separate the responses of P test signals from their ``(block, x_bins)`` pairs.
+    """Separate the responses of P test signals from their (M, K) transfer estimates.
 
-    Each (M, L) block is reduced by :func:`time_invariant_block` as it
-    arrives and is not referenced once reduced, so ``pairs`` may be a
-    generator that makes one block at a time.  Returns ``(h_sti, d_stv_sq,
-    h_slti, h_ssdr_sq)``: the per-signal statistics stacked as (P, K)
-    arrays, then :func:`signal_dependent_response` of ``h_sti``; with P = 1,
-    ``h_slti`` is the single row and ``h_ssdr_sq`` is None.
+    Each estimate, such as :func:`estimate_transfer` gives, is reduced over
+    its M rows in its own memory as it arrives, overwriting it, and is not
+    referenced once reduced, so ``estimates`` may be a generator that makes
+    one at a time.  Returns ``(h_sti, d_stv_sq, h_slti, h_ssdr_sq)``: the
+    per-signal statistics stacked as (P, K) arrays, then
+    :func:`signal_dependent_response` of ``h_sti``; with P = 1, ``h_slti``
+    is the single row and ``h_ssdr_sq`` is None.
     """
     means, variances = [], []
-    # starmap binds no pair between calls; a loop over ``pairs`` would keep
-    # the last block alive while the next one is made
-    for mean, var in starmap(time_invariant_block, pairs):
+    # map binds no estimate between calls; a loop over ``estimates`` would
+    # keep the last one alive while the next one is made
+    for mean, var in map(_reduce_rows, estimates):
         means.append(mean)
         variances.append(var)
     if not means:

@@ -3,34 +3,32 @@
 A session manifest lists, per test signal, the safeguarded excitation
 period file and the recording of its repeated playback, plus the segment
 bookkeeping (period length, segments per recording, preamble skip).  The
-analysis pipeline is: view each recording as an (M, L) segment block,
-deconvolve the block on bins 0..L/2 (all the report reads), then separate
-the time-invariant, random, LTI and signal-dependent responses.
+analysis pipeline is: read each recording's M length-L segments from its
+file a piece at a time, deconvolve them on bins 0..L/2 (all the report
+reads) into an (M, K) estimate, then separate the time-invariant, random,
+LTI and signal-dependent responses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import SampleStream, forward_dft_raw
-from .errors import ManifestError, SampleRateMismatch, SilentRecording
+from .core import forward_dft_raw
+from .errors import ManifestError, SampleRateMismatch, SilentRecording, StreamTooShort
 from .reports import SCHEMA_VERSION, AnalysisReport
-from .separation import (
-    divide_spectra,
-    excitation_bins,
-    segment_block,
-    separate_signals,
-    smooth_one_sided,
-)
-from .wavio import read_audio
+from .separation import divide_spectra, excitation_bins, separate_signals, smooth_one_sided
+from .wavio import open_audio, read_audio
 
 __all__ = ["SessionEntry", "SessionManifest", "load_manifest", "analyze_session"]
+
+# Samples of a recording decoded at once (512 KiB as float64): a piece holds
+# this many samples in whole segments, or one segment when it is longer.
+_PIECE_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,18 +153,19 @@ def load_manifest(path: str | Path) -> SessionManifest:
     )
 
 
-def _read_checked(path: Path, manifest: SessionManifest) -> SampleStream:
-    stream = read_audio(path)
-    if stream.sample_rate != manifest.sample_rate:
+def _read_checked(path: Path, manifest: SessionManifest, read):
+    """``read(path)``, a stream or an opened file, checked for the manifest's sample rate."""
+    audio = read(path)
+    if audio.sample_rate != manifest.sample_rate:
         raise SampleRateMismatch(
-            f"{path}: {stream.sample_rate} Hz, manifest says {manifest.sample_rate} Hz"
+            f"{path}: {audio.sample_rate} Hz, manifest says {manifest.sample_rate} Hz"
         )
-    return stream
+    return audio
 
 
 def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndarray, float]:
     """Bins 0..L/2 of the excitation period's spectrum, and the period's power."""
-    stream = _read_checked(path, manifest)
+    stream = _read_checked(path, manifest, read_audio)
     L = manifest.period_length
     if len(stream) < L:
         raise ManifestError(f"{path}: excitation shorter than period length {L}")
@@ -174,50 +173,72 @@ def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndar
     return excitation_bins(period), float(np.mean(period**2))
 
 
-def separate_session(
-    manifest: SessionManifest, log: list
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield each entry's (M, L) segment block and excitation bins, reading one pair at a time.
+def _pieces(period_length: int, count: int) -> list[tuple[int, int]]:
+    """(first, stop) segment of each piece: the whole segments _PIECE_SAMPLES holds, or one."""
+    rows = max(1, _PIECE_SAMPLES // period_length)
+    return [(m, min(m + rows, count)) for m in range(0, count, rows)]
 
-    Appends ``(x_bins, excitation power, output power)`` per entry to ``log``.
+
+def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.ndarray:
+    """The (M, K) transfer estimate of one entry, its recording read a piece at a time.
+
+    Appends ``(excitation power, output power)`` to ``log``.  A first pass
+    writes the squared samples into the estimate's memory, for the output
+    power, and a second transforms the pieces into its rows.
     """
-    for entry in manifest.entries:
-        x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
-        recording = _read_checked(entry.recording, manifest)
-        block = segment_block(
-            recording.samples, manifest.period_length, manifest.segments_per_recording,
-            manifest.skip_preamble,
+    x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
+    audio = _read_checked(entry.recording, manifest, open_audio)
+    L, M, skip = manifest.period_length, manifest.segments_per_recording, manifest.skip_preamble
+    if skip + M * L > audio.length:
+        raise StreamTooShort(
+            f"stream of {audio.length} samples cannot hold {M} segments of {L} "
+            f"after skipping {skip}"
         )
-        power = float(np.mean(block.ravel() ** 2))
-        if power == 0.0:
-            raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
-        log.append((x_bins, exc_power, power))
-        yield block, x_bins
-        del recording, block  # before the next recording is read
+    est = np.empty((M, L // 2 + 1), dtype=np.complex128)  # 2K >= L floats a row
+    squares = est.reshape(-1).view(np.float64)[: M * L]
+    pieces = _pieces(L, M)
+    for first, stop in pieces:
+        piece = None  # the previous piece goes before the next one is read
+        piece = audio.read(skip + first * L, skip + stop * L)
+        np.square(piece, out=squares[first * L : stop * L])
+    # the pairwise sum of np.mean(block.ravel() ** 2): the same values, contiguous
+    power = float(np.mean(squares))
+    if power == 0.0:
+        raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
+    log.append((exc_power, power))
+    for first, stop in reversed(pieces):  # the last piece first: it is still decoded
+        if piece is None:
+            piece = audio.read(skip + first * L, skip + stop * L)
+        est[first:stop] = forward_dft_raw(piece.reshape(-1, L))
+        piece = None
+    return divide_spectra(est, x_bins)
 
 
-def _background_level(
-    manifest: SessionManifest, excitations: tuple[np.ndarray, ...]
-) -> np.ndarray:
+def _background_level(manifest: SessionManifest) -> np.ndarray:
     """Mean |noise DFT / X_s|^2 over all signals and available segments.
 
-    The background segments are transformed once.  The sum runs signal by
-    signal, segment by segment, the order that fixes the report's bytes;
-    each segment's spectrum serves every signal, so a copy of it is divided
-    and squared on its own and no (segments, bins) quotient is held.
+    The background segments are transformed once, a piece at a time, and
+    each excitation spectrum is computed again from its file.  The sum runs
+    signal by signal, segment by segment, the order that fixes the report's
+    bytes; each segment's spectrum serves every signal, so a copy of it is
+    divided and squared on its own and no (segments, bins) quotient is held.
     """
-    recording = _read_checked(manifest.background_recording, manifest)
-    L = manifest.period_length
-    usable = (len(recording) - manifest.skip_preamble) // L
+    audio = _read_checked(manifest.background_recording, manifest, open_audio)
+    L, skip = manifest.period_length, manifest.skip_preamble
+    usable = (audio.length - skip) // L
     if usable < 1:
         raise ManifestError("background recording too short for one segment")
-    block = segment_block(recording.samples, L, usable, manifest.skip_preamble)
-    y_bins = forward_dft_raw(block)
+    y_bins = np.empty((usable, L // 2 + 1), dtype=np.complex128)
+    for first, stop in _pieces(L, usable):
+        piece = audio.read(skip + first * L, skip + stop * L).reshape(-1, L)
+        y_bins[first:stop] = forward_dft_raw(piece)
+        del piece  # before the next piece is read
     acc = np.zeros(y_bins.shape[1])
-    for x_bins in excitations:
+    for entry in manifest.entries:
+        x_bins, _ = _excitation_spectrum(entry.excitation, manifest)
         for y in y_bins:
             acc += np.abs(divide_spectra(y.copy(), x_bins)) ** 2
-    return acc / (len(excitations) * usable)
+    return acc / (len(manifest.entries) * usable)
 
 
 def _db_power(values: np.ndarray) -> np.ndarray:
@@ -235,9 +256,10 @@ def analyze_session(
     summary.  Smoothing operates on the power quantities.  Each table column
     is a float64 array, one row per bin 0..L/2.
     """
-    log: list[tuple[np.ndarray, float, float]] = []
-    h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(separate_session(manifest, log))
-    excitations, excitation_power, output_power = zip(*log)
+    log: list[tuple[float, float]] = []
+    estimates = (_estimate(entry, manifest, log) for entry in manifest.entries)
+    h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(estimates)
+    excitation_power, output_power = zip(*log)
     L = manifest.period_length
     half = L // 2
 
@@ -246,7 +268,7 @@ def analyze_session(
     del h_sti, d_stv_sq, h_slti  # the (P, K) stacks go before the background is read
     background_power = None
     if manifest.background_recording is not None:
-        background_power = _background_level(manifest, excitations)
+        background_power = _background_level(manifest)
 
     output_power = float(np.mean(output_power))
     excitation_power = float(np.mean(excitation_power))

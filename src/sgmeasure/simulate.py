@@ -329,7 +329,7 @@ def run_nonlinearity_experiment(
             )
             recorded, block = _measured_block(excitation, config, m_count)
             output_power.append(float(np.mean(recorded.samples**2)))
-            return block, x_bins
+            return estimate_transfer(block, x_bins)
 
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
             _, d_stv_sq, _, h_ssdr_sq = separate_signals(map(measured, range(p_count)))

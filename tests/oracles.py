@@ -6,13 +6,22 @@ import struct
 
 import numpy as np
 
-from sgmeasure.core import PeriodicSignal, inverse_dft
-from sgmeasure.errors import ImpulseResponseTooLong
+from sgmeasure.core import PeriodicSignal, forward_dft_raw, inverse_dft
+from sgmeasure.errors import (
+    ImpulseResponseTooLong,
+    ManifestError,
+    SampleRateMismatch,
+    SilentRecording,
+)
+from sgmeasure.reports import AnalysisReport
 from sgmeasure.separation import (
+    excitation_bins,
+    segment_block,
     signal_dependent_response,
     smooth_one_sided,
     time_invariant_block,
 )
+from sgmeasure.wavio import read_audio
 
 
 def power_db(samples: np.ndarray) -> float:
@@ -205,3 +214,170 @@ def report_csv(report) -> str:
         *map(",".join, zip(*columns)),
     ]
     return "\n".join(lines) + "\n"
+
+
+def whole_recording_report(manifest, smooth_fraction=None) -> AnalysisReport:
+    """The analysis of a session with each recording read whole and viewed as an (M, L) block.
+
+    :func:`sgmeasure.session.analyze_session` reads a recording a piece at
+    a time into its estimate and must give the same report bytes, and raise
+    the same errors in the same order.
+    """
+    L, M, skip = manifest.period_length, manifest.segments_per_recording, manifest.skip_preamble
+
+    def samples(path):
+        stream = read_audio(path)
+        if stream.sample_rate != manifest.sample_rate:
+            raise SampleRateMismatch(f"{path}: {stream.sample_rate} Hz")
+        return stream.samples
+
+    def excitation(path):
+        period = samples(path)
+        if period.size < L:
+            raise ManifestError(f"{path}: excitation shorter than period length {L}")
+        return excitation_bins(period[:L]), float(np.mean(period[:L] ** 2))
+
+    means, variances, excitation_power, output_power = [], [], [], []
+    for entry in manifest.entries:
+        x_bins, power = excitation(entry.excitation)
+        excitation_power.append(power)
+        block = segment_block(samples(entry.recording), L, M, skip)
+        output_power.append(float(np.mean(block.ravel() ** 2)))
+        if output_power[-1] == 0.0:
+            raise SilentRecording(f"{entry.recording}")
+        mean, var = time_invariant_block(block, x_bins)
+        means.append(mean)
+        variances.append(var)
+    h_sti = np.vstack(means)
+    if len(means) == 1:
+        h_slti, sdr_power = h_sti[0], None
+    else:
+        h_slti, sdr_power = signal_dependent_response(h_sti)
+    lti_power = np.abs(h_slti) ** 2
+    random_power = np.mean(np.vstack(variances), axis=0)
+
+    background_power = None
+    if manifest.background_recording is not None:
+        noise = samples(manifest.background_recording)
+        usable = (noise.size - skip) // L
+        if usable < 1:
+            raise ManifestError("background recording too short for one segment")
+        y_bins = forward_dft_raw(segment_block(noise, L, usable, skip))
+        acc = np.zeros(y_bins.shape[1])
+        for entry in manifest.entries:
+            x_bins, _ = excitation(entry.excitation)
+            for y in y_bins:
+                acc += np.abs(y / x_bins) ** 2
+        background_power = acc / (len(manifest.entries) * usable)
+
+    output_power = float(np.mean(output_power))
+    excitation_power = float(np.mean(excitation_power))
+    normalization_db = 10.0 * math.log10(output_power / excitation_power)
+
+    def db(power):
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(power)
+
+    table = {"frequency_hz": np.arange(L // 2 + 1) * (manifest.sample_rate / L)}
+    powers = {
+        "lti_gain": lti_power, "random_level": random_power,
+        "signal_dependent_level": sdr_power, "background_level": background_power,
+    }
+    for name, power in powers.items():
+        if power is not None:
+            table[f"{name}_db"] = db(power)
+            if name in ("random_level", "signal_dependent_level"):
+                table[f"{name}_norm_db"] = db(power) - normalization_db
+    if smooth_fraction is not None:
+        for name, power in powers.items():
+            if power is not None:
+                table[f"{name}_smooth_db"] = db(smooth_one_sided(power, smooth_fraction))
+    summary = {
+        "sample_rate": manifest.sample_rate,
+        "period_length": L,
+        "m_count": M,
+        "p_count": len(manifest.entries),
+        "skip_preamble": skip,
+        "smoothing_fraction": smooth_fraction,
+        "normalization_db": normalization_db,
+        "output_power_db": 10.0 * math.log10(output_power),
+        "excitation_power_db": 10.0 * math.log10(excitation_power),
+        "theta_reference_db": manifest.theta_reference_db,
+        "seed": manifest.seed,
+        "calibration": manifest.calibration,
+    }
+    return AnalysisReport(summary=summary, table=table)
+
+
+def _mean_var(block: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    mean = block.mean(axis=axis)
+    dev = block - np.expand_dims(mean, axis)
+    return mean, (dev.real**2 + dev.imag**2).sum(axis=axis) / (block.shape[axis] - 1)
+
+
+def _smooth(power: np.ndarray, fraction: float) -> np.ndarray:
+    """Mean power over bins within +-fraction/2 octave of each bin 1..L/2; bin 0 kept."""
+    half = power.size - 1
+    k = np.arange(1, half + 1)
+    factor = 2.0 ** (fraction / 2.0)
+    lo = np.maximum(np.ceil(k / factor).astype(np.int64), 1)
+    hi = np.minimum(np.floor(k * factor).astype(np.int64), half)
+    csum = np.concatenate(([0.0], np.cumsum(power[1:])))
+    out = power.copy()
+    out[1:] = (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
+    return out
+
+
+def expected_analyze(excitations, recordings, background, L, M, skip, sample_rate, fraction):
+    """(summary, columns) of an analyze report, from the decoded samples of its files.
+
+    The paper's estimator in plain numpy: stack each recording into an
+    (M, L) block, take its one-sided FFT, divide by the excitation's, then
+    take the mean and unbiased variance over M and again over P.  Cells
+    agree with the library's to rounding, not bit for bit.
+    """
+    X = np.fft.rfft(np.stack([x[:L] for x in excitations]), axis=1)  # (P, K)
+    segments = np.stack([r[skip : skip + M * L].reshape(M, L) for r in recordings])
+    H = np.fft.rfft(segments, axis=2) / X[:, None, :]  # (P, M, K)
+    h_sti, d_stv = _mean_var(H, axis=1)
+    if len(excitations) >= 2:
+        lti, sdr = _mean_var(h_sti, axis=0)
+    else:
+        lti, sdr = h_sti[0], None
+    out_power = float(np.mean([np.mean(r[skip : skip + M * L] ** 2) for r in recordings]))
+    exc_power = float(np.mean([np.mean(x[:L] ** 2) for x in excitations]))
+    norm_db = 10.0 * math.log10(out_power / exc_power)
+
+    def db(power):
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(power)
+
+    powers = {"lti_gain_db": np.abs(lti) ** 2, "random_level_db": d_stv.mean(axis=0)}
+    if sdr is not None:
+        powers["signal_dependent_level_db"] = sdr
+    if background is not None:
+        usable = (background.size - skip) // L
+        noise = np.fft.rfft(background[skip : skip + usable * L].reshape(usable, L), axis=1)
+        ratio = np.abs(noise[None, :, :] / X[:, None, :]) ** 2
+        powers["background_level_db"] = ratio.reshape(-1, ratio.shape[2]).mean(axis=0)
+    columns = {"frequency_hz": np.arange(L // 2 + 1) * (sample_rate / L)}
+    for name, power in powers.items():
+        columns[name] = db(power)
+    for name in ("random_level", "signal_dependent_level"):
+        if f"{name}_db" in powers:
+            columns[f"{name}_norm_db"] = columns[f"{name}_db"] - norm_db
+    if fraction is not None:
+        for name, power in powers.items():
+            columns[name.replace("_db", "_smooth_db")] = db(_smooth(power, fraction))
+    summary = {
+        "sample_rate": sample_rate,
+        "period_length": L,
+        "m_count": M,
+        "p_count": len(excitations),
+        "skip_preamble": skip,
+        "smoothing_fraction": fraction,
+        "normalization_db": norm_db,
+        "output_power_db": 10.0 * math.log10(out_power),
+        "excitation_power_db": 10.0 * math.log10(exc_power),
+    }
+    return summary, columns

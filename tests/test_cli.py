@@ -160,6 +160,19 @@ def test_make_test_shorter_than_a_period_is_input_error(tmp_path, capsys, sample
     assert not out.exists()
 
 
+@pytest.mark.parametrize("repeats", [2**24, 2**40])
+def test_make_test_beyond_a_wav_data_chunk_is_input_error(tmp_path, capsys, repeats):
+    """Repeats of 64 samples whose float32 data passes 2**32 - 37 bytes (2**24 repeats
+    pass it by 37 bytes) are refused from the sizes, before any stream is made."""
+    infile, out = tmp_path / "in.wav", tmp_path / "o.wav"
+    write_audio(infile, SampleStream(np.linspace(-0.5, 0.5, 64), FS))
+    argv = ["make-test", "--in", str(infile), "--repeats", str(repeats), "--out", str(out)]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UnsupportedFormat"
+    assert not out.exists()
+
+
 def test_analyze_noiseless_session_recovers_unit_gain(tmp_path):
     manifest = make_session(tmp_path)
     out = tmp_path / "report.json"

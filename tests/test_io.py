@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from sgmeasure.core import SampleStream
 from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
 from sgmeasure.reports import _CSV_BLOCK_ROWS, AnalysisReport, read_report, write_report
-from sgmeasure.wavio import read_audio, write_audio
+from sgmeasure import wavio
+from sgmeasure.wavio import open_audio, read_audio, write_audio
 
 from oracles import float32_samples, pcm_samples, report_csv, report_json
 
@@ -380,6 +381,83 @@ def test_read_audio_holds_the_file_bytes_once(tmp_path):
     assert peak < 14 * n
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    encoding=st.sampled_from(list(ENCODINGS)),
+    n=st.integers(0, 700),
+    junk=st.none() | st.binary(max_size=5),
+    ranges=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_reads_equal_slices_of_the_whole_read(
+    tmp_path_factory, encoding, n, junk, ranges, seed
+):
+    """Every range an opened file reads is that slice of read_audio's samples, bit for bit.
+
+    A chunk before the data, of odd size or none, moves the data to every
+    byte alignment.
+    """
+    samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    chunks = [(b"fmt ", fmt_chunk(encoding))]
+    if junk is not None:
+        chunks.append((b"LIST", junk))
+    path = tmp_path_factory.mktemp("range") / "r.wav"
+    path.write_bytes(riff(*chunks, (b"data", encode(samples, encoding))))
+    whole = read_audio(path).samples
+    audio = open_audio(path)
+    assert audio.length == whole.size == n and audio.sample_rate == FS
+    for a, b in [(0, 1), *ranges, (1, 1)]:
+        start, stop = sorted((round(a * n), round(b * n)))
+        piece = audio.read(start, stop)
+        assert piece.dtype == np.float64
+        assert piece.tobytes() == whole[start:stop].tobytes()
+
+
+def test_range_read_of_a_file_cut_after_opening_is_corrupt(tmp_path):
+    path = tmp_path / "cut.wav"
+    path.write_bytes(wav_bytes(np.linspace(-0.5, 0.5, 1000), "pcm24"))
+    audio = open_audio(path)
+    path.write_bytes(path.read_bytes()[:-30])
+    assert audio.read(0, 990).size == 990
+    with pytest.raises(CorruptFile, match="shorter than its data chunk"):
+        audio.read(980, 1000)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_open_checks_every_float_sample(tmp_path, bad):
+    path = tmp_path / "nan.wav"
+    samples = sine_stream().samples
+    samples[-1] = bad
+    path.write_bytes(wav_bytes(samples, "float32"))
+    with pytest.raises(CorruptFile, match="NaN or infinite"):
+        open_audio(path)
+
+
+def test_float_write_holds_no_copy_of_the_samples(tmp_path):
+    """The header and then the float32 samples are written: no bytes copy of them is made."""
+    n = 1 << 18
+    stream = SampleStream(np.linspace(-1.0, 1.0, n), FS)
+    tracemalloc.start()
+    try:
+        write_audio(tmp_path / "w.wav", stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4 bytes a sample of float32 and a 1-byte finiteness mask; a bytes copy adds 4
+    assert peak <= 5.5 * n
+    assert read_audio(tmp_path / "w.wav").samples.tobytes() == (
+        stream.samples.astype(np.float32).astype(np.float64).tobytes()
+    )
+
+
+def test_float_write_refuses_more_samples_than_a_data_chunk_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(wavio, "MAX_FLOAT_SAMPLES", 99)
+    write_audio(tmp_path / "fits.wav", SampleStream(np.zeros(99), FS))
+    with pytest.raises(UnsupportedFormat, match="data chunk"):
+        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(100), FS))
+    assert not (tmp_path / "w.wav").exists()
+
+
 def sample_report():
     return AnalysisReport(
         summary={"m_count": 4, "p_count": 2, "normalization_db": -3.0104, "note": None},
@@ -543,6 +621,25 @@ def test_report_write_holds_one_column_or_row_block(tmp_path, suffix):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_json_report_write_holds_one_block_of_cells(tmp_path):
+    """The 11 x 32,769 JSON table is written a block of cells at a time, in under 1 MiB.
+
+    Formatted a whole column at a time, the write peaks at about 4.3 MiB.
+    """
+    rng = np.random.default_rng(8)
+    table = {f"c{i}": 10.0 * np.log10(rng.random(32769)) for i in range(11)}
+    table["c3"][::5] = -np.inf
+    report = AnalysisReport(summary={"period_length": 65536}, table=table)
+    tracemalloc.start()
+    try:
+        write_report(tmp_path / "r.json", report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "r.json").read_text() == report_json(report)
 
 
 @pytest.mark.parametrize("suffix", [".json", ".csv"])

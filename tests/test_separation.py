@@ -374,8 +374,8 @@ def assert_same_separation(a, b):
 @given(pairs=signal_blocks())
 def test_separation_core_streamed_listed_and_stacked_agree(pairs):
     before = [(block.tobytes(), x.tobytes()) for block, x in pairs]
-    streamed = separate_signals(pair for pair in pairs)
-    listed = separate_signals(pairs)
+    streamed = separate_signals(estimate_transfer(block, x) for block, x in pairs)
+    listed = separate_signals([estimate_transfer(block, x) for block, x in pairs])
     stacked = separate_stacked(pairs)
     assert_same_separation(streamed, listed)
     assert_same_separation(streamed, stacked)
