@@ -150,6 +150,20 @@ _MINIMUMS = {
 }
 
 
+# The most samples a simulate runner's largest array may hold (512 MiB as float64),
+# refused from the config before anything is made.  That array holds period_length
+# samples times: 1 for the regression's noise period, 2 for the max-deviation chain
+# stream, m_count + 1 for the other chain streams, or p_count for the nonlinearity runner's
+# (p_count, L/2 + 1) complex per-signal stack when that is larger.
+SIMULATE_MAX_SAMPLES = 2**26
+_PERIODS_HELD = {
+    "regression": lambda k: 1,
+    "max-deviation": lambda k: 2,
+    "random": lambda k: k["m_count"] + 1,
+    "nonlinearity": lambda k: max(k["m_count"] + 1, k["p_count"]),
+}
+
+
 def _is_number(name: str, value) -> bool:
     """A JSON number (not a boolean), finite except that an SNR may be +inf (noise off)."""
     if type(value) is int:
@@ -201,7 +215,15 @@ def _cmd_simulate(args) -> int:
             raise InputFormatError("simulation config must be a JSON object")
     config.setdefault("seed", _default_seed())
     runner = _experiments()[args.experiment]
-    report = runner(**_runner_kwargs(runner, config))
+    kwargs = _runner_kwargs(runner, config)
+    sizes = {name: p.default for name, p in inspect.signature(runner).parameters.items()} | kwargs
+    held = sizes["period_length"] * _PERIODS_HELD[args.experiment](sizes)
+    if held > SIMULATE_MAX_SAMPLES:
+        raise InputFormatError(
+            f"{args.experiment}: its largest array would hold {held} samples, "
+            f"beyond the budget of {SIMULATE_MAX_SAMPLES}"
+        )
+    report = runner(**kwargs)
     report.summary.update(experiment=args.experiment, config=config)
     write_report(args.out, report)
     return 0

@@ -114,9 +114,9 @@ def forward_dft(signal: PeriodicSignal) -> Spectrum:
     return Spectrum(np.fft.rfft(signal.samples), signal.sample_rate, signal.period_length)
 
 
-def forward_dft_raw(samples: np.ndarray) -> np.ndarray:
-    """Bins 0..L//2 of the forward DFT of real samples, along the last axis."""
-    return np.fft.rfft(np.asarray(samples, dtype=np.float64))
+def forward_dft_raw(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Bins 0..L//2 of the real samples' forward DFT along the last axis, into ``out`` if given."""
+    return np.fft.rfft(np.asarray(samples, dtype=np.float64), out=out)
 
 
 def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:

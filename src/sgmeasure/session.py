@@ -3,9 +3,10 @@
 A session manifest lists, per test signal, the safeguarded excitation
 period file and the recording of its repeated playback, plus the segment
 bookkeeping (period length, segments per recording, preamble skip).  The
-analysis pipeline is: read each recording's M length-L segments from its
-file a piece at a time, deconvolve them on bins 0..L/2 (all the report
-reads) into an (M, K) estimate, then separate the time-invariant, random,
+analysis pipeline is one pass over each recording's M length-L segments,
+a piece at a time: transform a piece on bins 0..L/2 (all the report reads)
+into its rows of an (M, K) estimate, add its squares into the output power,
+then divide by the excitation; then separate the time-invariant, random,
 LTI and signal-dependent responses.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from .core import forward_dft_raw
 from .errors import ManifestError, SampleRateMismatch, SilentRecording, StreamTooShort
 from .reports import SCHEMA_VERSION, AnalysisReport
 from .separation import divide_spectra, excitation_bins, separate_signals, smooth_one_sided
-from .wavio import open_audio, read_audio
+from .wavio import AudioFile, open_audio, read_audio
 
 __all__ = ["SessionEntry", "SessionManifest", "load_manifest", "analyze_session"]
 
@@ -173,18 +175,44 @@ def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndar
     return excitation_bins(period), float(np.mean(period**2))
 
 
-def _pieces(period_length: int, count: int) -> list[tuple[int, int]]:
-    """(first, stop) segment of each piece: the whole segments _PIECE_SAMPLES holds, or one."""
-    rows = max(1, _PIECE_SAMPLES // period_length)
-    return [(m, min(m + rows, count)) for m in range(0, count, rows)]
+def _pieces(audio: AudioFile, manifest: SessionManifest, count: int) -> Iterator:
+    """(rows, (rows, L) samples) of each piece of the first ``count`` segments: the whole
+    segments _PIECE_SAMPLES holds, or one segment."""
+    L, skip = manifest.period_length, manifest.skip_preamble
+    step = max(1, _PIECE_SAMPLES // L)
+    rows = [slice(m, min(m + step, count)) for m in range(0, count, step)]
+    samples = audio.read_ranges([(skip + r.start * L, skip + r.stop * L) for r in rows])
+    return ((r, next(samples).reshape(-1, L)) for r in rows)
+
+
+def _pairwise_sum(n: int, rest: list, pieces: Iterator[np.ndarray]) -> float:
+    """``np.add.reduce`` of the next ``n`` values of ``pieces``, bit for bit, a piece at a time.
+
+    It walks numpy's pairwise_sum tree: 8 accumulators over blocks of up to 128
+    values, a longer run split at n//2 - (n//2) % 8.  ``rest[0]`` holds the unread
+    values of the current piece, and a leaf across pieces carries its first values.
+    """
+    if not len(rest[0]):
+        rest[0] = None  # the spent piece goes before the next one is made
+        rest[0] = next(pieces)
+    if n > 128 and n > len(rest[0]):
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(half, rest, pieces) + _pairwise_sum(n - half, rest, pieces)
+    head, rest[0] = rest[0][:n], rest[0][n:]
+    while len(head) < n:
+        head, rest[0] = head.copy(), None
+        rest[0] = next(pieces)
+        take = n - len(head)
+        head, rest[0] = np.concatenate((head, rest[0][:take])), rest[0][take:]
+    return float(np.add.reduce(head))
 
 
 def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.ndarray:
-    """The (M, K) transfer estimate of one entry, its recording read a piece at a time.
+    """The (M, K) transfer estimate of one entry, its recording read once, a piece at a time.
 
-    Appends ``(excitation power, output power)`` to ``log``.  A first pass
-    writes the squared samples into the estimate's memory, for the output
-    power, and a second transforms the pieces into its rows.
+    Each piece is transformed into its rows of the estimate, then squared in
+    place and summed into the output power; ``(excitation power, output
+    power)`` is appended to ``log``.
     """
     x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
     audio = _read_checked(entry.recording, manifest, open_audio)
@@ -194,23 +222,18 @@ def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.n
             f"stream of {audio.length} samples cannot hold {M} segments of {L} "
             f"after skipping {skip}"
         )
-    est = np.empty((M, L // 2 + 1), dtype=np.complex128)  # 2K >= L floats a row
-    squares = est.reshape(-1).view(np.float64)[: M * L]
-    pieces = _pieces(L, M)
-    for first, stop in pieces:
-        piece = None  # the previous piece goes before the next one is read
-        piece = audio.read(skip + first * L, skip + stop * L)
-        np.square(piece, out=squares[first * L : stop * L])
-    # the pairwise sum of np.mean(block.ravel() ** 2): the same values, contiguous
-    power = float(np.mean(squares))
+    est = np.empty((M, L // 2 + 1), dtype=np.complex128)
+
+    def squares():
+        for rows, piece in _pieces(audio, manifest, M):
+            forward_dft_raw(piece, out=est[rows])
+            yield np.square(piece, out=piece).reshape(-1)
+            del piece  # before the next piece is read
+    # the pairwise sum of np.mean(block.ravel() ** 2), taken a piece at a time
+    power = _pairwise_sum(M * L, [np.empty(0)], squares()) / (M * L)
     if power == 0.0:
         raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
     log.append((exc_power, power))
-    for first, stop in reversed(pieces):  # the last piece first: it is still decoded
-        if piece is None:
-            piece = audio.read(skip + first * L, skip + stop * L)
-        est[first:stop] = forward_dft_raw(piece.reshape(-1, L))
-        piece = None
     return divide_spectra(est, x_bins)
 
 
@@ -229,9 +252,8 @@ def _background_level(manifest: SessionManifest) -> np.ndarray:
     if usable < 1:
         raise ManifestError("background recording too short for one segment")
     y_bins = np.empty((usable, L // 2 + 1), dtype=np.complex128)
-    for first, stop in _pieces(L, usable):
-        piece = audio.read(skip + first * L, skip + stop * L).reshape(-1, L)
-        y_bins[first:stop] = forward_dft_raw(piece)
+    for rows, piece in _pieces(audio, manifest, usable):
+        forward_dft_raw(piece, out=y_bins[rows])
         del piece  # before the next piece is read
     acc = np.zeros(y_bins.shape[1])
     for entry in manifest.entries:

@@ -11,7 +11,7 @@ hand-rolled chunk parsing.
 One parser checks a file's bytes and one decoder turns data bytes into
 float64 samples.  :func:`read_audio` decodes the whole data chunk.
 :func:`open_audio` keeps only where the samples lie, and
-:meth:`AudioFile.read` decodes any range of them from the file.
+:meth:`AudioFile.read_ranges` decodes ranges of them through one open file.
 
 PCM24 is decoded through one strided view of the bytes: a little-endian
 32-bit word every 3 bytes from one byte before the first sample (for the
@@ -22,6 +22,7 @@ spare byte, and an arithmetic right shift by 8 sign-extends it.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,22 +131,24 @@ class AudioFile:
     bits: int
     sample_rate: int
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Samples ``start..stop-1`` as float64, equal to that slice of :func:`read_audio`.
+    def read_ranges(self, ranges: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
+        """Samples ``start..stop-1`` of each range in turn, read through one open file.
 
-        A file that no longer holds them raises :class:`CorruptFile`.
+        Each is float64, equal to that slice of :func:`read_audio`.  A file
+        that no longer holds them raises :class:`CorruptFile`.
         """
         width = self.bits // 8
-        size = (stop - start) * width + 1  # from the byte before the first sample
         try:
             with self.path.open("rb") as fh:
-                fh.seek(self.offset + start * width - 1)
-                buffer = fh.read(size)
+                for start, stop in ranges:
+                    size = (stop - start) * width + 1  # from the byte before the first sample
+                    fh.seek(self.offset + start * width - 1)
+                    buffer = fh.read(size)
+                    if len(buffer) < size:
+                        raise CorruptFile(f"{self.path}: file is shorter than its data chunk")
+                    yield _decode(buffer, 1, stop - start, self.bits)
         except OSError as exc:
             raise CorruptFile(f"cannot read {self.path}: {exc}") from exc
-        if len(buffer) < size:
-            raise CorruptFile(f"{self.path}: file is shorter than its data chunk")
-        return _decode(buffer, 1, stop - start, self.bits)
 
 
 def open_audio(path: str | Path) -> AudioFile:

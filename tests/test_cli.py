@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sgmeasure
+from sgmeasure import cli
 from sgmeasure.cli import main
 from sgmeasure.core import SampleStream, forward_dft
 from sgmeasure.reports import read_report
@@ -171,6 +173,65 @@ def test_make_test_beyond_a_wav_data_chunk_is_input_error(tmp_path, capsys, repe
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "UnsupportedFormat"
     assert not out.exists()
+
+
+RUNNERS = ("run_flooring_regression", "run_max_deviation_sweep",
+           "run_random_response_experiment", "run_nonlinearity_experiment")
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("regression", {"period_length": 10**16}),
+    ("regression", {"period_length": 2**26 + 1}),
+    ("max-deviation", {"period_length": 2**25 + 1}),
+    ("random", {"period_length": 2**24 + 1, "m_count": 3}),
+    ("random", {"period_length": 2, "m_count": 2**25}),
+    ("nonlinearity", {"period_length": 2**24 + 1, "m_count": 3}),
+    ("nonlinearity", {"period_length": 2, "p_count": 2**25 + 1}),
+], ids=["regression 10**16", "regression", "max-deviation", "random", "random m_count",
+        "nonlinearity", "nonlinearity p_count"])
+def test_simulate_beyond_the_sample_budget_is_input_error(
+    tmp_path, capsys, monkeypatch, experiment, config
+):
+    """A config whose largest array passes 2**26 samples (by at most 4) is refused from
+    its sizes; the runners are stubbed, so a missing check fails without allocating."""
+    for name in RUNNERS:
+        @functools.wraps(getattr(cli, name))
+        def never(*args, **kwargs):
+            raise AssertionError("the runner was called")
+        monkeypatch.setattr(cli, name, never)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", "--config", str(path), "--experiment", experiment, "--out", str(out)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputFormatError"
+    assert "budget of 67108864" in json.loads(lines[0])["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,config,key", [
+    ("regression", {"period_length": 256, "min_changed_bins": 0}, "period_length"),
+    ("max-deviation", {"period_length": 128, "theta_db_list": [0.0]}, "period_length"),
+    ("random", {"period_length": 64, "m_count": 3, "theta_db_list": [0.0]}, "m_count"),
+    ("nonlinearity", {"period_length": 64, "m_count": 3, "input_level_db_list": [0.0]},
+     "m_count"),
+    ("nonlinearity", {"period_length": 32, "p_count": 8, "input_level_db_list": [0.0]},
+     "p_count"),
+])
+def test_simulate_runs_at_the_sample_budget_and_refuses_one_more(
+    tmp_path, capsys, monkeypatch, experiment, config, key
+):
+    """With the budget set to 256 samples, each runner's largest array at 256 runs."""
+    monkeypatch.setattr(cli, "SIMULATE_MAX_SAMPLES", 256)
+    for change, rc in (({}, 0), ({key: config[key] + 1}, 3)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **change}))
+        out = tmp_path / f"o{rc}.csv"
+        argv = ["simulate", "--config", str(path), "--experiment", experiment, "--out", str(out)]
+        assert main(argv) == rc
+        assert out.exists() == (rc == 0)
+    assert "budget of 256" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_analyze_noiseless_session_recovers_unit_gain(tmp_path):

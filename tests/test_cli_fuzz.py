@@ -295,7 +295,7 @@ def simulate_runs(draw):
         config[key] = draw(CONFIG_VALUES[key])
     if draw(st.integers(0, 2)) == 0:
         config[draw(st.sampled_from([*params, "unknown"]))] = draw(JSON_VALUES)
-    for key in ("m_count", "p_count", "period_length"):  # larger sizes allocate without bound
+    for key in ("m_count", "p_count", "period_length"):  # larger sizes allocate, up to the budget
         if type(config.get(key)) is int and config[key] > 64:
             config[key] = 64
     return experiment, json_bytes(draw, config, draw(st.integers(0, 5)) == 0)

@@ -406,9 +406,10 @@ def test_range_reads_equal_slices_of_the_whole_read(
     whole = read_audio(path).samples
     audio = open_audio(path)
     assert audio.length == whole.size == n and audio.sample_rate == FS
-    for a, b in [(0, 1), *ranges, (1, 1)]:
-        start, stop = sorted((round(a * n), round(b * n)))
-        piece = audio.read(start, stop)
+    spans = [sorted((round(a * n), round(b * n))) for a, b in [(0, 1), *ranges, (1, 1)]]
+    pieces = list(audio.read_ranges(spans))  # in any order, through one open file
+    assert len(pieces) == len(spans)
+    for (start, stop), piece in zip(spans, pieces):
         assert piece.dtype == np.float64
         assert piece.tobytes() == whole[start:stop].tobytes()
 
@@ -418,9 +419,10 @@ def test_range_read_of_a_file_cut_after_opening_is_corrupt(tmp_path):
     path.write_bytes(wav_bytes(np.linspace(-0.5, 0.5, 1000), "pcm24"))
     audio = open_audio(path)
     path.write_bytes(path.read_bytes()[:-30])
-    assert audio.read(0, 990).size == 990
+    pieces = audio.read_ranges([(0, 990), (980, 1000)])
+    assert next(pieces).size == 990
     with pytest.raises(CorruptFile, match="shorter than its data chunk"):
-        audio.read(980, 1000)
+        next(pieces)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

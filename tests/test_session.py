@@ -3,6 +3,8 @@
 import json
 import struct
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgmeasure import session
+from sgmeasure import session, wavio
 from sgmeasure.cli import main
 from sgmeasure.errors import SgMeasureError
 from sgmeasure.reports import read_report, write_report
@@ -146,6 +148,75 @@ def test_analyze_holds_one_estimate_and_one_piece(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < estimate_bytes + 0.5 * recording_bytes
+
+
+@st.composite
+def pieced_values(draw):
+    """Random magnitudes of squares, and the piece lengths they arrive in (cycled)."""
+    n = draw(st.integers(1, 8) | st.integers(1, 129) | st.integers(1, 300_000))
+    spans = draw(st.lists(st.integers(max(1, n // 3000), n), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)) ** 2
+    return values, spans
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=pieced_values())
+@example(case=(np.arange(7.0) ** 2, [1]))
+@example(case=(np.linspace(0, 3, 129) ** 2, [1, 127]))
+@example(case=(np.linspace(0, 3, 300_000) ** 2, [65536]))
+def test_streamed_power_sum_is_numpys_pairwise_sum(case):
+    """Summed a piece at a time, the squares give np.add.reduce and np.mean of all, bit for bit.
+
+    Pieces shorter than 128 values make a leaf of numpy's tree cross several.
+    """
+    values, spans = case
+    n = len(values)
+    cuts, at = [], 0
+    while at < n:
+        at += spans[len(cuts) % len(spans)]
+        cuts.append(min(at, n))
+    pieces = iter(np.split(values, cuts[:-1]))
+    total = session._pairwise_sum(n, [np.empty(0)], pieces)
+    assert next(pieces, None) is None
+    assert total.hex() == float(np.add.reduce(values)).hex()
+    assert (total / n).hex() == float(np.mean(values)).hex()
+
+
+def test_each_recording_sample_is_decoded_once(tmp_path, monkeypatch):
+    """Each recording's M·L samples are decoded once, in pieces read through one open file,
+    and the background's usable·L samples once per analysis."""
+    L, M, P, skip, usable = 256, 10, 2, 300, 5
+    rng = np.random.default_rng(57)
+    periods = [rng.uniform(-0.5, 0.5, L) for _ in range(P)]
+    recordings = [measured(x, skip + M * L + 50, rng, 1e-3) for x in periods]
+    background = 1e-3 * rng.standard_normal(skip + usable * L + 17)
+    path = write_session(
+        tmp_path, periods, recordings, background, "pcm24",
+        period_length=L, segments_per_recording=M, skip_preamble=skip,
+    )
+    manifest = load_manifest(path)
+    decoded, opened = [], Counter()
+    decode, open_path = wavio._decode, Path.open
+
+    def counting_decode(buffer, offset, count, bits):
+        decoded.append(count)
+        return decode(buffer, offset, count, bits)
+
+    def counting_open(self, *args, **kwargs):
+        opened[self.name] += 1
+        return open_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(wavio, "_decode", counting_decode)
+    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(session, "_PIECE_SAMPLES", 3 * L)  # pieces of 3, 3, 3 and 1 segments
+    analyze_session(manifest)
+    # each excitation is read whole twice: for its estimate and for the background
+    assert sum(decoded) == P * M * L + usable * L + 2 * P * L
+    assert len(decoded) == P * 4 + 2 + 2 * P
+    # a recording is opened to check it, then once for all its pieces
+    assert opened == {"rec0.wav": 2, "rec1.wav": 2, "bg.wav": 2, "exc0.wav": 2, "exc1.wav": 2}
 
 
 def test_nan_in_an_unanalyzed_preamble_is_corrupt_file(tmp_path, capsys):
