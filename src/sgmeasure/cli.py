@@ -14,9 +14,10 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from .core import PeriodicSignal, SampleStream, forward_dft
+from .core import PeriodicSignal, forward_dft
 from .errors import InputFormatError, SgMeasureError, UnsupportedFormat, UnwritableOutput
 from .reports import SCHEMA_VERSION, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
@@ -53,15 +54,15 @@ def _smooth_fraction(text: str) -> float | None:
     return fraction
 
 
-def _period_length(text: str) -> int:
-    """argparse type of ``--period``: an integer number of samples, at least 2."""
+def _integer_at_least(minimum: int, text: str) -> int:
+    """argparse type, bound to its minimum, of ``--period`` (2) and ``--repeats`` (1)."""
     try:
-        length = int(text)
+        value = int(text)
     except ValueError:
-        length = 0
-    if length < 2:
-        raise argparse.ArgumentTypeError(f"not a period of at least 2 samples: {text!r}")
-    return length
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"not an integer of at least {minimum}: {text!r}")
+    return value
 
 
 def _finite_db(text: str) -> float:
@@ -85,7 +86,7 @@ def _cmd_safeguard(args) -> int:
     spectrum = forward_dft(period)
     theta = threshold_from_db(spectrum, args.theta_db)
     safeguarded, report = safeguard_signal(period, theta, spectrum)
-    write_audio(args.out, SampleStream(safeguarded.samples, period.sample_rate))
+    write_audio(args.out, safeguarded)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "period_length": period.period_length,
@@ -116,8 +117,7 @@ def _cmd_make_test(args) -> int:
         raise UnsupportedFormat(
             f"{args.repeats} repeats of {len(stream)} samples do not fit a WAV data chunk"
         )
-    period = PeriodicSignal(stream.samples, stream.sample_rate)
-    write_audio(args.out, build_test_stream(period, args.repeats))
+    write_audio(args.out, build_test_stream(stream, args.repeats))
     return 0
 
 
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("safeguard", help="floor a period's DFT magnitudes")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
-        "--period", type=_period_length, required=True, help="period length L >= 2 in samples"
+        "--period", type=partial(_integer_at_least, 2), required=True,
+        help="period length L >= 2 in samples",
     )
     p.add_argument(
         "--theta-db",
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-test", help="concatenate a period into a test stream")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--repeats", type=int, required=True)
+    p.add_argument("--repeats", type=partial(_integer_at_least, 1), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_test)
 
@@ -283,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "repeats", None) is not None and args.repeats < 1:
-        parser.error("--repeats must be >= 1")
     try:
         return args.func(args)
     except InputFormatError as exc:

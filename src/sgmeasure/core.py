@@ -1,10 +1,10 @@
 """Periodic-signal and spectrum types plus the DFT/convolution primitives.
 
 Convention: unnormalized forward DFT, 1/L-normalized inverse.  Real signals
-live in :class:`PeriodicSignal` / :class:`SampleStream`.  Every transform
-keeps only bins 0..L//2, which carry all of a real signal's spectrum: a
-:class:`Spectrum` holds those bins of one period plus L, whose parity the
-bin count does not fix, and computes their magnitudes once.
+live in a :class:`SampleStream`; one period is a :class:`PeriodicSignal`.
+Every transform keeps only bins 0..L//2, which carry all of a real signal's
+spectrum: a :class:`Spectrum` holds those bins of one period plus L, whose
+parity the bin count does not fix, and computes their magnitudes once.
 :func:`hermitian_sum` turns a quantity on those bins into its sum over all L bins.
 """
 
@@ -27,32 +27,6 @@ __all__ = [
     "circular_convolve_fast",
     "lti_transfer",
 ]
-
-
-@dataclass(frozen=True)
-class PeriodicSignal:
-    """One period of a real discrete-time signal.
-
-    Repetition semantics live in operations (see
-    :func:`sgmeasure.safeguard.build_test_stream`), not in the type.
-    """
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("period must be a 1-D sequence of length >= 2")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("period contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def period_length(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -90,7 +64,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SampleStream:
-    """A real sample sequence of any length."""
+    """A real sample sequence of any length: 1-D, finite, at a positive sample rate."""
 
     samples: np.ndarray
     sample_rate: int
@@ -98,14 +72,32 @@ class SampleStream:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
-            raise ValueError("stream must be 1-D")
+            raise ValueError("samples must be 1-D")
         if not np.all(np.isfinite(samples)):
-            raise ValueError("stream contains non-finite samples")
+            raise ValueError("samples must be finite")
         if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
+        return self.samples.size
+
+
+@dataclass(frozen=True)
+class PeriodicSignal(SampleStream):
+    """One period of a real discrete-time signal: a stream of at least 2 samples.
+
+    Repetition semantics live in operations (see
+    :func:`sgmeasure.safeguard.build_test_stream`), not in the type.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.samples.size < 2:
+            raise ValueError("a period needs at least 2 samples")
+
+    @property
+    def period_length(self) -> int:
         return self.samples.size
 
 

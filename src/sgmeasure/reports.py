@@ -48,11 +48,15 @@ class AnalysisReport:
         if len(lengths) > 1:
             raise ValueError("table columns have unequal lengths")
 
-
+    """Float scalars as builtin floats, in nested dicts and lists too; non-finite ones as None."""
 def _clean(value):
-    """Coerce numeric scalars to builtin float; non-finite becomes None."""
+    """Numbers as builtin floats, in nested dicts and lists too; a non-finite one becomes None."""
     if isinstance(value, float):  # includes numpy float scalars
         return float(value) if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_clean, value))
     return value
 
 
@@ -85,7 +89,7 @@ def _json_chunks(report: AnalysisReport):
     head = json.dumps(
         {
             "schema_version": report.schema_version,
-            "summary": {k: _clean(v) for k, v in report.summary.items()},
+            "summary": _clean(report.summary),
         },
         indent=2,
         sort_keys=True,
@@ -120,7 +124,7 @@ def _from_json(text: str) -> AnalysisReport:
 
 def _csv_chunks(report: AnalysisReport):
     """The report as CSV, in pieces: the head with the summary, then blocks of rows."""
-    summary = {k: _clean(v) for k, v in report.summary.items()}
+    summary = _clean(report.summary)
     yield (
         f"# schema_version: {report.schema_version}\n"
         f"# summary: {json.dumps(summary, sort_keys=True)}\n"

@@ -62,12 +62,9 @@ def threshold_from_db(spectrum: Spectrum, level_db: float) -> FloorThreshold:
     if mean_mag == 0.0:
         raise DegenerateSpectrum("all-zero spectrum has no magnitude reference")
     try:
-        theta = mean_mag * 10.0 ** (level_db / 20.0)
-    except OverflowError:
-        theta = math.inf
-    if not 0.0 < theta < math.inf:
-        raise LevelOutOfRange(f"flooring level {level_db} dB gives threshold {theta}")
-    return FloorThreshold(theta)
+        return FloorThreshold(mean_mag * 10.0 ** (level_db / 20.0))
+    except (ValueError, OverflowError):  # FloorThreshold refuses zero and infinity
+        raise LevelOutOfRange(f"flooring level {level_db} dB is beyond float64 range") from None
 
 
 def apply_floor(spectrum: Spectrum, theta: FloorThreshold) -> Spectrum:
@@ -135,8 +132,6 @@ def safeguard_signal(
     return inverse_dft(floored), report
 
 
-def build_test_stream(period: PeriodicSignal, repeats: int) -> SampleStream:
+def build_test_stream(period: SampleStream, repeats: int) -> SampleStream:
     """Concatenate the period ``repeats`` times into a playable test stream."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     return SampleStream(np.tile(period.samples, repeats), period.sample_rate)

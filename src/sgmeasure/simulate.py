@@ -23,7 +23,7 @@ import numpy as np
 from .core import (
     PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
 )
-from .errors import DegenerateFit, LevelOutOfRange
+from .errors import DegenerateFit, InsufficientSignals, LevelOutOfRange
 from .reports import AnalysisReport
 from .safeguard import floor_report, safeguard_signal, threshold_from_db
 from .separation import (
@@ -76,8 +76,6 @@ class SimulationConfig:
         object.__setattr__(
             self, "impulse_response", tuple(float(v) for v in self.impulse_response)
         )
-        if not self.impulse_response:
-            raise ValueError("impulse_response must have at least one tap")
 
 
 def _db(power: float) -> float:
@@ -98,14 +96,12 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     alpha = 0 is the analytic linear limit and returns x exactly.  ``expm1``
     keeps the numerator precise at small drive levels, where it would cancel.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if alpha == 0.0:
         return x.copy()
     peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if alpha * peak > 700.0:  # exp overflow bound for float64
-        raise LevelOutOfRange(f"exp({alpha * peak:.1f}) exceeds float64 range")
+    if abs(alpha) * peak > 700.0:  # exp overflow bound for float64, for either sign of alpha
+        raise LevelOutOfRange(f"exp({abs(alpha) * peak:.1f}) exceeds float64 range")
     return np.expm1(alpha * x) / alpha
 
 
@@ -132,8 +128,6 @@ def simulate_chain(
         ) from None
     if gain == 0.0:
         raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # checked here, without a warning
         driven = nonlinearity(gain * test.samples, config.alpha)
         out = circular_convolve_fast(driven, config.impulse_response)
@@ -227,8 +221,7 @@ def _measured_block(excitation, config, m_count):
     The first period is the preamble.  Returns the recorded stream and the
     (m_count, L) segment block of the periods after it.
     """
-    period = SampleStream(excitation.samples, excitation.sample_rate)
-    recorded = simulate_chain(period, config, repeats=m_count + 1)
+    recorded = simulate_chain(excitation, config, repeats=m_count + 1)
     L = excitation.period_length
     return recorded, segment_block(recorded.samples, L, m_count, skip=L)
 
@@ -270,8 +263,6 @@ def run_random_response_experiment(
     At full flooring the excitation is periodic pseudo-random noise and the
     estimate recovers the injected noise level (-snr dB) directly.
     """
-    if m_count < 2:
-        raise ValueError("m_count must be >= 2")
     levels = []
     signal = white_noise_period(period_length, sample_rate, seed)
     spectrum = forward_dft(signal)
@@ -305,8 +296,8 @@ def run_nonlinearity_experiment(
     repeated ``m_count`` times.  Normalized columns are referenced to the
     measured output power so levels are comparable across drive levels.
     """
-    if p_count < 2 or m_count < 2:
-        raise ValueError("need p_count >= 2 and m_count >= 2")
+    if p_count < 2:
+        raise InsufficientSignals(f"need P >= 2 distinct signals, got {p_count}")
     periods = (
         white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
     )

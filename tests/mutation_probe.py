@@ -95,6 +95,18 @@ MUTANTS = [
     ("hermitian_sum Nyquist bin", "core.py",
      "    if length % 2 == 0:",
      "    if length % 2 == 1:"),
+    ("stream sample rate check", "core.py",
+     '            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")',
+     "            pass"),
+    ("period of 2 samples", "core.py",
+     "        if self.samples.size < 2:",
+     "        if self.samples.size < 1:"),
+    ("--repeats minimum", "cli.py",
+     "type=partial(_integer_at_least, 1)",
+     "type=partial(_integer_at_least, 0)"),
+    ("nonlinearity p_count check", "simulate.py",
+     "    if p_count < 2:",
+     "    if p_count < 1:"),
 ]
 
 

@@ -18,6 +18,7 @@ from sgmeasure.core import (
     lti_transfer,
 )
 from sgmeasure.errors import ImpulseResponseTooLong, LevelOutOfRange
+from sgmeasure.wavio import read_audio, write_audio
 
 from oracles import circular_convolve, power_db
 
@@ -222,6 +223,17 @@ def test_power_db_values():
     assert power_db(np.zeros(5)) == float("-inf")
 
 
+def test_a_period_is_a_sample_stream(tmp_path):
+    """A period goes wherever a stream does: its length is L, and it writes as a WAV."""
+    period = PeriodicSignal(np.float32([0.5, -0.25, 0.125]), FS)
+    assert isinstance(period, SampleStream)
+    assert len(period) == period.period_length == 3
+    write_audio(tmp_path / "p.wav", period)
+    back = read_audio(tmp_path / "p.wav")
+    assert np.array_equal(back.samples, period.samples)
+    assert back.sample_rate == FS
+
+
 def test_package_exports_exactly_these_names():
     """Adding or dropping a public name of the package is a deliberate edit of this list."""
     exported = {
@@ -241,9 +253,14 @@ def test_package_exports_exactly_these_names():
 
 
 def test_periodic_signal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 samples"):
         PeriodicSignal([1.0], FS)
-    with pytest.raises(ValueError):
-        PeriodicSignal([1.0, np.nan], FS)
-    with pytest.raises(ValueError):
-        SampleStream([1.0, np.inf], FS)
+    for kind in (PeriodicSignal, SampleStream):
+        with pytest.raises(ValueError, match="finite"):
+            kind([1.0, np.nan], FS)
+        with pytest.raises(ValueError, match="finite"):
+            kind([1.0, np.inf], FS)
+        with pytest.raises(ValueError, match="1-D"):
+            kind(np.ones((2, 3)), FS)
+        with pytest.raises(ValueError, match="sample_rate"):
+            kind([1.0, 2.0], 0)

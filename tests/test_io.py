@@ -499,6 +499,44 @@ def test_report_nonfinite_becomes_null(tmp_path):
     assert read_report(path).table["level_db"] == [None, 1.0]
 
 
+def strict_summary(path):
+    """A written report's summary, parsed as strict JSON parsers do: NaN and infinities refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text, parse_constant=refuse)["summary"]
+    return json.loads(text.splitlines()[1].removeprefix("# summary: "), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_report_nonfinite_nested_in_the_summary_becomes_null(tmp_path, suffix):
+    report = AnalysisReport(
+        summary={"calibration": {"gain_db": math.nan, "taps": [1.0, -math.inf, (math.inf, 2)]}},
+        table={"a": [1.0]},
+    )
+    path = tmp_path / f"r{suffix}"
+    write_report(path, report)
+    assert strict_summary(path) == {"calibration": {"gain_db": None,
+                                                    "taps": [1.0, None, [None, 2]]}}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_simulate_noise_off_config_is_echoed_as_null(tmp_path, suffix):
+    """An infinite SNR (noise off) is accepted, and the summary's config echoes it as null."""
+    from sgmeasure.cli import main
+
+    config = tmp_path / "config.json"
+    config.write_text('{"snr_db": Infinity, "period_length": 64, "theta_db_list": [0.0]}')
+    out = tmp_path / f"random{suffix}"
+    assert main(["simulate", "--config", str(config), "--experiment", "random",
+                 "--out", str(out)]) == 0
+    config = strict_summary(out)["config"]
+    assert (config["snr_db"], config["theta_db_list"]) == (None, [0.0])
+
+
 def test_report_write_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_report(a, sample_report())

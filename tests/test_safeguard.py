@@ -234,11 +234,6 @@ def test_build_test_stream_six_repeats():
     assert len(stream) == 600
 
 
-def test_build_test_stream_rejects_zero_repeats():
-    with pytest.raises(ValueError):
-        build_test_stream(PeriodicSignal([1.0, 2.0], FS), 0)
-
-
 @st.composite
 def periods(draw):
     """A real period of odd or even length: noise, tones over weaker noise, or impulses.

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgmeasure.core import SampleStream
-from sgmeasure.errors import AnalysisError, DegenerateFit, LevelOutOfRange
+from sgmeasure.errors import (
+    AnalysisError, DegenerateFit, InsufficientRepetitions, InsufficientSignals, LevelOutOfRange,
+)
 from sgmeasure.safeguard import build_test_stream
 import sgmeasure.core
 import sgmeasure.safeguard
@@ -65,6 +67,10 @@ def test_nonlinearity_overflow():
 def test_nonlinearity_overflow_is_an_analysis_error():
     with pytest.raises(AnalysisError, match="float64"):
         nonlinearity(np.array([4000.0]), 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before expm1 overflows
+        with pytest.raises(AnalysisError, match="float64"):
+            nonlinearity(np.array([-4000.0]), -0.4)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -83,8 +89,10 @@ def test_one_sided_mean_equals_full_spectrum_mean(length, scale, seed):
 
 
 def test_config_rejects_an_empty_impulse_response():
-    with pytest.raises(ValueError, match="one tap"):
-        SimulationConfig(impulse_response=())
+    """The chain's LTI stage refuses a response with no tap; the config holds it as given."""
+    config = SimulationConfig(impulse_response=())
+    with pytest.raises(ValueError, match="empty"):
+        simulate_chain(white_noise_period(64, FS, seed=10), config)
 
 
 def test_transparent_chain():
@@ -173,13 +181,6 @@ def test_silent_period_gives_a_silent_stream():
     test = SampleStream(np.zeros(64), FS)
     out = simulate_chain(test, SimulationConfig(alpha=0.4), repeats=2)
     assert not np.any(out.samples)
-
-
-@pytest.mark.parametrize("repeats", [0, -2])
-def test_chain_needs_a_whole_period(repeats):
-    test = SampleStream(white_noise_period(64, FS, seed=10).samples, FS)
-    with pytest.raises(ValueError, match="repeats"):
-        simulate_chain(test, SimulationConfig(snr_db=20.0), repeats=repeats)
 
 
 def test_level_that_overflows_the_output_is_out_of_range():
@@ -312,6 +313,17 @@ def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
     runner(period_length=1024)
     assert len(dfts) == 1 and len(excitations) == len(DEFAULT_THETA_DB_GRID)
     assert transfers == []
+
+
+@pytest.mark.parametrize("runner,counts,error", [
+    (run_random_response_experiment, {"m_count": 1}, InsufficientRepetitions),
+    (run_nonlinearity_experiment, {"m_count": 1}, InsufficientRepetitions),
+    (run_nonlinearity_experiment, {"p_count": 1}, InsufficientSignals),
+])
+def test_runner_with_too_few_periods_raises_the_typed_error(runner, counts, error):
+    """A library caller gets the same typed error as a session analysis: M and P are >= 2."""
+    with pytest.raises(error):
+        runner(period_length=64, **counts)
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
