@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .core import PeriodicSignal, forward_dft
 from .errors import InputFormatError, SgMeasureError, UnsupportedFormat, UnwritableOutput
-from .reports import SCHEMA_VERSION, write_report
+from .reports import SCHEMA_VERSION, _clean, write_report
 from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
 from .simulate import (
@@ -87,7 +87,7 @@ def _cmd_safeguard(args) -> int:
     theta = threshold_from_db(spectrum, args.theta_db)
     safeguarded, report = safeguard_signal(period, theta, spectrum)
     write_audio(args.out, safeguarded)
-    doc = {
+    doc = _clean({
         "schema_version": SCHEMA_VERSION,
         "period_length": period.period_length,
         "sample_rate": period.sample_rate,
@@ -95,12 +95,8 @@ def _cmd_safeguard(args) -> int:
         "theta_linear": theta.theta_linear,
         "bins_changed": report.bins_changed,
         "fraction_changed": report.fraction_changed,
-        "added_component_db": (
-            report.added_component_db
-            if report.added_component_db != float("-inf")
-            else None
-        ),
-    }
+        "added_component_db": report.added_component_db,  # null when no bin changed
+    })
     try:
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
@@ -142,7 +138,6 @@ def _experiments() -> dict:
 _MINIMUMS = {
     "seed": 0,
     "period_length": 2,
-    "sample_rate": 1,
     "m_count": 2,
     "p_count": 2,
     "min_changed_bins": 0,

@@ -48,7 +48,7 @@ class AnalysisReport:
         if len(lengths) > 1:
             raise ValueError("table columns have unequal lengths")
 
-    """Float scalars as builtin floats, in nested dicts and lists too; non-finite ones as None."""
+
 def _clean(value):
     """Numbers as builtin floats, in nested dicts and lists too; a non-finite one becomes None."""
     if isinstance(value, float):  # includes numpy float scalars

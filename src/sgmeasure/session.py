@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +57,8 @@ class SessionManifest:
     schema_version: int = SCHEMA_VERSION
 
 
-MANIFEST_KEYS = frozenset({
-    "schema_version", "sample_rate", "period_length", "segments_per_recording",
-    "skip_preamble", "entries", "background_recording", "seed",
-    "theta_reference_db", "calibration",
-})
-ENTRY_KEYS = frozenset({"excitation", "recording"})
+MANIFEST_KEYS = frozenset(f.name for f in fields(SessionManifest))
+ENTRY_KEYS = frozenset(f.name for f in fields(SessionEntry))
 
 
 def load_manifest(path: str | Path) -> SessionManifest:
@@ -283,44 +279,27 @@ def analyze_session(
     h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(estimates)
     excitation_power, output_power = zip(*log)
     L = manifest.period_length
-    half = L // 2
-
-    lti_power = np.abs(h_slti) ** 2
-    random_power = np.mean(d_stv_sq, axis=0)
+    powers = {
+        "lti_gain": np.abs(h_slti) ** 2,
+        "random_level": np.mean(d_stv_sq, axis=0),
+        "signal_dependent_level": sdr_power,  # None for a single signal
+    }
     del h_sti, d_stv_sq, h_slti  # the (P, K) stacks go before the background is read
-    background_power = None
     if manifest.background_recording is not None:
-        background_power = _background_level(manifest)
+        powers["background_level"] = _background_level(manifest)
+    powers = {name: power for name, power in powers.items() if power is not None}
 
     output_power = float(np.mean(output_power))
     excitation_power = float(np.mean(excitation_power))
     normalization_db = 10.0 * math.log10(output_power / excitation_power)
-    freq = np.arange(half + 1) * (manifest.sample_rate / L)
-    table: dict[str, np.ndarray] = {"frequency_hz": freq}
-
-    def add_power_column(name: str, power: np.ndarray | None, normalized: bool = False):
-        if power is None:
-            return
-        col = _db_power(power)
-        if normalized:
-            col = col - normalization_db
-        table[name] = col
-
-    add_power_column("lti_gain_db", lti_power)
-    add_power_column("random_level_db", random_power)
-    add_power_column("random_level_norm_db", random_power, normalized=True)
-    add_power_column("signal_dependent_level_db", sdr_power)
-    add_power_column("signal_dependent_level_norm_db", sdr_power, normalized=True)
-    add_power_column("background_level_db", background_power)
-
+    table = {"frequency_hz": np.arange(L // 2 + 1) * (manifest.sample_rate / L)}
+    for name, power in powers.items():
+        table[f"{name}_db"] = _db_power(power)
+        if name in ("random_level", "signal_dependent_level"):
+            table[f"{name}_norm_db"] = table[f"{name}_db"] - normalization_db
     if smooth_fraction is not None:
-        smooth = lambda p: smooth_one_sided(p, smooth_fraction)
-        add_power_column("lti_gain_smooth_db", smooth(lti_power))
-        add_power_column("random_level_smooth_db", smooth(random_power))
-        if sdr_power is not None:
-            add_power_column("signal_dependent_level_smooth_db", smooth(sdr_power))
-        if background_power is not None:
-            add_power_column("background_level_smooth_db", smooth(background_power))
+        for name, power in powers.items():
+            table[f"{name}_smooth_db"] = _db_power(smooth_one_sided(power, smooth_fraction))
 
     summary = {
         "sample_rate": manifest.sample_rate,

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 SNR_OFF = math.inf
+_SAMPLE_RATE = 44100  # of the simulated streams: no reported number depends on it
 IDENTITY_RESPONSE = (1.0,)
 
 DEFAULT_THETA_DB_GRID = tuple(float(t) for t in range(-50, 25, 5))
@@ -161,7 +162,6 @@ def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def run_flooring_regression(
     seed: int = 0,
     period_length: int = 100000,
-    sample_rate: int = 44100,
     theta_db_grid: tuple[float, ...] = DEFAULT_THETA_DB_GRID,
     min_changed_bins: int = 100,
     max_changed_fraction: float = 0.9,
@@ -174,7 +174,7 @@ def run_flooring_regression(
     ``max_changed_fraction`` of all bins changed (above that the floor
     saturates and the relation bends toward slope 1).
     """
-    signal = white_noise_period(period_length, sample_rate, seed)
+    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
     spectrum = forward_dft(signal)
     sigma_db: list[float] = []
     bins_changed: list[float] = []
@@ -231,11 +231,10 @@ def run_max_deviation_sweep(
     theta_db_list: tuple[float, ...] = DEFAULT_THETA_DB_GRID,
     seed: int = 0,
     period_length: int = 16384,
-    sample_rate: int = 44100,
 ) -> AnalysisReport:
     """Max gain deviation from the identity ground truth per (SNR, flooring level)."""
     cols: list[list[float]] = [[] for _ in snr_db_list]
-    signal = white_noise_period(period_length, sample_rate, seed)
+    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
     spectrum = forward_dft(signal)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
@@ -256,7 +255,6 @@ def run_random_response_experiment(
     m_count: int = 4,
     seed: int = 0,
     period_length: int = 16384,
-    sample_rate: int = 44100,
 ) -> AnalysisReport:
     """Estimated random-response level versus flooring level.
 
@@ -264,7 +262,7 @@ def run_random_response_experiment(
     estimate recovers the injected noise level (-snr dB) directly.
     """
     levels = []
-    signal = white_noise_period(period_length, sample_rate, seed)
+    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
     spectrum = forward_dft(signal)
     for j, theta_db in enumerate(theta_db_list):
         excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
@@ -288,7 +286,6 @@ def run_nonlinearity_experiment(
     seed: int = 0,
     theta_db: float = 0.0,
     period_length: int = 16384,
-    sample_rate: int = 44100,
 ) -> AnalysisReport:
     """Random vs signal-dependent level across a drive-level sweep.
 
@@ -299,7 +296,7 @@ def run_nonlinearity_experiment(
     if p_count < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p_count}")
     periods = (
-        white_noise_period(period_length, sample_rate, seed + 1000 + p) for p in range(p_count)
+        white_noise_period(period_length, _SAMPLE_RATE, seed + 1000 + p) for p in range(p_count)
     )
     excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
     with np.errstate(over="ignore"):  # refused below

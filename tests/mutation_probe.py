@@ -1,10 +1,10 @@
 """Mutation probe of the tier-1 suite: does some test fail when one line of the source is wrong?
 
 Each mutant below changes part of one line of ``src/sgmeasure``.  The probe applies
-it in a temporary copy of ``src/``, ``tests/``, ``README.md`` and
-``pyproject.toml``, runs the tier-1 suite there with ``-x``, and prints
-whether the mutant was killed (a test failed, named) or survived (the suite
-passed).  A mutant whose text is not in its module exactly once is reported
+it in a temporary copy of ``src/``, ``tests/``, ``perfbench/`` (whose tracer
+``tests/test_trace_compat.py`` loads), ``README.md`` and ``pyproject.toml``,
+runs the tier-1 suite there with ``-x``, and prints whether the mutant was
+killed (a test failed, named) or survived (the suite passed).  A mutant whose text is not in its module exactly once is reported
 stale: update or drop it with the change that moved the line.
 
 The probe needs only the standard library and the test suite's own
@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT_S = 900
 
 # (name, module under src/sgmeasure, text within one line as it is, that text mutated)
@@ -50,8 +50,8 @@ MUTANTS = [
      '        skip = integer("skip_preamble", doc.get("skip_preamble", period_length), 0)',
      '        skip = integer("skip_preamble", doc.get("skip_preamble", 0), 0)'),
     ("median over P", "session.py",
-     "    random_power = np.mean(d_stv_sq, axis=0)",
-     "    random_power = np.median(d_stv_sq, axis=0)"),
+     '        "random_level": np.mean(d_stv_sq, axis=0),',
+     '        "random_level": np.median(d_stv_sq, axis=0),'),
     ("power sum split rounding", "session.py",
      "        half = n // 2 - (n // 2) % 8",
      "        half = n // 2 - (n // 2) % 4"),
@@ -107,6 +107,42 @@ MUTANTS = [
     ("nonlinearity p_count check", "simulate.py",
      "    if p_count < 2:",
      "    if p_count < 1:"),
+    ("no normalized signal-dependent level", "session.py",
+     '        if name in ("random_level", "signal_dependent_level"):',
+     '        if name in ("random_level",):'),
+    ("background not smoothed", "session.py",
+     'table[f"{name}_smooth_db"] = _db_power(',
+     'if name != "background_level": table[f"{name}_smooth_db"] = _db_power('),
+    ("--theta-db text", "cli.py",
+     "        level = math.nan",
+     "        level = 0.0"),
+    ("config not an object", "cli.py",
+     "        if not isinstance(config, dict):",
+     "        if not isinstance(config, (dict, list)):"),
+    ("manifest without entries", "session.py",
+     "    if not entries:",
+     "    if entries is None:"),
+    ("negative alpha", "simulate.py",
+     '            raise ValueError("alpha must be >= 0")',
+     "            pass"),
+    ("NaN SNR", "simulate.py",
+     '            raise ValueError("snr_db must be finite or +inf (noise off)")',
+     "            pass"),
+    ("unequal table columns", "reports.py",
+     '            raise ValueError("table columns have unequal lengths")',
+     "            pass"),
+    ("CSV that is not a report", "reports.py",
+     '        raise ValueError("not a report CSV")',
+     "        pass"),
+    ("smoothing fraction of zero", "separation.py",
+     "    if fraction <= 0:",
+     "    if fraction < 0:"),
+    ("spectrum sample rate check", "core.py",
+     '            raise ValueError("sample_rate must be positive")',
+     "            pass"),
+    ("range read of a removed file", "wavio.py",
+     "        except OSError as exc:",
+     "        except ValueError as exc:"),
 ]
 
 

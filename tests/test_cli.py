@@ -99,7 +99,7 @@ def test_safeguard_command_short_input(tmp_path):
 
 @pytest.mark.parametrize("option", [
     "--period=-4000", "--period=0", "--period=1", "--theta-db=nan", "--theta-db=inf",
-    "--theta-db=-inf",
+    "--theta-db=-inf", "--theta-db=abc",
 ])
 def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
     # a negative period once sliced from the end and floored the last samples
@@ -365,6 +365,7 @@ def test_analyze_missing_file_exit_code(tmp_path):
         {"theta_reference_db": False},
         {"background_recording": ""},
         {"background_recording": 5},
+        {"entries": []},
     ],
 )
 def test_analyze_invalid_manifest_is_input_error(tmp_path, capsys, change):
@@ -489,6 +490,28 @@ def test_simulate_unknown_config_key(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("experiment", ["regression", "max-deviation", "random", "nonlinearity"])
+def test_simulate_sample_rate_is_an_unknown_key(tmp_path, capsys, experiment):
+    """No simulate report has a frequency axis, so no runner takes a sample rate."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "sample_rate": 44100}))
+    rc = main(["simulate", "--config", str(config), "--experiment", experiment,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InputFormatError"
+    assert "unknown config keys: ['sample_rate']" in error["message"]
+
+
+def test_simulate_config_not_an_object_is_input_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    rc = main(["simulate", "--config", str(config), "--experiment", "random",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -523,7 +546,7 @@ def test_seed_env_var_override(tmp_path, monkeypatch):
     ("random", {"m_count": True}),
     ("random", {"m_count": 1}),
     ("random", {"seed": -1}),
-    ("max-deviation", {"sample_rate": 0}),
+    ("max-deviation", {"theta_db_list": [0.0, float("inf")]}),
     ("max-deviation", {"snr_db_list": [20.0, True]}),
     ("regression", {"min_changed_bins": 10.0}),
     ("nonlinearity", {"p_count": 1}),

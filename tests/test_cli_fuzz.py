@@ -269,7 +269,6 @@ EXPERIMENTS = {
 CONFIG_VALUES = {
     "seed": st.integers(0, 2**32),
     "period_length": st.integers(2, 64),
-    "sample_rate": st.integers(1, 2**32),
     "m_count": st.integers(2, 4),
     "p_count": st.integers(2, 4),
     "min_changed_bins": st.integers(0, 64),

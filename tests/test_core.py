@@ -82,6 +82,12 @@ def test_spectrum_bin_count_must_match_length(bins, length):
         Spectrum(bins, FS, length)
 
 
+def test_spectrum_refuses_a_sample_rate_of_zero():
+    """inverse_dft reads a ValueError of its period as an overflow: the rate is checked here."""
+    with pytest.raises(ValueError, match="sample_rate"):
+        Spectrum(np.ones(3), 0, 4)
+
+
 def test_round_trip_identity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(100)

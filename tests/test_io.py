@@ -425,6 +425,15 @@ def test_range_read_of_a_file_cut_after_opening_is_corrupt(tmp_path):
         next(pieces)
 
 
+def test_range_read_of_a_file_removed_after_opening_is_corrupt(tmp_path):
+    path = tmp_path / "gone.wav"
+    path.write_bytes(wav_bytes(np.linspace(-0.5, 0.5, 100), "pcm24"))
+    audio = open_audio(path)
+    path.unlink()
+    with pytest.raises(CorruptFile, match="cannot read"):
+        next(audio.read_ranges([(0, 100)]))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_open_checks_every_float_sample(tmp_path, bad):
     path = tmp_path / "nan.wav"
@@ -697,3 +706,15 @@ def test_report_that_cannot_be_written_leaves_no_file(tmp_path, suffix, report, 
 def test_array_column_must_be_one_dimensional():
     with pytest.raises(ValueError, match="1-D"):
         AnalysisReport(summary={}, table={"a": np.zeros((2, 3))})
+
+
+def test_table_columns_must_have_equal_lengths():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        AnalysisReport(summary={}, table={"a": [1.0, 2.0], "b": [1.0]})
+
+
+def test_read_report_refuses_a_csv_that_is_not_a_report(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b\n1,2\n3,4\n")
+    with pytest.raises(ValueError, match="not a report CSV"):
+        read_report(path)

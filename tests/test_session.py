@@ -290,3 +290,11 @@ def test_unequal_noise_per_signal_matches_the_plain_model(tmp_path, encoding):
         want = np.where(np.isfinite(want), want, np.nan)
         assert np.array_equal(np.isnan(got), np.isnan(want)), name
         assert np.allclose(got, want, rtol=0, atol=1e-6, equal_nan=True), name
+
+
+def test_analyze_refuses_a_smoothing_fraction_of_zero(tmp_path):
+    period = np.random.default_rng(4).standard_normal(64) * 0.1
+    manifest = write_session(tmp_path, [period], [np.tile(period, 3)], period_length=64,
+                             segments_per_recording=2)
+    with pytest.raises(ValueError, match="fraction must be positive"):
+        analyze_session(load_manifest(manifest), smooth_fraction=0)

@@ -95,6 +95,16 @@ def test_config_rejects_an_empty_impulse_response():
         simulate_chain(white_noise_period(64, FS, seed=10), config)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"alpha": -1.0}, "alpha"),
+    ({"snr_db": math.nan}, "snr_db"),
+    ({"snr_db": -math.inf}, "snr_db"),
+])
+def test_config_refuses_a_negative_alpha_or_an_undefined_snr(change, message):
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig(**change)
+
+
 def test_transparent_chain():
     stream = build_test_stream(white_noise_period(256, FS, seed=1), 3)
     out = simulate_chain(stream, SimulationConfig(input_level_db=-6.0))
