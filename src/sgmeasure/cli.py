@@ -8,6 +8,7 @@ any other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -93,9 +94,7 @@ def _cmd_safeguard(args) -> int:
         "sample_rate": period.sample_rate,
         "theta_db": args.theta_db,
         "theta_linear": theta.theta_linear,
-        "bins_changed": report.bins_changed,
-        "fraction_changed": report.fraction_changed,
-        "added_component_db": report.added_component_db,  # null when no bin changed
+        **dataclasses.asdict(report),  # added_component_db is null when no bin changed
     })
     try:
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,10 @@
 """Report containers and their JSON/CSV serialization.
 
-Both formats carry the same content and round-trip losslessly: floats are
-written with shortest-repr precision, non-finite dB values become explicit
-nulls (empty CSV cells).  Nothing time- or environment-dependent is ever
-written, so identical runs produce byte-identical files.
+Both formats carry the same content as plain JSON or CSV for any parser:
+floats are written with shortest-repr precision, non-finite dB values
+become explicit nulls (empty CSV cells).  Nothing time- or
+environment-dependent is ever written, so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import UnwritableOutput
 
 SCHEMA_VERSION = 1
 
-__all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report", "read_report"]
+__all__ = ["AnalysisReport", "SCHEMA_VERSION", "write_report"]
 
 
 # Rows per CSV write and cells per JSON write: the most cell text held at once.
@@ -31,15 +32,15 @@ class AnalysisReport:
     """Scalar summary plus aligned per-row table columns.
 
     ``table`` maps column name to a column: a list of builtin float, int or
-    None (the simulate reports, :func:`read_report`) or a 1-D float64 array
+    None (the simulate reports) or a 1-D float64 array
     (:func:`~sgmeasure.session.analyze_session`); all columns have equal
-    length.  None, like a non-finite float, marks a value that is undefined
+    length.  :func:`write_report` stamps every report with
+    ``SCHEMA_VERSION``.  None, like a non-finite float, marks a value that is undefined
     (e.g. dB of zero) and is written as null.
     """
 
     summary: dict
     table: dict[str, list | np.ndarray]
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if any(isinstance(v, np.ndarray) and v.ndim != 1 for v in self.table.values()):
@@ -88,7 +89,7 @@ def _json_chunks(report: AnalysisReport):
     """
     head = json.dumps(
         {
-            "schema_version": report.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "summary": _clean(report.summary),
         },
         indent=2,
@@ -113,20 +114,11 @@ def _json_chunks(report: AnalysisReport):
     yield "\n  }\n}\n"
 
 
-def _from_json(text: str) -> AnalysisReport:
-    doc = json.loads(text)
-    return AnalysisReport(
-        summary=doc["summary"],
-        table=doc["table"],
-        schema_version=doc["schema_version"],
-    )
-
-
 def _csv_chunks(report: AnalysisReport):
     """The report as CSV, in pieces: the head with the summary, then blocks of rows."""
     summary = _clean(report.summary)
     yield (
-        f"# schema_version: {report.schema_version}\n"
+        f"# schema_version: {SCHEMA_VERSION}\n"
         f"# summary: {json.dumps(summary, sort_keys=True)}\n"
         + ",".join(report.table) + "\n"
     )
@@ -136,28 +128,6 @@ def _csv_chunks(report: AnalysisReport):
         yield "\n".join(
             map(",".join, zip(*[_cells(col[start:stop], "") for col in columns]))
         ) + "\n"
-
-
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    return float(text)
-
-
-def _from_csv(text: str) -> AnalysisReport:
-    lines = text.splitlines()
-    if len(lines) < 3 or not lines[0].startswith("# schema_version:"):
-        raise ValueError("not a report CSV")
-    schema_version = int(lines[0].split(":", 1)[1])
-    summary = json.loads(lines[1].split(":", 1)[1])
-    names = lines[2].split(",")
-    table: dict[str, list] = {name: [] for name in names}
-    for line in lines[3:]:
-        if not line:
-            continue
-        for name, cell in zip(names, line.split(",")):
-            table[name].append(_parse_cell(cell))
-    return AnalysisReport(summary=summary, table=table, schema_version=schema_version)
 
 
 def write_report(path: str | Path, report: AnalysisReport) -> None:
@@ -183,12 +153,3 @@ def write_report(path: str | Path, report: AnalysisReport) -> None:
     except BaseException:
         path.unlink()
         raise
-
-
-def read_report(path: str | Path) -> AnalysisReport:
-    """Read back a report written by :func:`write_report`."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".json":
-        return _from_json(text)
-    return _from_csv(text)

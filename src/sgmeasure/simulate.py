@@ -23,7 +23,7 @@ import numpy as np
 from .core import (
     PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
 )
-from .errors import DegenerateFit, InsufficientSignals, LevelOutOfRange
+from .errors import DegenerateFit, InputFormatError, InsufficientSignals, LevelOutOfRange
 from .reports import AnalysisReport
 from .safeguard import floor_report, safeguard_signal, threshold_from_db
 from .separation import (
@@ -155,6 +155,8 @@ def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     y = np.asarray(y, dtype=np.float64)
     if x.size < 3:
         raise DegenerateFit(f"need at least 3 points for a stable fit, got {x.size}")
+    if x.min() == x.max():
+        raise DegenerateFit(f"need 2 distinct x values for a line, all are {float(x[0])}")
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)
 
@@ -233,6 +235,9 @@ def run_max_deviation_sweep(
     period_length: int = 16384,
 ) -> AnalysisReport:
     """Max gain deviation from the identity ground truth per (SNR, flooring level)."""
+    names = [f"max_deviation_db_snr{snr_db:g}" for snr_db in snr_db_list]
+    if len(set(names)) < len(names):
+        raise InputFormatError(f"snr_db_list {list(snr_db_list)} names a column twice: {names}")
     cols: list[list[float]] = [[] for _ in snr_db_list]
     signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
     spectrum = forward_dft(signal)
@@ -243,9 +248,7 @@ def run_max_deviation_sweep(
             _, block = _measured_block(excitation, config, 1)
             gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
             cols[i].append(float(np.max(np.abs(gain_db))))
-    table = {"theta_db": list(theta_db_list)}
-    for snr_db, col in zip(snr_db_list, cols):
-        table[f"max_deviation_db_snr{snr_db:g}"] = col
+    table = {"theta_db": list(theta_db_list), **dict(zip(names, cols))}
     return AnalysisReport(summary={}, table=table)
 
 

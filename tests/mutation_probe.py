@@ -131,9 +131,6 @@ MUTANTS = [
     ("unequal table columns", "reports.py",
      '            raise ValueError("table columns have unequal lengths")',
      "            pass"),
-    ("CSV that is not a report", "reports.py",
-     '        raise ValueError("not a report CSV")',
-     "        pass"),
     ("smoothing fraction of zero", "separation.py",
      "    if fraction <= 0:",
      "    if fraction < 0:"),
@@ -143,6 +140,12 @@ MUTANTS = [
     ("range read of a removed file", "wavio.py",
      "        except OSError as exc:",
      "        except ValueError as exc:"),
+    ("line through one x value", "simulate.py",
+     "    if x.min() == x.max():",
+     "    if x.min() > x.max():"),
+    ("SNRs naming one column", "simulate.py",
+     "    if len(set(names)) < len(names):",
+     "    if len(names) < len(snr_db_list):"),
 ]
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from sgmeasure.errors import (
     SampleRateMismatch,
     SilentRecording,
 )
-from sgmeasure.reports import AnalysisReport
+from sgmeasure.reports import SCHEMA_VERSION, AnalysisReport
 from sgmeasure.separation import (
     excitation_bins,
     segment_block,
@@ -182,7 +183,7 @@ def report_json(report) -> str:
     """
     head = json.dumps(
         {
-            "schema_version": report.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "summary": {k: _clean(v) for k, v in report.summary.items()},
         },
         indent=2,
@@ -208,12 +209,33 @@ def report_csv(report) -> str:
     summary = {k: _clean(v) for k, v in report.summary.items()}
     columns = [_cells(col, "") for col in report.table.values()]
     lines = [
-        f"# schema_version: {report.schema_version}",
+        f"# schema_version: {SCHEMA_VERSION}",
         "# summary: " + json.dumps(summary, sort_keys=True),
         ",".join(report.table),
         *map(",".join, zip(*columns)),
     ]
     return "\n".join(lines) + "\n"
+
+
+def read_report(path) -> AnalysisReport:
+    """A written report parsed back: JSON by ``json.loads``, CSV line by line.
+
+    A CSV cell becomes a float, or None where it is empty.  Written apart from
+    :func:`sgmeasure.reports.write_report`, so the two cannot share a mistake.
+    """
+    path = Path(path)
+    text = path.read_text()
+    if path.suffix.lower() == ".json":
+        doc = json.loads(text)
+        assert doc["schema_version"] == SCHEMA_VERSION
+        return AnalysisReport(summary=doc["summary"], table=doc["table"])
+    schema, summary, header, *rows = text.splitlines()
+    assert schema == f"# schema_version: {SCHEMA_VERSION}"
+    table = {name: [] for name in header.split(",")}
+    for row in rows:
+        for column, cell in zip(table.values(), row.split(","), strict=True):
+            column.append(float(cell) if cell else None)
+    return AnalysisReport(summary=json.loads(summary.removeprefix("# summary: ")), table=table)
 
 
 def whole_recording_report(manifest, smooth_fraction=None) -> AnalysisReport:

@@ -12,10 +12,11 @@ import sgmeasure
 from sgmeasure import cli
 from sgmeasure.cli import main
 from sgmeasure.core import SampleStream, forward_dft
-from sgmeasure.reports import read_report
 from sgmeasure.safeguard import safeguard_signal, threshold_from_db
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
+
+from oracles import read_report
 
 FS = 44100
 L = 1024
@@ -671,9 +672,9 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, command, option
     assert not any(Path(path).is_file() for path in paths.values())
 
 
-def assert_only_level_error(argv: list[str]) -> None:
-    """The CLI, run in a fresh interpreter, exits 4 with one LevelOutOfRange JSON line on
-    stderr and no numpy warning before it."""
+def assert_only_analysis_error(argv: list[str], error: str = "LevelOutOfRange") -> None:
+    """The CLI, run in a fresh interpreter, exits 4 with one JSON line naming ``error`` on
+    stderr and no numpy warning or LAPACK message before it."""
     src = str(Path(sgmeasure.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                PYTHONWARNINGS="default")
@@ -682,7 +683,7 @@ def assert_only_level_error(argv: list[str]) -> None:
     assert result.returncode == 4
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
-    assert json.loads(lines[0])["error"] == "LevelOutOfRange"
+    assert json.loads(lines[0])["error"] == error
 
 
 @pytest.mark.parametrize("experiment,config", [
@@ -693,10 +694,36 @@ def assert_only_level_error(argv: list[str]) -> None:
 ])
 def test_simulate_overflow_prints_only_the_json_error(tmp_path, experiment, config):
     (tmp_path / "c.json").write_text(json.dumps(config))
-    assert_only_level_error(["simulate", "--experiment", experiment,
-                             "--config", str(tmp_path / "c.json"),
-                             "--out", str(tmp_path / "o.csv")])
+    assert_only_analysis_error(["simulate", "--experiment", experiment,
+                                "--config", str(tmp_path / "c.json"),
+                                "--out", str(tmp_path / "o.csv")])
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_regression_on_one_level_is_a_degenerate_fit(tmp_path):
+    """Three usable points at one flooring level fit no line."""
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"seed": 1, "period_length": 4096, "theta_db_grid": [0.0, 0.0, 0.0]}))
+    assert_only_analysis_error(["simulate", "--experiment", "regression",
+                                "--config", str(tmp_path / "c.json"),
+                                "--out", str(tmp_path / "o.csv")], "DegenerateFit")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db_list", [[20, 20.0], [20.0, 20.0], [20.0000001, 20.0000002]])
+def test_simulate_max_deviation_refuses_snrs_that_name_one_column(tmp_path, capsys, snr_db_list):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"snr_db_list": snr_db_list, "period_length": 256}))
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", "--config", str(config), "--experiment", "max-deviation",
+               "--out", str(out)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "InputFormatError"
+    assert "max_deviation_db_snr20" in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("period", [
@@ -706,7 +733,7 @@ def test_simulate_overflow_prints_only_the_json_error(tmp_path, experiment, conf
 def test_safeguard_overflow_prints_only_the_json_error(tmp_path, period):
     write_audio(tmp_path / "in.wav", SampleStream(period, FS))
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
-    assert_only_level_error(["safeguard", "--in", str(tmp_path / "in.wav"),
-                             "--period", str(min(len(period), 1024)), "--theta-db", "6160",
-                             "--out", str(out), "--report", str(report)])
+    assert_only_analysis_error(["safeguard", "--in", str(tmp_path / "in.wav"),
+                                "--period", str(min(len(period), 1024)), "--theta-db", "6160",
+                                "--out", str(out), "--report", str(report)])
     assert not out.exists() and not report.exists()

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from sgmeasure.cli import main
-from sgmeasure.reports import read_report
+
+from oracles import read_report
 
 FS = 48000
 L = 512

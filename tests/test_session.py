@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from sgmeasure import session, wavio
 from sgmeasure.cli import main
 from sgmeasure.errors import SgMeasureError
-from sgmeasure.reports import read_report, write_report
+from sgmeasure.reports import write_report
 from sgmeasure.session import analyze_session, load_manifest
 
-from oracles import expected_analyze, whole_recording_report
+from oracles import expected_analyze, read_report, whole_recording_report
 
 FS = 48000
 ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}  # (format code, bits)

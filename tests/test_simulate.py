@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sgmeasure.core import SampleStream
 from sgmeasure.errors import (
-    AnalysisError, DegenerateFit, InsufficientRepetitions, InsufficientSignals, LevelOutOfRange,
+    AnalysisError, DegenerateFit, InputFormatError, InsufficientRepetitions, InsufficientSignals,
+    LevelOutOfRange,
 )
 from sgmeasure.safeguard import build_test_stream
 import sgmeasure.core
@@ -224,6 +225,10 @@ def test_fit_oracle_exact_line():
 def test_fit_rejects_degenerate_input():
     with pytest.raises(DegenerateFit):
         least_squares_line(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before np.polyfit warns
+        with pytest.raises(DegenerateFit, match="2 distinct x values"):
+            least_squares_line(np.array([-5.0, -5.0, -5.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_regression_degenerate_when_grid_unusable():
@@ -255,6 +260,16 @@ def test_max_deviation_flooring_benefit():
     )
     col = result.table["max_deviation_db_snr40"]
     assert col[1] < col[0]
+
+
+@pytest.mark.parametrize("snr_db_list", [(20, 20.0), (40.0, 20.0, 40.0), (20.0000001, 20.0000002)])
+def test_max_deviation_refuses_snrs_that_name_one_column(monkeypatch, snr_db_list):
+    def chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the SNRs were checked")
+
+    monkeypatch.setattr(sgmeasure.simulate, "simulate_chain", chain)
+    with pytest.raises(InputFormatError, match="names a column twice"):
+        run_max_deviation_sweep(snr_db_list=snr_db_list, theta_db_list=(0.0,), period_length=256)
 
 
 def test_max_deviation_trend_over_grid():
