@@ -1,4 +1,4 @@
-"""Periodic-signal and spectrum types plus the DFT/convolution primitives.
+"""Periodic-signal and spectrum types plus the DFT primitives.
 
 Convention: unnormalized forward DFT, 1/L-normalized inverse.  Real signals
 live in a :class:`SampleStream`; one period is a :class:`PeriodicSignal`.
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpulseResponseTooLong, LevelOutOfRange
+from .errors import LevelOutOfRange
 
 __all__ = [
     "PeriodicSignal",
@@ -24,8 +24,6 @@ __all__ = [
     "forward_dft",
     "forward_dft_raw",
     "inverse_dft",
-    "circular_convolve_fast",
-    "lti_transfer",
 ]
 
 
@@ -125,34 +123,6 @@ def inverse_dft(spectrum: Spectrum) -> PeriodicSignal:
     except ValueError:  # non-finite samples: Spectrum has checked the length and the rate
         peak = float(np.max(spectrum.magnitude))
         raise LevelOutOfRange(f"inverse DFT of bins up to {peak!r} overflows float64") from None
-
-
-def lti_transfer(h: np.ndarray, length: int) -> np.ndarray:
-    """Bins 0..length//2 of the DFT of ``h`` zero-padded to ``length`` points.
-
-    These are the bins a length-``length`` block is multiplied by.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 0:
-        raise ValueError("impulse response is empty")
-    if h.size > length:
-        raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds block length {length}")
-    return np.fft.rfft(h, n=length)
-
-
-def circular_convolve_fast(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Circular convolution over the full block length.
-
-    A one-tap ``h`` is a gain: ``h[0] * samples`` is the exact convolution,
-    with no transform.  Longer responses multiply the block's spectrum by
-    :func:`lti_transfer`.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 1 and samples.size >= 1:  # lti_transfer rejects every other empty or long h
-        return h[0] * samples
-    transfer = lti_transfer(h, samples.size)
-    return np.fft.irfft(np.fft.rfft(samples) * transfer, n=samples.size)
 
 
 def hermitian_sum(one_sided: np.ndarray, length: int):

@@ -17,10 +17,6 @@ class AnalysisError(SgMeasureError):
     """A computation precondition was violated."""
 
 
-class ImpulseResponseTooLong(AnalysisError):
-    """Impulse response longer than the signal period."""
-
-
 class DegenerateSpectrum(AnalysisError):
     """All-zero spectrum; no threshold can be derived."""
 

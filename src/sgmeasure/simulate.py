@@ -1,16 +1,15 @@
 """Deterministic virtual measurement chain and experiment runners.
 
-The chain is fixed as gain -> memoryless nonlinearity -> circular-periodic
-LTI convolution -> additive Gaussian noise; the deterministic stages run on
-one period, and a one-tap LTI stage (the default identity) is a gain, with
-no transform.  Noise power is set relative to the pre-noise output power
-(the safeguarded signal's own level), so the configured SNR refers to what
-actually reaches the virtual microphone.  All randomness flows through
-counter-based Philox generators keyed on the configured seed, so identical
-configs give bit-identical streams.  Each experiment runner returns the
-report the ``simulate`` command writes: a table of its sweep axis followed
-by its metric columns, and the fitted line in the summary where it has one.
-Zero power is -inf dB (a null cell).
+The chain is fixed as gain -> memoryless nonlinearity -> additive Gaussian
+noise; the deterministic stages run on one period.  Noise power is set
+relative to the pre-noise output power (the safeguarded signal's own
+level), so the configured SNR refers to what actually reaches the virtual
+microphone.  All randomness flows through counter-based Philox generators
+keyed on the configured seed, so identical configs give bit-identical
+streams.  Each experiment runner returns the report the ``simulate``
+command writes: a table of its sweep axis followed by its metric columns,
+and the fitted line in the summary where it has one.  Zero power is -inf
+dB (a null cell).
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PeriodicSignal, SampleStream, circular_convolve_fast, forward_dft, full_spectrum_mean,
-)
+from .core import PeriodicSignal, SampleStream, forward_dft, full_spectrum_mean
 from .errors import DegenerateFit, InputFormatError, InsufficientSignals, LevelOutOfRange
 from .reports import AnalysisReport
 from .safeguard import floor_report, safeguard_signal, threshold_from_db
@@ -48,7 +45,6 @@ __all__ = [
 
 SNR_OFF = math.inf
 _SAMPLE_RATE = 44100  # of the simulated streams: no reported number depends on it
-IDENTITY_RESPONSE = (1.0,)
 
 DEFAULT_THETA_DB_GRID = tuple(float(t) for t in range(-50, 25, 5))
 DEFAULT_INPUT_LEVEL_GRID = tuple(float(t) for t in range(0, -44, -4))
@@ -63,7 +59,6 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 class SimulationConfig:
     """Virtual measurement chain description."""
 
-    impulse_response: tuple[float, ...] = IDENTITY_RESPONSE
     alpha: float = 0.0
     snr_db: float = SNR_OFF
     input_level_db: float = 0.0
@@ -74,9 +69,6 @@ class SimulationConfig:
             raise ValueError("alpha must be >= 0")
         if not (math.isfinite(self.snr_db) or self.snr_db == SNR_OFF):
             raise ValueError("snr_db must be finite or +inf (noise off)")
-        object.__setattr__(
-            self, "impulse_response", tuple(float(v) for v in self.impulse_response)
-        )
 
 
 def _db(power: float) -> float:
@@ -111,10 +103,9 @@ def simulate_chain(
 ) -> SampleStream:
     """Play ``repeats`` back-to-back copies of the period ``test`` through the virtual chain.
 
-    Gain, the nonlinearity and the LTI stage, which wraps circularly over
-    the period, run once on the period: their output tiled ``repeats``
-    times is the periodic steady state of the whole stream.  Noise is
-    drawn over the whole stream, scaled to the period's output power.
+    Gain and the nonlinearity run once on the period: their output tiled
+    ``repeats`` times is the periodic steady state of the whole stream.
+    Noise is drawn over the whole stream, scaled to the period's output power.
     A drive level whose gain underflows to zero, whose gain, output power
     or noise power overflows, or whose output from a non-zero period has
     zero power raises :class:`LevelOutOfRange`.
@@ -130,8 +121,7 @@ def simulate_chain(
     if gain == 0.0:
         raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
     with np.errstate(over="ignore", invalid="ignore"):  # checked here, without a warning
-        driven = nonlinearity(gain * test.samples, config.alpha)
-        out = circular_convolve_fast(driven, config.impulse_response)
+        out = nonlinearity(gain * test.samples, config.alpha)
         power = float(np.mean(out**2))  # finite only if every output sample is
         if not (math.isfinite(power) and math.isfinite(power * noise_ratio)):
             raise LevelOutOfRange(f"{config} overflows the output or its noise power")
@@ -171,8 +161,9 @@ def run_flooring_regression(
     """Sweep the flooring level on white noise and regress the added level.
 
     The fit uses only sweep points where flooring is statistically in its
-    linear regime: at least ``min_changed_bins`` bins changed (below that
-    the added level is extreme-value noise) and at most
+    linear regime: at least one and at least ``min_changed_bins`` bins
+    changed (with none the added level is -inf dB, and below
+    ``min_changed_bins`` it is extreme-value noise) and at most
     ``max_changed_fraction`` of all bins changed (above that the floor
     saturates and the relation bends toward slope 1).
     """
@@ -188,7 +179,7 @@ def run_flooring_regression(
         sigma_db.append(report.added_component_db)
         bins_changed.append(float(report.bins_changed))
         usable = (
-            report.bins_changed >= min_changed_bins
+            report.bins_changed >= max(1, min_changed_bins)
             and report.fraction_changed <= max_changed_fraction
         )
         used.append(1.0 if usable else 0.0)

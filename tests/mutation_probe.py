@@ -146,6 +146,9 @@ MUTANTS = [
     ("SNRs naming one column", "simulate.py",
      "    if len(set(names)) < len(names):",
      "    if len(names) < len(snr_db_list):"),
+    ("regression fits a point where no bin changed", "simulate.py",
+     "            report.bins_changed >= max(1, min_changed_bins)",
+     "            report.bins_changed >= min_changed_bins"),
 ]
 
 

@@ -8,12 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from sgmeasure.core import PeriodicSignal, forward_dft_raw, inverse_dft
-from sgmeasure.errors import (
-    ImpulseResponseTooLong,
-    ManifestError,
-    SampleRateMismatch,
-    SilentRecording,
-)
+from sgmeasure.errors import ManifestError, SampleRateMismatch, SilentRecording
 from sgmeasure.reports import SCHEMA_VERSION, AnalysisReport
 from sgmeasure.separation import (
     excitation_bins,
@@ -52,13 +47,13 @@ def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
     """Circular convolution by direct summation: y[n] = sum_m h[m] x[(n-m) mod L].
 
-    O(L * len(h)); :func:`sgmeasure.core.circular_convolve_fast` must agree
-    with it to 1e-10.
+    The room of the estimator tests: the library has no LTI stage, and a
+    recording of this output must give ``h`` back.
     """
     h = np.asarray(h, dtype=np.float64)
     L = x.period_length
     if h.size > L:
-        raise ImpulseResponseTooLong(f"len(h)={h.size} exceeds period L={L}")
+        raise ValueError(f"len(h)={h.size} exceeds period L={L}")
     y = np.zeros(L)
     for m, hm in enumerate(h):
         y += hm * np.roll(x.samples, m)
@@ -68,17 +63,14 @@ def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
 def chain_full_stream(period: np.ndarray, config, repeats: int) -> np.ndarray:
     """The simulator's deterministic stages run over the whole tiled stream.
 
-    Gain and the nonlinearity act on all ``repeats`` * L samples, and the
-    LTI stage is a full L-bin complex DFT product at the stream length: the
+    Gain and the nonlinearity act on all ``repeats`` * L samples: the
     formula :func:`sgmeasure.simulate.simulate_chain` replaces by one
     period's output, tiled.
     """
     from sgmeasure.simulate import nonlinearity
 
     stream = np.tile(np.asarray(period, dtype=np.float64), repeats)
-    driven = nonlinearity(10.0 ** (config.input_level_db / 20.0) * stream, config.alpha)
-    transfer = np.fft.fft(config.impulse_response, n=stream.size)
-    return np.fft.ifft(np.fft.fft(driven) * transfer).real
+    return nonlinearity(10.0 ** (config.input_level_db / 20.0) * stream, config.alpha)
 
 
 def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, np.ndarray]:

@@ -256,6 +256,19 @@ def test_analyze_insufficient_repetitions_exit_code(tmp_path, capsys):
     assert err["error"] == "InsufficientRepetitions"
 
 
+def test_analyze_recording_shorter_than_its_segments_is_analysis_error(tmp_path, capsys):
+    """A recording of 3 periods cannot hold a preamble and M = 4 segments."""
+    manifest = make_session(tmp_path, m_count=4)
+    period = read_audio(tmp_path / "exc1.wav").samples
+    write_audio(tmp_path / "rec1.wav", SampleStream(np.tile(period, 3), FS))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "StreamTooShort"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_with_background_column(tmp_path):
     manifest_path = make_session(tmp_path, snr_db=40.0)
     doc = json.loads(manifest_path.read_text())
@@ -708,6 +721,37 @@ def test_simulate_regression_on_one_level_is_a_degenerate_fit(tmp_path):
                                 "--config", str(tmp_path / "c.json"),
                                 "--out", str(tmp_path / "o.csv")], "DegenerateFit")
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_regression_fits_no_point_where_no_bin_changed(tmp_path):
+    """With min_changed_bins 0, the -80 and -70 dB points change no bin: their added level
+    is -inf dB and they are not fitted, which leaves two points and no stable fit."""
+    (tmp_path / "c.json").write_text(json.dumps({
+        "seed": 1, "period_length": 4096, "theta_db_grid": [-80.0, -70.0, -10.0, 0.0],
+        "min_changed_bins": 0,
+    }))
+    assert_only_analysis_error(["simulate", "--experiment", "regression",
+                                "--config", str(tmp_path / "c.json"),
+                                "--out", str(tmp_path / "o.csv")], "DegenerateFit")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_regression_line_ignores_a_point_where_no_bin_changed(tmp_path):
+    def regression(grid):
+        config, out = tmp_path / "c.json", tmp_path / "o.json"
+        config.write_text(json.dumps({
+            "seed": 1, "period_length": 4096, "theta_db_grid": grid, "min_changed_bins": 0,
+        }))
+        assert main(["simulate", "--config", str(config), "--experiment", "regression",
+                     "--out", str(out)]) == 0
+        return read_report(out)
+
+    report = regression([-80.0, -10.0, -5.0, 0.0])
+    assert report.table["bins_changed"][0] == 0.0
+    assert report.table["used_in_fit"] == [0.0, 1.0, 1.0, 1.0]
+    line = regression([-10.0, -5.0, 0.0]).summary
+    assert (report.summary["slope"], report.summary["intercept"]) == (
+        line["slope"], line["intercept"]) == (2.0017185155211736, -10.494848475103291)
 
 
 @pytest.mark.parametrize("snr_db_list", [[20, 20.0], [20.0, 20.0], [20.0000001, 20.0000002]])

@@ -3,29 +3,34 @@
 Whatever argv, manifest, simulate config or WAV file it is given,
 ``cli.main`` returns 0, or 3 or 4 with a package error named on stderr, or
 argparse exits with 2; any other exception is a bug.  A WAV file of other
-than one channel never exits 0.  Each input starts valid and each of its
-parts is mutated now and then; a manifest or config may also have raw
-bytes spliced in (bad UTF-8, an integer longer than Python parses).  Inputs
-stay small (periods of at most 64 samples, at most 4 repeats, WAV files of
-at most 2 KiB, JSON files of at most 5 KB), so no run allocates much.
+than one channel never exits 0, and a report written with exit 0 has
+finite summary levels and a finite fitted line.  Each input starts valid
+and each of its parts is mutated now and then; a manifest or config may
+also have raw bytes spliced in (bad UTF-8, an integer longer than Python
+parses).  Inputs stay small (periods of at most 64 samples but in an
+explicit example, at most 4 repeats, WAV files of at most 2 KiB, JSON files
+of at most 5 KB), so no run allocates much.
 """
 
 import contextlib
 import inspect
 import io
 import json
+import math
 import struct
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sgmeasure import errors, simulate
 from sgmeasure.cli import main
 from sgmeasure.wavio import read_audio
+
+from oracles import read_report
 
 FS = 8000
 FUZZ = settings(
@@ -147,6 +152,14 @@ def run(argv: list[str]) -> int:
     return rc
 
 
+def assert_finite(summary: dict, keys) -> None:
+    """Each of ``keys`` in a written report's summary is a finite number (a non-finite one is
+    written as null)."""
+    for key in keys:
+        value = summary[key]
+        assert value is not None and math.isfinite(value), (key, summary)
+
+
 def option(valid, junk=("", "x", "2.5", "1e3", "-1")):
     """An option's text: a value of ``valid``, or text argparse may refuse."""
     return st.one_of(valid.map(str), st.sampled_from(junk))
@@ -255,9 +268,13 @@ def test_analyze_exits_with_a_documented_code(session, smooth, suffix):
         for name, data in files.items():
             (tmp / name).write_bytes(data)
         (tmp / "m.json").write_bytes(manifest)
+        out = tmp / f"report{suffix}"
         rc = run(["analyze", "--manifest", str(tmp / "m.json"), "--smooth", smooth,
-                  "--out", str(tmp / f"report{suffix}")])
+                  "--out", str(out)])
         assert not (rc == 0 and multichannel)
+        if rc == 0:
+            assert_finite(read_report(out).summary,
+                          ("normalization_db", "output_power_db", "excitation_power_db"))
 
 
 EXPERIMENTS = {
@@ -300,12 +317,24 @@ def simulate_runs(draw):
     return experiment, json_bytes(draw, config, draw(st.integers(0, 5)) == 0)
 
 
+# flooring changes no bin of this noise period at -80 or -70 dB: those points are not fitted
+NO_BIN_CHANGED = json.dumps({
+    "seed": 1, "period_length": 4096, "theta_db_grid": [-80.0, -70.0, -10.0, 0.0],
+    "min_changed_bins": 0,
+}).encode()
+
+
 @FUZZ
 @given(experiment_config=simulate_runs(), suffix=st.sampled_from([".json", ".csv"]))
+@example(experiment_config=("regression", NO_BIN_CHANGED), suffix=".json")
 def test_simulate_exits_with_a_documented_code(experiment_config, suffix):
     experiment, config = experiment_config
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "c.json").write_bytes(config)
-        run(["simulate", "--config", str(tmp / "c.json"), "--experiment", experiment,
-             "--out", str(tmp / f"o{suffix}")])
+        out = tmp / f"o{suffix}"
+        rc = run(["simulate", "--config", str(tmp / "c.json"), "--experiment", experiment,
+                  "--out", str(out)])
+        if rc == 0:
+            summary = read_report(out).summary
+            assert_finite(summary, {"slope", "intercept"} & summary.keys())
