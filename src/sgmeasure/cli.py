@@ -19,9 +19,9 @@ from functools import partial
 from pathlib import Path
 
 from .core import PeriodicSignal, forward_dft
-from .errors import InputFormatError, SgMeasureError, UnsupportedFormat, UnwritableOutput
+from .errors import InputFormatError, SgMeasureError, UnwritableOutput
 from .reports import SCHEMA_VERSION, _clean, write_report
-from .safeguard import build_test_stream, safeguard_signal, threshold_from_db
+from .safeguard import safeguard_signal, threshold_from_db
 from .session import analyze_session, load_manifest
 from .simulate import (
     run_flooring_regression,
@@ -29,7 +29,7 @@ from .simulate import (
     run_nonlinearity_experiment,
     run_random_response_experiment,
 )
-from .wavio import MAX_FLOAT_SAMPLES, read_audio, write_audio
+from .wavio import open_audio, read_audio, write_audio
 
 SEED_ENV_VAR = "SGMEASURE_SEED"
 
@@ -78,12 +78,13 @@ def _finite_db(text: str) -> float:
 
 
 def _cmd_safeguard(args) -> int:
-    stream = read_audio(args.infile)
-    if len(stream) < args.period:
+    audio = open_audio(args.infile)
+    if audio.length < args.period:
         raise InputFormatError(
-            f"{args.infile}: {len(stream)} samples, need a full period of {args.period}"
+            f"{args.infile}: {audio.length} samples, need a full period of {args.period}"
         )
-    period = PeriodicSignal(stream.samples[: args.period], stream.sample_rate)
+    samples = next(audio.read_ranges([(0, args.period)]))  # the period alone is read
+    period = PeriodicSignal(samples, audio.sample_rate)
     spectrum = forward_dft(period)
     theta = threshold_from_db(spectrum, args.theta_db)
     safeguarded, report = safeguard_signal(period, theta, spectrum)
@@ -108,11 +109,7 @@ def _cmd_make_test(args) -> int:
     stream = read_audio(args.infile)
     if len(stream) < 2:
         raise InputFormatError(f"{args.infile}: {len(stream)} samples, a period needs at least 2")
-    if args.repeats * len(stream) > MAX_FLOAT_SAMPLES:  # refused before the stream is made
-        raise UnsupportedFormat(
-            f"{args.repeats} repeats of {len(stream)} samples do not fit a WAV data chunk"
-        )
-    write_audio(args.out, build_test_stream(stream, args.repeats))
+    write_audio(args.out, stream, args.repeats)
     return 0
 
 

@@ -26,6 +26,7 @@ from .core import forward_dft_raw
 from .errors import (
     InsufficientRepetitions,
     InsufficientSignals,
+    LevelOutOfRange,
     StreamTooShort,
     ZeroBinExcitation,
 )
@@ -72,19 +73,8 @@ def excitation_bins(period: np.ndarray) -> np.ndarray:
     return x_bins
 
 
-def divide_spectra(y_bins: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
-    """Bin-wise H = Y/X_s in the memory of ``y_bins``, one row per segment; a non-finite H raises.
-
-    ``x_bins`` comes from :func:`excitation_bins`, which checked it for zeros.
-    """
-    y_bins /= x_bins
-    if not np.all(np.isfinite(y_bins)):
-        raise ValueError("transfer estimate has non-finite bins")
-    return y_bins
-
-
 def estimate_transfer(block: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
-    """(M, L//2 + 1) transfer estimates of an (M, L) segment block.
+    """(M, L//2 + 1) transfer estimates of an (M, L) segment block; a non-finite bin raises.
 
     ``x_bins`` comes from :func:`excitation_bins` of a length-L period,
     which checked it for zeros.  The spectra are divided in place, so the
@@ -93,7 +83,11 @@ def estimate_transfer(block: np.ndarray, x_bins: np.ndarray) -> np.ndarray:
     L = block.shape[1]
     if x_bins.shape != (L // 2 + 1,):
         raise ValueError(f"{x_bins.size} excitation bins for segments of length {L}")
-    return divide_spectra(forward_dft_raw(block), x_bins)
+    h = forward_dft_raw(block)
+    h /= x_bins
+    if not np.all(np.isfinite(h)):
+        raise LevelOutOfRange("transfer estimate has non-finite bins")
+    return h
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -113,7 +107,9 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squared magnitudes are formed as re^2 + im^2, so the result is
     bit-identical to a direct summation of the formulas.  Fewer than two
     rows raise :class:`InsufficientRepetitions`: a reduction over P checks
-    for two signals first.
+    for two signals first.  A non-finite mean raises :class:`LevelOutOfRange`:
+    an IEEE sum is non-finite exactly when a term is or the sum overflows,
+    so this one check of K bins refuses every non-finite estimate.
     """
     if rows.ndim != 2:
         raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
@@ -122,6 +118,8 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {n}")
     mean = _sum_rows(rows)
     mean /= n
+    if not np.all(np.isfinite(mean)):
+        raise LevelOutOfRange(f"the mean of {n} transfer estimates has non-finite bins")
     rows -= mean
     sq = rows.view(np.float64)  # re, im of each deviation, interleaved
     sq *= sq

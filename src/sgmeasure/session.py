@@ -21,9 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .core import forward_dft_raw
-from .errors import ManifestError, SampleRateMismatch, SilentRecording, StreamTooShort
+from .errors import (
+    LevelOutOfRange,
+    ManifestError,
+    SampleRateMismatch,
+    SilentRecording,
+    StreamTooShort,
+)
 from .reports import SCHEMA_VERSION, AnalysisReport
-from .separation import divide_spectra, excitation_bins, separate_signals, smooth_one_sided
+from .separation import excitation_bins, separate_signals, smooth_one_sided
 from .wavio import AudioFile, open_audio, read_audio
 
 __all__ = ["SessionEntry", "SessionManifest", "load_manifest", "analyze_session"]
@@ -230,7 +236,8 @@ def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.n
     if power == 0.0:
         raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
     log.append((exc_power, power))
-    return divide_spectra(est, x_bins)
+    est /= x_bins  # separate_signals refuses a non-finite estimate from its mean
+    return est
 
 
 def _background_level(manifest: SessionManifest) -> np.ndarray:
@@ -255,8 +262,11 @@ def _background_level(manifest: SessionManifest) -> np.ndarray:
     for entry in manifest.entries:
         x_bins, _ = _excitation_spectrum(entry.excitation, manifest)
         for y in y_bins:
-            acc += np.abs(divide_spectra(y.copy(), x_bins)) ** 2
-    return acc / (len(manifest.entries) * usable)
+            acc += np.abs(y / x_bins) ** 2
+    level = acc / (len(manifest.entries) * usable)
+    if not np.all(np.isfinite(level)):
+        raise LevelOutOfRange("background level has non-finite bins")
+    return level
 
 
 def _db_power(values: np.ndarray) -> np.ndarray:

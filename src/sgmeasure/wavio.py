@@ -5,13 +5,17 @@ Reads mono PCM 16/24-bit and 32-bit float, in a plain fmt chunk or a
 float.  A file of any other channel count is refused: the estimate needs
 the recording of one path, and mixing channels would change it.  Writes
 mono 32-bit float files, the header and then the samples, with no copy of
-them.  The stdlib wave module cannot handle float data, hence the
-hand-rolled chunk parsing.
+them, as many times over as asked.  The stdlib wave module cannot handle
+float data, hence the hand-rolled chunk parsing.
 
-One parser checks a file's bytes and one decoder turns data bytes into
-float64 samples.  :func:`read_audio` decodes the whole data chunk.
-:func:`open_audio` keeps only where the samples lie, and
-:meth:`AudioFile.read_ranges` decodes ranges of them through one open file.
+One parser checks an open file and one range decoder turns data bytes into
+float64 samples.  The parser reads the chunk headers, seeking from one to
+the next, and reads the data chunk only when it holds float data, 256 KiB
+at a time, to check that every sample is finite; no copy of the whole file
+is made.  :func:`open_audio` keeps only where the samples lie, and
+:meth:`AudioFile.read_ranges` decodes ranges of them through one open file,
+each read into one buffer that the ranges share.  :func:`read_audio` parses
+and decodes the whole data chunk as one range, through one open file.
 
 PCM24 is decoded through one strided view of the bytes: a little-endian
 32-bit word every 3 bytes from one byte before the first sample (for the
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +44,9 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 _DECODABLE = ((_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_FLOAT, 32))  # (format code, bits)
 # The RIFF and data chunk sizes are 32-bit fields: a float32 file holds at most this many samples.
 MAX_FLOAT_SAMPLES = (0xFFFFFFFF - 36) // 4
+# Bytes of float32 samples checked for finiteness at once when a file is opened, and most
+# bytes of whole repeats written by one call.
+_BLOCK_BYTES = 1 << 18
 # A KSDATAFORMAT_SUBTYPE_* GUID is a 2-byte format code followed by this tail.
 _SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
@@ -59,33 +67,32 @@ def _extensible_format(fmt: bytes, path: Path) -> int:
     return code
 
 
-def _parse(path: Path) -> tuple[AudioFile, bytes]:
-    """Read a mono WAV file and check it, the finiteness of float data included.
+def _parse(fh, path: Path) -> AudioFile:
+    """Check the mono WAV file ``path`` open as ``fh``, the finiteness of float data included.
 
-    Returns where its samples lie and the file's bytes.
+    The chunk headers are read by seeking from one to the next; the data
+    chunk is read only when it holds float data, in pieces of at most
+    ``_BLOCK_BYTES``, to check its raw float32 samples.
     """
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CorruptFile(f"cannot read {path}: {exc}") from exc
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+    size = fh.seek(0, 2)
+    fh.seek(0)
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise CorruptFile(f"{path} is not a RIFF/WAVE file")
 
-    view = memoryview(data)  # chunk bodies are views: the payload is not copied
     fmt = frames = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
         if chunk_id == b"fmt ":
-            if len(body) < 16:
+            fmt = fh.read(min(chunk_size, 40))  # the base fmt and the extension's GUID
+            if len(fmt) < 16:
                 raise CorruptFile(f"{path}: truncated fmt chunk")
-            fmt = body
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
+            if pos + 8 + chunk_size > size:
                 raise CorruptFile(f"{path}: truncated data chunk")
-            frames, frames_start = body, pos + 8
+            frames, frames_start = chunk_size, pos + 8
         pos += 8 + chunk_size + (chunk_size & 1)
     if fmt is None or frames is None:
         raise CorruptFile(f"{path}: missing fmt or data chunk")
@@ -102,13 +109,26 @@ def _parse(path: Path) -> tuple[AudioFile, bytes]:
             f"{path}: format code {audio_format} at {bits} bits "
             "(PCM 16/24-bit or 32-bit float only)"
         )
-    if len(frames) % (bits // 8):  # a mono frame is one sample
+    if frames % (bits // 8):  # a mono frame is one sample
         raise CorruptFile(f"{path}: data size not a multiple of the frame size")
     if sample_rate == 0:
         raise CorruptFile(f"{path}: fmt chunk gives a sample rate of 0")
-    if bits == 32 and not np.all(np.isfinite(np.frombuffer(frames, "<f4"))):
-        raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
-    return AudioFile(path, frames_start, len(frames) // (bits // 8), bits, sample_rate), data
+    if bits == 32:
+        buffer = bytearray(min(frames, _BLOCK_BYTES))
+        for at in range(0, frames, _BLOCK_BYTES):
+            raw = _read_into(fh, buffer, frames_start + at, min(frames - at, _BLOCK_BYTES), path)
+            if not np.isfinite(np.frombuffer(raw, "<f4")).all():
+                raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
+    return AudioFile(path, frames_start, frames // (bits // 8), bits, sample_rate)
+
+
+def _read_into(fh, buffer: bytearray, position: int, size: int, path: Path) -> memoryview:
+    """The ``size`` bytes of ``fh`` from ``position``, read into the start of ``buffer``."""
+    fh.seek(position)
+    view = memoryview(buffer)[:size]
+    if fh.readinto(view) < size:
+        raise CorruptFile(f"{path}: file is shorter than its data chunk")
+    return view
 
 
 def _decode(buffer, offset: int, count: int, bits: int) -> np.ndarray:
@@ -119,6 +139,31 @@ def _decode(buffer, offset: int, count: int, bits: int) -> np.ndarray:
         words = np.ndarray((count,), "<i4", buffer, offset - 1, (3,))
         return np.right_shift(words, 8) / 2.0**23
     return np.frombuffer(buffer, "<f4", count, offset).astype(np.float64)
+
+
+def _decode_ranges(
+    fh, audio: AudioFile, ranges: Iterable[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """Samples ``start..stop-1`` of each range of ``audio``, open as ``fh``, read into one
+    buffer that each range reuses; each is decoded into an array of its own."""
+    width = audio.bits // 8
+    buffer = bytearray()
+    for start, stop in ranges:
+        size = (stop - start) * width + 1  # from the byte before the first sample
+        if size > len(buffer):
+            buffer = bytearray(size)
+        raw = _read_into(fh, buffer, audio.offset + start * width - 1, size, audio.path)
+        yield _decode(raw, 1, stop - start, audio.bits)
+
+
+@contextmanager
+def _opened(path: Path):
+    """``path`` open for reading; an OSError while it is open raises :class:`CorruptFile`."""
+    try:
+        with path.open("rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise CorruptFile(f"cannot read {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,39 +182,35 @@ class AudioFile:
         Each is float64, equal to that slice of :func:`read_audio`.  A file
         that no longer holds them raises :class:`CorruptFile`.
         """
-        width = self.bits // 8
-        try:
-            with self.path.open("rb") as fh:
-                for start, stop in ranges:
-                    size = (stop - start) * width + 1  # from the byte before the first sample
-                    fh.seek(self.offset + start * width - 1)
-                    buffer = fh.read(size)
-                    if len(buffer) < size:
-                        raise CorruptFile(f"{self.path}: file is shorter than its data chunk")
-                    yield _decode(buffer, 1, stop - start, self.bits)
-        except OSError as exc:
-            raise CorruptFile(f"cannot read {self.path}: {exc}") from exc
+        with _opened(self.path) as fh:
+            yield from _decode_ranges(fh, self, ranges)
 
 
 def open_audio(path: str | Path) -> AudioFile:
     """Check a mono WAV file as :func:`read_audio` does, and keep where its samples lie."""
-    return _parse(Path(path))[0]
+    path = Path(path)
+    with _opened(path) as fh:
+        return _parse(fh, path)
 
 
 def read_audio(path: str | Path) -> SampleStream:
     """Read a mono WAV file into a SampleStream; other channel counts raise UnsupportedFormat."""
-    audio, data = _parse(Path(path))
-    return SampleStream(_decode(data, audio.offset, audio.length, audio.bits), audio.sample_rate)
+    path = Path(path)
+    with _opened(path) as fh:
+        audio = _parse(fh, path)
+        samples = next(_decode_ranges(fh, audio, [(0, audio.length)]))
+    return SampleStream(samples, audio.sample_rate)
 
 
-def write_audio(path: str | Path, stream: SampleStream) -> None:
-    """Write a mono 32-bit float WAV file: the header, then the float32 samples.
+def write_audio(path: str | Path, stream: SampleStream, repeats: int = 1) -> None:
+    """Write a mono 32-bit float WAV file: the header, then the float32 samples ``repeats`` times.
 
     Samples beyond float32's range raise :class:`ClippedOutput`; a sample
-    rate whose byte rate, or a stream whose data size, does not fit the
-    header's 32-bit fields raises :class:`UnsupportedFormat`.  All are
-    checked before the file is opened.  A path that cannot be written
-    raises :class:`UnwritableOutput`.
+    rate whose byte rate, or ``repeats`` of a stream whose data size, does
+    not fit the header's 32-bit fields raises :class:`UnsupportedFormat`.
+    All are checked before the file is opened.  A path that cannot be
+    written raises :class:`UnwritableOutput`.  Only the samples, and at most
+    ``_BLOCK_BYTES`` of whole repeats of a shorter stream, are held as float32.
     """
     with np.errstate(over="ignore"):  # an overflow is counted below
         f32 = stream.samples.astype("<f4")
@@ -182,15 +223,23 @@ def write_audio(path: str | Path, stream: SampleStream) -> None:
         raise UnsupportedFormat(
             f"sample rate {stream.sample_rate} Hz: its byte rate does not fit a WAV header"
         )
-    if f32.size > MAX_FLOAT_SAMPLES:
-        raise UnsupportedFormat(f"{f32.size} samples do not fit a WAV data chunk")
+    if repeats * f32.size > MAX_FLOAT_SAMPLES:
+        raise UnsupportedFormat(
+            f"{repeats} repeats of {f32.size} samples do not fit a WAV data chunk"
+        )
+    nbytes = repeats * f32.nbytes
     header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + f32.nbytes, b"WAVE", b"fmt ", 16, _FORMAT_FLOAT, 1,
-        stream.sample_rate, byte_rate, 4, 32, b"data", f32.nbytes,
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + nbytes, b"WAVE", b"fmt ", 16, _FORMAT_FLOAT, 1,
+        stream.sample_rate, byte_rate, 4, 32, b"data", nbytes,
     )
+    # repeats written by one call: a short stream is tiled, not written a few bytes a call
+    per_write = min(repeats, max(1, _BLOCK_BYTES // f32.nbytes)) if f32.size else repeats
+    block = np.tile(f32, per_write) if per_write > 1 else f32
     try:
         with Path(path).open("wb") as out:
             out.write(header)
-            out.write(f32.data)
+            for _ in range(repeats // per_write):
+                out.write(block.data)
+            out.write(block[: repeats % per_write * f32.size].data)
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc}") from exc

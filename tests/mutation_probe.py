@@ -38,8 +38,8 @@ TIMEOUT_S = 900
 # (name, module under src/sgmeasure, text within one line as it is, that text mutated)
 MUTANTS = [
     ("background divisor", "session.py",
-     "    return acc / (len(manifest.entries) * usable)",
-     "    return acc / usable"),
+     "    level = acc / (len(manifest.entries) * usable)",
+     "    level = acc / usable"),
     ("normalization", "session.py",
      "    normalization_db = 10.0 * math.log10(output_power / excitation_power)",
      "    normalization_db = 10.0 * math.log10(output_power)"),
@@ -80,9 +80,9 @@ MUTANTS = [
      "        return np.right_shift(words, 8) / 2.0**23",
      "        return np.right_shift(words, 8) / 2.0**24"),
     ("decode twice", "wavio.py",
-     "                    yield _decode(buffer, 1, stop - start, self.bits)",
-     "                    yield _decode(buffer, 1, stop - start, self.bits) + 0.0 * "
-     "_decode(buffer, 1, stop - start, self.bits)"),
+     "        yield _decode(raw, 1, stop - start, audio.bits)",
+     "        yield _decode(raw, 1, stop - start, audio.bits) + 0.0 * "
+     "_decode(raw, 1, stop - start, audio.bits)"),
     ("--smooth 0 spelling", "cli.py",
      '    if text.lower() in ("none", "off", "0"):',
      '    if text.lower() in ("none", "off"):'),
@@ -138,8 +138,8 @@ MUTANTS = [
      '            raise ValueError("sample_rate must be positive")',
      "            pass"),
     ("range read of a removed file", "wavio.py",
-     "        except OSError as exc:",
-     "        except ValueError as exc:"),
+     '        raise CorruptFile(f"cannot read {path}: {exc}") from exc',
+     "        raise"),
     ("line through one x value", "simulate.py",
      "    if x.min() == x.max():",
      "    if x.min() > x.max():"),
@@ -149,6 +149,15 @@ MUTANTS = [
     ("regression fits a point where no bin changed", "simulate.py",
      "            report.bins_changed >= max(1, min_changed_bins)",
      "            report.bins_changed >= min_changed_bins"),
+    ("non-finite mean accepted", "separation.py",
+     "    if not np.all(np.isfinite(mean)):",
+     "    if False:"),
+    ("float check of the first piece only", "wavio.py",
+     "raw = _read_into(fh, buffer, frames_start + at,",
+     "raw = _read_into(fh, buffer, frames_start,"),
+    ("repeats beyond the last whole block dropped", "wavio.py",
+     "            out.write(block[: repeats % per_write * f32.size].data)",
+     "            out.write(block[:0].data)"),
 ]
 
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
+import shlex
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from sgmeasure.cli import main
 from sgmeasure.core import PeriodicSignal, forward_dft_raw, inverse_dft
 from sgmeasure.errors import ManifestError, SampleRateMismatch, SilentRecording
 from sgmeasure.reports import SCHEMA_VERSION, AnalysisReport
@@ -395,3 +398,81 @@ def expected_analyze(excitations, recordings, background, L, M, skip, sample_rat
         "excitation_power_db": 10.0 * math.log10(exc_power),
     }
     return summary, columns
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def wav_file_bytes(samples: np.ndarray, rate: int, encoding: str) -> bytes:
+    """A mono plain-fmt WAV file of ``samples`` as "pcm24" (rounded from full scale 1,
+    clipped) or "float32", packed with numpy and :mod:`struct`."""
+    if encoding == "pcm24":
+        codes = np.clip(np.round(np.asarray(samples) * 2.0**23), -(2**23), 2**23 - 1)
+        payload = codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        code, width = 1, 3
+    else:
+        payload, code, width = np.asarray(samples, dtype="<f4").tobytes(), 3, 4
+    fmt = struct.pack("<HHIIHH", code, 1, rate, rate * width, width, 8 * width)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data"
+    body += struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def music_period(length: int, rate: int, rng: np.random.Generator) -> np.ndarray:
+    """Four decaying harmonic notes, peak 0.5: music, whose |X| has deep gaps between and
+    above the harmonics that only flooring fills."""
+    t = np.arange(length) / rate
+    x = np.zeros(length)
+    for onset in np.sort(rng.integers(0, length // 2, 4)):
+        f0 = 110.0 * 2.0 ** (rng.integers(0, 24) / 12)
+        n = length - onset
+        note = sum(np.sin(2 * np.pi * h * f0 * t[:n] + rng.uniform(0, 2 * np.pi)) / h
+                   for h in range(1, 9))
+        x[onset:] += note * np.exp(-t[:n] / rng.uniform(0.05, 0.2))
+    return 0.5 * x / np.max(np.abs(x))
+
+
+def readme_block(language: str, containing: str) -> str:
+    """The README's first ```language block that contains ``containing``."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.S | re.M)
+    return next(block for block in blocks if containing in block)
+
+
+def readme_session(root: Path, music: list, rate: int, play) -> list[str]:
+    """Make the README's measurement session in ``root`` the way its shell lines do.
+
+    The README's manifest block is written as it is to ``session.json``.  For its p-th
+    entry, ``music[p]`` is written as a PCM24 file, the README's ``safeguard``
+    and ``make-test`` lines run through ``cli.main`` with that entry's file
+    names (``floor_report_p.json`` for the floor report), and ``play`` turns
+    the samples of the test stream into the recording, written as float32.
+    The background the manifest names is silence as long as a recording.
+    Returns the README's ``analyze`` line as ``cli.main`` arguments.
+    """
+    commands = readme_block("sh", "sgmeasure analyze").replace("\\\n", " ")
+    split = (shlex.split(line, comments=True) for line in commands.splitlines())
+    lines = {argv[1]: argv[1:] for argv in split if argv[:1] == ["sgmeasure"]}
+    block = readme_block("json", '"entries"')
+    (root / "session.json").write_text(block)
+    manifest = json.loads(block)
+
+    def run(argv: list[str], names: dict[str, str]) -> None:
+        files = [arg for arg in argv if arg.endswith((".wav", ".json", ".csv"))]
+        assert set(files) <= set(names), f"README line names unknown files: {argv}"
+        assert main([str(root / names[a]) if a in names else a for a in argv]) == 0
+
+    for p, entry in enumerate(manifest["entries"]):
+        names = {"music.wav": f"music_{p}.wav", "excitation.wav": entry["excitation"],
+                 "floor_report.json": f"floor_report_{p}.json",
+                 "test_stream.wav": f"test_stream_{p}.wav"}
+        (root / names["music.wav"]).write_bytes(wav_file_bytes(music[p], rate, "pcm24"))
+        run(lines["safeguard"], names)
+        run(lines["make-test"], names)
+        stream = read_audio(root / names["test_stream.wav"]).samples
+        (root / entry["recording"]).write_bytes(wav_file_bytes(play(stream), rate, "float32"))
+    silence = np.zeros(stream.size)
+    (root / manifest["background_recording"]).write_bytes(
+        wav_file_bytes(silence, rate, "float32"))
+    analyze = lines["analyze"]
+    names = {name: name for name in analyze if name.endswith((".json", ".csv"))}
+    return [str(root / a) if a in names else a for a in analyze]

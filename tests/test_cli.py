@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import sgmeasure
 from sgmeasure import cli
 from sgmeasure.cli import main
 from sgmeasure.core import SampleStream, forward_dft
-from sgmeasure.safeguard import safeguard_signal, threshold_from_db
+from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
 
@@ -144,6 +145,29 @@ def test_make_test_six_repeats_length(tmp_path):
     out = tmp_path / "out.wav"
     assert main(["make-test", "--in", str(infile), "--repeats", "6", "--out", str(out)]) == 0
     assert len(read_audio(out)) == 6 * L
+
+
+def test_make_test_writes_the_tiled_stream(tmp_path):
+    infile, out, tiled = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "tiled.wav"
+    write_period(infile, seed=7)
+    assert main(["make-test", "--in", str(infile), "--repeats", "5", "--out", str(out)]) == 0
+    write_audio(tiled, build_test_stream(read_audio(infile), 5))
+    assert out.read_bytes() == tiled.read_bytes()
+
+
+def test_make_test_holds_one_period(tmp_path):
+    """2048 repeats of 1024 samples: the stream as float64 and as float32 would be 24 MiB."""
+    infile, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    write_period(infile, seed=8)
+    tracemalloc.start()
+    try:
+        assert main(["make-test", "--in", str(infile), "--repeats", "2048",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert out.stat().st_size == 44 + 4 * 2048 * L
 
 
 def test_make_test_zero_repeats_is_usage_error(tmp_path):

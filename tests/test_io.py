@@ -444,6 +444,86 @@ def test_open_checks_every_float_sample(tmp_path, bad):
         open_audio(path)
 
 
+@pytest.mark.parametrize("index", [0, 1 << 16, (1 << 16) - 1, 3 << 16])
+def test_open_checks_float_samples_in_every_piece(tmp_path, index):
+    """Float data is checked 2**16 samples at a time: a NaN in any piece is found."""
+    path = tmp_path / "nan.wav"
+    samples = np.linspace(-0.5, 0.5, (3 << 16) + 1)
+    samples[index] = float("nan")
+    path.write_bytes(wav_bytes(samples, "float32"))
+    with pytest.raises(CorruptFile, match="NaN or infinite"):
+        open_audio(path)
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])
+def test_open_holds_no_copy_of_the_file(tmp_path, encoding):
+    """Opening reads the chunk headers, and float data in pieces of 256 KiB, not the file."""
+    n = 1 << 20
+    path = tmp_path / "long.wav"
+    path.write_bytes(wav_bytes(np.linspace(-0.5, 0.5, n), encoding))
+    tracemalloc.start()
+    try:
+        audio = open_audio(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audio.length == n
+    # one piece of float data and its 64 KiB finiteness mask; the file is 2 to 4 MiB
+    assert peak < (400_000 if encoding == "float32" else 20_000)
+
+
+@pytest.mark.parametrize("n, repeats", [(3, 1), (3, 100_000), (70_000, 3), (0, 5)])
+def test_repeated_write_is_the_write_of_the_tiled_stream(tmp_path, n, repeats):
+    """Whole blocks of repeats, then the rest: the bytes of the stream tiled first."""
+    stream = SampleStream(np.linspace(-1.0, 1.0, n), FS)
+    write_audio(tmp_path / "repeated.wav", stream, repeats)
+    write_audio(tmp_path / "tiled.wav", SampleStream(np.tile(stream.samples, repeats), FS))
+    assert (tmp_path / "repeated.wav").read_bytes() == (tmp_path / "tiled.wav").read_bytes()
+
+
+def test_repeated_write_refuses_more_samples_than_a_data_chunk_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(wavio, "MAX_FLOAT_SAMPLES", 99)
+    write_audio(tmp_path / "fits.wav", SampleStream(np.zeros(33), FS), 3)
+    with pytest.raises(UnsupportedFormat, match="3 repeats of 34 samples"):
+        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(34), FS), 3)
+    assert not (tmp_path / "w.wav").exists()
+
+
+def test_safeguard_reads_only_its_period(tmp_path):
+    """A long PCM24 input is read for its first period alone: memory grows with L, not the file."""
+    from sgmeasure.cli import main
+
+    L, peaks = 1024, []
+    for periods in (2, 2, 256):  # the first run warms up; the last file is 768 KiB of PCM24
+        path = tmp_path / f"in{periods}.wav"
+        path.write_bytes(wav_bytes(0.5 * np.sin(np.arange(periods * L) * 0.3), "pcm24"))
+        out, report = tmp_path / f"out{periods}.wav", tmp_path / f"r{periods}.json"
+        tracemalloc.start()
+        try:
+            assert main(["safeguard", "--in", str(path), "--period", str(L),
+                         "--out", str(out), "--report", str(report)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.read_bytes() == (tmp_path / "out2.wav").read_bytes()
+    assert peaks[2] < peaks[1] + 16384 and peaks[2] < 16 * 8 * L  # the file decodes to 2 MiB
+
+
+def test_safeguard_refuses_a_nan_after_its_period(tmp_path, capsys):
+    """Only the period is floored, but the whole float file is checked when it is opened."""
+    from sgmeasure.cli import main
+
+    path = tmp_path / "nan.wav"
+    samples = sine_stream(n=4096).samples
+    samples[-1] = float("nan")
+    path.write_bytes(wav_bytes(samples, "float32"))
+    rc = main(["safeguard", "--in", str(path), "--period", "1024",
+               "--out", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "CorruptFile"
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_float_write_holds_no_copy_of_the_samples(tmp_path):
     """The header and then the float32 samples are written: no bytes copy of them is made."""
     n = 1 << 18

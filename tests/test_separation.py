@@ -10,12 +10,12 @@ from sgmeasure.core import SampleStream, forward_dft
 from sgmeasure.errors import (
     InsufficientRepetitions,
     InsufficientSignals,
+    LevelOutOfRange,
     StreamTooShort,
     ZeroBinExcitation,
 )
 from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
 from sgmeasure.separation import (
-    divide_spectra,
     estimate_transfer,
     excitation_bins,
     impulse_response,
@@ -144,8 +144,29 @@ def test_segment_out_of_range():
 
 
 def test_non_finite_estimate_rejected():
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        divide_spectra(np.array([[1e300 + 0j, 1.0]]), np.array([1e-300 + 0j, 1.0]))
+    """A non-finite estimate is refused from its mean over the rows, a check of K bins.
+
+    The mean is non-finite when a row holds a non-finite bin or when the
+    finite rows' sum overflows; a WAV file gives neither (float32 samples
+    bound |Y/X| far below 1e308), so only the library reaches this check.
+    """
+    block = np.full((2, 8), 1e300)  # bin 0 of each segment is 8e300
+    tiny = np.full(5, 1e-300 + 0j)
+    with np.errstate(over="ignore"):
+        with pytest.raises(LevelOutOfRange, match="non-finite"):
+            time_invariant_block(block, tiny)
+        with pytest.raises(LevelOutOfRange, match="non-finite"):
+            estimate_transfer(block, tiny)
+    finite = np.ones((3, 4), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+            rows = finite.copy()
+            rows[1, 2] = bad
+            with pytest.raises(LevelOutOfRange, match="non-finite"):
+                separate_signals([finite.copy(), rows])
+        overflowing = np.full((2, 4), 1e308 + 0j)  # finite rows whose sum is not
+        with pytest.raises(LevelOutOfRange, match="non-finite"):
+            separate_signals([overflowing])
 
 
 # --- batched block path -------------------------------------------------
