@@ -8,14 +8,15 @@ mono 32-bit float files, the header and then the samples, with no copy of
 them, as many times over as asked.  The stdlib wave module cannot handle
 float data, hence the hand-rolled chunk parsing.
 
-One parser checks an open file and one range decoder turns data bytes into
-float64 samples.  The parser reads the chunk headers, seeking from one to
-the next, and reads the data chunk only when it holds float data, 256 KiB
-at a time, to check that every sample is finite; no copy of the whole file
-is made.  :func:`open_audio` keeps only where the samples lie, and
+One parser checks the headers of an open file and one range decoder turns
+data bytes into float64 samples.  The parser reads the chunk headers,
+seeking from one to the next; no copy of the whole file is made.
+:func:`open_audio` then reads float data 256 KiB at a time to check that
+every sample is finite, and keeps only where the samples lie;
 :meth:`AudioFile.read_ranges` decodes ranges of them through one open file,
 each read into one buffer that the ranges share.  :func:`read_audio` parses
-and decodes the whole data chunk as one range, through one open file.
+and decodes the whole data chunk as one range, through one open file, and
+checks the decoded float data, so each byte is read once.
 
 PCM24 is decoded through one strided view of the bytes: a little-endian
 32-bit word every 3 bytes from one byte before the first sample (for the
@@ -44,9 +45,8 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 _DECODABLE = ((_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_FLOAT, 32))  # (format code, bits)
 # The RIFF and data chunk sizes are 32-bit fields: a float32 file holds at most this many samples.
 MAX_FLOAT_SAMPLES = (0xFFFFFFFF - 36) // 4
-# Bytes of float32 samples checked for finiteness at once when a file is opened, and most
-# bytes of whole repeats written by one call.
-_BLOCK_BYTES = 1 << 18
+# Bytes of float32 samples checked for finiteness at once when a file is opened.
+_CHECK_BYTES = 1 << 18
 # A KSDATAFORMAT_SUBTYPE_* GUID is a 2-byte format code followed by this tail.
 _SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
@@ -68,12 +68,8 @@ def _extensible_format(fmt: bytes, path: Path) -> int:
 
 
 def _parse(fh, path: Path) -> AudioFile:
-    """Check the mono WAV file ``path`` open as ``fh``, the finiteness of float data included.
-
-    The chunk headers are read by seeking from one to the next; the data
-    chunk is read only when it holds float data, in pieces of at most
-    ``_BLOCK_BYTES``, to check its raw float32 samples.
-    """
+    """Check the headers of the mono WAV file ``path`` open as ``fh``, read by seeking
+    from one chunk header to the next; no sample is read."""
     size = fh.seek(0, 2)
     fh.seek(0)
     head = fh.read(12)
@@ -113,13 +109,13 @@ def _parse(fh, path: Path) -> AudioFile:
         raise CorruptFile(f"{path}: data size not a multiple of the frame size")
     if sample_rate == 0:
         raise CorruptFile(f"{path}: fmt chunk gives a sample rate of 0")
-    if bits == 32:
-        buffer = bytearray(min(frames, _BLOCK_BYTES))
-        for at in range(0, frames, _BLOCK_BYTES):
-            raw = _read_into(fh, buffer, frames_start + at, min(frames - at, _BLOCK_BYTES), path)
-            if not np.isfinite(np.frombuffer(raw, "<f4")).all():
-                raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
     return AudioFile(path, frames_start, frames // (bits // 8), bits, sample_rate)
+
+
+def _check_finite(samples: np.ndarray, path: Path) -> None:
+    """Refuse float data that holds NaN or infinity."""
+    if not np.isfinite(samples).all():
+        raise CorruptFile(f"{path}: float data holds NaN or infinite samples")
 
 
 def _read_into(fh, buffer: bytearray, position: int, size: int, path: Path) -> memoryview:
@@ -190,7 +186,14 @@ def open_audio(path: str | Path) -> AudioFile:
     """Check a mono WAV file as :func:`read_audio` does, and keep where its samples lie."""
     path = Path(path)
     with _opened(path) as fh:
-        return _parse(fh, path)
+        audio = _parse(fh, path)
+        if audio.bits == 32:  # the raw float32 values, a piece at a time
+            size, start = audio.length * 4, audio.offset
+            buffer = bytearray(min(size, _CHECK_BYTES))
+            for at in range(0, size, _CHECK_BYTES):
+                raw = _read_into(fh, buffer, start + at, min(size - at, _CHECK_BYTES), path)
+                _check_finite(np.frombuffer(raw, "<f4"), path)
+    return audio
 
 
 def read_audio(path: str | Path) -> SampleStream:
@@ -199,19 +202,23 @@ def read_audio(path: str | Path) -> SampleStream:
     with _opened(path) as fh:
         audio = _parse(fh, path)
         samples = next(_decode_ranges(fh, audio, [(0, audio.length)]))
+    if audio.bits == 32:
+        _check_finite(samples, path)
     return SampleStream(samples, audio.sample_rate)
 
 
 def write_audio(path: str | Path, stream: SampleStream, repeats: int = 1) -> None:
     """Write a mono 32-bit float WAV file: the header, then the float32 samples ``repeats`` times.
 
-    Samples beyond float32's range raise :class:`ClippedOutput`; a sample
-    rate whose byte rate, or ``repeats`` of a stream whose data size, does
-    not fit the header's 32-bit fields raises :class:`UnsupportedFormat`.
-    All are checked before the file is opened.  A path that cannot be
-    written raises :class:`UnwritableOutput`.  Only the samples, and at most
-    ``_BLOCK_BYTES`` of whole repeats of a shorter stream, are held as float32.
+    A negative ``repeats`` raises ValueError.  Samples beyond float32's range
+    raise :class:`ClippedOutput`; a sample rate whose byte rate, or
+    ``repeats`` of a stream whose data size, does not fit the header's
+    32-bit fields raises :class:`UnsupportedFormat`.  All are checked before
+    the file is opened.  A path that cannot be written raises
+    :class:`UnwritableOutput`.  Only the samples, once, are held as float32.
     """
+    if repeats < 0:
+        raise ValueError(f"repeats must be non-negative, got {repeats}")
     with np.errstate(over="ignore"):  # an overflow is counted below
         f32 = stream.samples.astype("<f4")
     if not np.all(np.isfinite(f32)):  # no mask is kept beside the samples
@@ -232,14 +239,10 @@ def write_audio(path: str | Path, stream: SampleStream, repeats: int = 1) -> Non
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + nbytes, b"WAVE", b"fmt ", 16, _FORMAT_FLOAT, 1,
         stream.sample_rate, byte_rate, 4, 32, b"data", nbytes,
     )
-    # repeats written by one call: a short stream is tiled, not written a few bytes a call
-    per_write = min(repeats, max(1, _BLOCK_BYTES // f32.nbytes)) if f32.size else repeats
-    block = np.tile(f32, per_write) if per_write > 1 else f32
     try:
         with Path(path).open("wb") as out:
             out.write(header)
-            for _ in range(repeats // per_write):
-                out.write(block.data)
-            out.write(block[: repeats % per_write * f32.size].data)
+            for _ in range(repeats):
+                out.write(f32.data)
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc}") from exc

@@ -153,11 +153,14 @@ MUTANTS = [
      "    if not np.all(np.isfinite(mean)):",
      "    if False:"),
     ("float check of the first piece only", "wavio.py",
-     "raw = _read_into(fh, buffer, frames_start + at,",
-     "raw = _read_into(fh, buffer, frames_start,"),
-    ("repeats beyond the last whole block dropped", "wavio.py",
-     "            out.write(block[: repeats % per_write * f32.size].data)",
-     "            out.write(block[:0].data)"),
+     "raw = _read_into(fh, buffer, start + at,",
+     "raw = _read_into(fh, buffer, start,"),
+    ("whole read leaves float data unchecked", "wavio.py",
+     "        _check_finite(samples, path)",
+     "        pass"),
+    ("one repeat written", "wavio.py",
+     "            for _ in range(repeats):",
+     "            for _ in range(1):"),
 ]
 
 

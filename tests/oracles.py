@@ -403,19 +403,24 @@ def expected_analyze(excitations, recordings, background, L, M, skip, sample_rat
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def wav_file_bytes(samples: np.ndarray, rate: int, encoding: str) -> bytes:
-    """A mono plain-fmt WAV file of ``samples`` as "pcm24" (rounded from full scale 1,
-    clipped) or "float32", packed with numpy and :mod:`struct`."""
-    if encoding == "pcm24":
-        codes = np.clip(np.round(np.asarray(samples) * 2.0**23), -(2**23), 2**23 - 1)
-        payload = codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-        code, width = 1, 3
+ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}  # (format code, bits)
+
+
+def write_wav(path: Path, samples, encoding: str = "float32", rate: int = 48000) -> None:
+    """A mono WAV file of ``samples``; PCM codes are rounded from full scale 1."""
+    code, bits = ENCODINGS[encoding]
+    x = np.asarray(samples, dtype=np.float64)
+    if encoding == "float32":
+        data = x.astype("<f4").tobytes()
     else:
-        payload, code, width = np.asarray(samples, dtype="<f4").tobytes(), 3, 4
-    fmt = struct.pack("<HHIIHH", code, 1, rate, rate * width, width, 8 * width)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data"
-    body += struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) & 1)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+        top = 2.0 ** (bits - 1)
+        codes = np.clip(np.round(x * top), -top, top - 1).astype("<i4")
+        data = codes.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+    width = bits // 8
+    path.write_bytes(struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, code, 1,
+        rate, rate * width, width, bits, b"data", len(data),
+    ) + data)
 
 
 def music_period(length: int, rate: int, rng: np.random.Generator) -> np.ndarray:
@@ -465,14 +470,12 @@ def readme_session(root: Path, music: list, rate: int, play) -> list[str]:
         names = {"music.wav": f"music_{p}.wav", "excitation.wav": entry["excitation"],
                  "floor_report.json": f"floor_report_{p}.json",
                  "test_stream.wav": f"test_stream_{p}.wav"}
-        (root / names["music.wav"]).write_bytes(wav_file_bytes(music[p], rate, "pcm24"))
+        write_wav(root / names["music.wav"], music[p], "pcm24", rate)
         run(lines["safeguard"], names)
         run(lines["make-test"], names)
         stream = read_audio(root / names["test_stream.wav"]).samples
-        (root / entry["recording"]).write_bytes(wav_file_bytes(play(stream), rate, "float32"))
-    silence = np.zeros(stream.size)
-    (root / manifest["background_recording"]).write_bytes(
-        wav_file_bytes(silence, rate, "float32"))
+        write_wav(root / entry["recording"], play(stream), "float32", rate)
+    write_wav(root / manifest["background_recording"], np.zeros(stream.size), "float32", rate)
     analyze = lines["analyze"]
     names = {name: name for name in analyze if name.endswith((".json", ".csv"))}
     return [str(root / a) if a in names else a for a in analyze]

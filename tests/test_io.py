@@ -472,9 +472,9 @@ def test_open_holds_no_copy_of_the_file(tmp_path, encoding):
     assert peak < (400_000 if encoding == "float32" else 20_000)
 
 
-@pytest.mark.parametrize("n, repeats", [(3, 1), (3, 100_000), (70_000, 3), (0, 5)])
+@pytest.mark.parametrize("n, repeats", [(3, 1), (3, 5), (0, 5), (3, 0)])
 def test_repeated_write_is_the_write_of_the_tiled_stream(tmp_path, n, repeats):
-    """Whole blocks of repeats, then the rest: the bytes of the stream tiled first."""
+    """One header, then the samples ``repeats`` times: the bytes of the stream tiled first."""
     stream = SampleStream(np.linspace(-1.0, 1.0, n), FS)
     write_audio(tmp_path / "repeated.wav", stream, repeats)
     write_audio(tmp_path / "tiled.wav", SampleStream(np.tile(stream.samples, repeats), FS))
@@ -487,6 +487,31 @@ def test_repeated_write_refuses_more_samples_than_a_data_chunk_holds(tmp_path, m
     with pytest.raises(UnsupportedFormat, match="3 repeats of 34 samples"):
         write_audio(tmp_path / "w.wav", SampleStream(np.zeros(34), FS), 3)
     assert not (tmp_path / "w.wav").exists()
+
+
+def test_repeated_write_refuses_a_negative_count(tmp_path):
+    with pytest.raises(ValueError, match="non-negative"):
+        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(4), FS), -1)
+    assert not (tmp_path / "w.wav").exists()
+
+
+@pytest.mark.parametrize("encoding", ["pcm24", "float32"])
+def test_whole_read_reads_each_data_byte_once(tmp_path, encoding, monkeypatch):
+    """read_audio checks float data on the decoded samples, not in a read of its own."""
+    n = (1 << 17) + 3
+    path = tmp_path / "w.wav"
+    path.write_bytes(wav_bytes(np.linspace(-0.5, 0.5, n), encoding))
+    sizes = []
+    read_into = wavio._read_into
+
+    def counted(fh, buffer, position, size, path):
+        sizes.append(size)
+        return read_into(fh, buffer, position, size, path)
+
+    monkeypatch.setattr(wavio, "_read_into", counted)
+    assert len(read_audio(path)) == n
+    width = ENCODINGS[encoding][1] // 8
+    assert sizes == [n * width + 1]  # from the byte before the first sample
 
 
 def test_safeguard_reads_only_its_period(tmp_path):

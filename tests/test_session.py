@@ -1,7 +1,6 @@
 """Analyze sessions read a piece at a time: the same report as whole reads, in less memory."""
 
 import json
-import struct
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -18,27 +17,9 @@ from sgmeasure.errors import SgMeasureError
 from sgmeasure.reports import write_report
 from sgmeasure.session import analyze_session, load_manifest
 
-from oracles import expected_analyze, read_report, whole_recording_report
+from oracles import ENCODINGS, expected_analyze, read_report, whole_recording_report, write_wav
 
 FS = 48000
-ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}  # (format code, bits)
-
-
-def write_wav(path, samples, encoding="float32"):
-    """A mono WAV file of ``samples``; PCM codes are rounded from full scale 1."""
-    code, bits = ENCODINGS[encoding]
-    x = np.asarray(samples, dtype=np.float64)
-    if encoding == "float32":
-        data = x.astype("<f4").tobytes()
-    else:
-        top = 2.0 ** (bits - 1)
-        codes = np.clip(np.round(x * top), -top, top - 1).astype("<i4")
-        data = codes.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
-    width = bits // 8
-    path.write_bytes(struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, code, 1,
-        FS, FS * width, width, bits, b"data", len(data),
-    ) + data)
 
 
 def write_session(root, periods, recordings, background=None, encoding="float32", **keys):
