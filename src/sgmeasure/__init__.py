@@ -6,21 +6,13 @@ recordings of their repeated playback, and separate the LTI,
 random/time-varying, and signal-dependent parts of the response.
 """
 
-from .core import (
-    PeriodicSignal,
-    SampleStream,
-    Spectrum,
-    forward_dft,
-    inverse_dft,
-)
+from .core import SampleStream
 from .safeguard import (
-    FloorThreshold,
     SafeguardReport,
-    apply_floor,
-    build_test_stream,
+    floor_period,
     floor_report,
-    safeguard_signal,
-    threshold_from_db,
+    floor_threshold,
+    safeguard_period,
 )
 from .separation import (
     estimate_transfer,

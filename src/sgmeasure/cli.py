@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .core import PeriodicSignal, forward_dft
+from .core import SampleStream
 from .errors import InputFormatError, SgMeasureError, UnwritableOutput
 from .reports import SCHEMA_VERSION, _clean, write_report
-from .safeguard import safeguard_signal, threshold_from_db
+from .safeguard import safeguard_period
 from .session import analyze_session, load_manifest
 from .simulate import (
     run_flooring_regression,
@@ -83,18 +83,14 @@ def _cmd_safeguard(args) -> int:
         raise InputFormatError(
             f"{args.infile}: {audio.length} samples, need a full period of {args.period}"
         )
-    samples = next(audio.read_ranges([(0, args.period)]))  # the period alone is read
-    period = PeriodicSignal(samples, audio.sample_rate)
-    spectrum = forward_dft(period)
-    theta = threshold_from_db(spectrum, args.theta_db)
-    safeguarded, report = safeguard_signal(period, theta, spectrum)
-    write_audio(args.out, safeguarded)
+    period = next(audio.read_ranges([(0, args.period)]))  # the period alone is read
+    safeguarded, report = safeguard_period(period, args.theta_db)
+    write_audio(args.out, SampleStream(safeguarded, audio.sample_rate))
     doc = _clean({
         "schema_version": SCHEMA_VERSION,
-        "period_length": period.period_length,
-        "sample_rate": period.sample_rate,
+        "period_length": args.period,
+        "sample_rate": audio.sample_rate,
         "theta_db": args.theta_db,
-        "theta_linear": theta.theta_linear,
         **dataclasses.asdict(report),  # added_component_db is null when no bin changed
     })
     try:

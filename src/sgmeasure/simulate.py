@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PeriodicSignal, SampleStream, forward_dft, full_spectrum_mean
+from .core import forward_dft_raw, full_spectrum_mean
 from .errors import DegenerateFit, InputFormatError, InsufficientSignals, LevelOutOfRange
 from .reports import AnalysisReport
-from .safeguard import floor_report, safeguard_signal, threshold_from_db
+from .safeguard import floor_period, floor_report, floor_threshold
 from .separation import (
     estimate_transfer,
     excitation_bins,
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 SNR_OFF = math.inf
-_SAMPLE_RATE = 44100  # of the simulated streams: no reported number depends on it
 
 DEFAULT_THETA_DB_GRID = tuple(float(t) for t in range(-50, 25, 5))
 DEFAULT_INPUT_LEVEL_GRID = tuple(float(t) for t in range(0, -44, -4))
@@ -78,9 +77,9 @@ def _db(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
-def white_noise_period(length: int, sample_rate: int, seed: int) -> PeriodicSignal:
+def white_noise_period(length: int, seed: int) -> np.ndarray:
     """Seeded unit-variance Gaussian white-noise period."""
-    return PeriodicSignal(_rng(seed).standard_normal(length), sample_rate)
+    return _rng(seed).standard_normal(length)
 
 
 def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -98,9 +97,7 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.expm1(alpha * x) / alpha
 
 
-def simulate_chain(
-    test: SampleStream, config: SimulationConfig, *, repeats: int = 1
-) -> SampleStream:
+def simulate_chain(test: np.ndarray, config: SimulationConfig, *, repeats: int = 1) -> np.ndarray:
     """Play ``repeats`` back-to-back copies of the period ``test`` through the virtual chain.
 
     Gain and the nonlinearity run once on the period: their output tiled
@@ -121,22 +118,20 @@ def simulate_chain(
     if gain == 0.0:
         raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
     with np.errstate(over="ignore", invalid="ignore"):  # checked here, without a warning
-        out = nonlinearity(gain * test.samples, config.alpha)
+        out = nonlinearity(gain * test, config.alpha)
         power = float(np.mean(out**2))  # finite only if every output sample is
         if not (math.isfinite(power) and math.isfinite(power * noise_ratio)):
             raise LevelOutOfRange(f"{config} overflows the output or its noise power")
-    if power == 0.0 and np.any(test.samples):
+    if power == 0.0 and np.any(test):
         raise LevelOutOfRange(
             f"input level {config.input_level_db} dB underflows the output power to zero"
         )
-    if math.isfinite(config.snr_db):
-        sigma = math.sqrt(power * noise_ratio)
-        samples = _rng(config.seed, 0xD1CE).standard_normal(repeats * out.size)
-        samples *= sigma
-        samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy
-    else:
-        samples = np.tile(out, repeats)
-    return SampleStream(samples, test.sample_rate)
+    if not math.isfinite(config.snr_db):
+        return np.tile(out, repeats)
+    samples = _rng(config.seed, 0xD1CE).standard_normal(repeats * out.size)
+    samples *= math.sqrt(power * noise_ratio)
+    samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy
+    return samples
 
 
 def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -167,13 +162,13 @@ def run_flooring_regression(
     ``max_changed_fraction`` of all bins changed (above that the floor
     saturates and the relation bends toward slope 1).
     """
-    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
-    spectrum = forward_dft(signal)
+    magnitude = np.abs(forward_dft_raw(white_noise_period(period_length, seed)))
     sigma_db: list[float] = []
     bins_changed: list[float] = []
     used: list[float] = []
     for theta_db in theta_db_grid:
-        report = floor_report(spectrum, threshold_from_db(spectrum, theta_db))
+        theta = floor_threshold(magnitude, period_length, theta_db)
+        report = floor_report(magnitude, period_length, theta)
         if report.added_component_db == math.inf:  # white noise is not silent: an overflow
             raise LevelOutOfRange(f"flooring at {theta_db} dB adds a power beyond float64")
         sigma_db.append(report.added_component_db)
@@ -198,14 +193,20 @@ def run_flooring_regression(
     )
 
 
-def _safeguarded_excitation(signal, spectrum, theta_db):
-    """``signal`` floored at theta_db and its one-sided excitation bins, checked for zeros.
+def _flooring(period):
+    """theta_db -> ``period`` floored at theta_db and its excitation bins, checked for zeros.
 
-    ``spectrum`` is ``forward_dft(signal)``, shared by every flooring level.
+    The period is transformed once, for every flooring level.
     """
-    theta = threshold_from_db(spectrum, theta_db)
-    safeguarded, _ = safeguard_signal(signal, theta, spectrum)
-    return safeguarded, excitation_bins(safeguarded.samples)
+    bins = forward_dft_raw(period)
+    magnitude = np.abs(bins)
+
+    def floored(theta_db):
+        theta = floor_threshold(magnitude, period.size, theta_db)
+        excitation = floor_period(period, bins, magnitude, theta)
+        return excitation, excitation_bins(excitation)
+
+    return floored
 
 
 def _measured_block(excitation, config, m_count):
@@ -215,8 +216,8 @@ def _measured_block(excitation, config, m_count):
     (m_count, L) segment block of the periods after it.
     """
     recorded = simulate_chain(excitation, config, repeats=m_count + 1)
-    L = excitation.period_length
-    return recorded, segment_block(recorded.samples, L, m_count, skip=L)
+    L = excitation.size
+    return recorded, segment_block(recorded, L, m_count, skip=L)
 
 
 def run_max_deviation_sweep(
@@ -230,10 +231,9 @@ def run_max_deviation_sweep(
     if len(set(names)) < len(names):
         raise InputFormatError(f"snr_db_list {list(snr_db_list)} names a column twice: {names}")
     cols: list[list[float]] = [[] for _ in snr_db_list]
-    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
-    spectrum = forward_dft(signal)
+    floored = _flooring(white_noise_period(period_length, seed))
     for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
+        excitation, x_bins = floored(theta_db)
         for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
             _, block = _measured_block(excitation, config, 1)
@@ -256,10 +256,9 @@ def run_random_response_experiment(
     estimate recovers the injected noise level (-snr dB) directly.
     """
     levels = []
-    signal = white_noise_period(period_length, _SAMPLE_RATE, seed)
-    spectrum = forward_dft(signal)
+    floored = _flooring(white_noise_period(period_length, seed))
     for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = _safeguarded_excitation(signal, spectrum, theta_db)
+        excitation, x_bins = floored(theta_db)
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, block = _measured_block(excitation, config, m_count)
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
@@ -289,12 +288,12 @@ def run_nonlinearity_experiment(
     """
     if p_count < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p_count}")
-    periods = (
-        white_noise_period(period_length, _SAMPLE_RATE, seed + 1000 + p) for p in range(p_count)
-    )
-    excitations = [_safeguarded_excitation(s, forward_dft(s), theta_db) for s in periods]
+    excitations = [
+        _flooring(white_noise_period(period_length, seed + 1000 + p))(theta_db)
+        for p in range(p_count)
+    ]
     with np.errstate(over="ignore"):  # refused below
-        excitation_power = float(np.mean([np.mean(e.samples**2) for e, _ in excitations]))
+        excitation_power = float(np.mean([np.mean(e**2) for e, _ in excitations]))
     if not excitation_power < math.inf:
         raise LevelOutOfRange(f"an excitation power of {excitation_power} overflows float64")
     rand_raw, sdr_raw, rand_norm, sdr_norm = [], [], [], []
@@ -310,7 +309,7 @@ def run_nonlinearity_experiment(
                 seed=seed + 4099 * (j + 1) + p,
             )
             recorded, block = _measured_block(excitation, config, m_count)
-            output_power.append(float(np.mean(recorded.samples**2)))
+            output_power.append(float(np.mean(recorded**2)))
             return estimate_transfer(block, x_bins)
 
         with np.errstate(over="ignore"):  # _db refuses an overflowed level

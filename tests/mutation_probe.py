@@ -65,11 +65,17 @@ MUTANTS = [
      "    var /= n - 1",
      "    var /= n"),
     ("flooring ulp guard", "safeguard.py",
-     "    low = (mag > 0) & (mag < th * (1.0 - 2.0**-50))",
-     "    low = (mag > 0) & (mag < th)"),
+     "_GUARD = 1.0 - 2.0**-50",
+     "_GUARD = 1.0"),
     ("flooring fraction", "safeguard.py",
-     "    return SafeguardReport(changed, changed / length, added_db)",
-     "    return SafeguardReport(changed, changed / (length // 2 + 1), added_db)"),
+     "    return SafeguardReport(theta, changed, changed / length, added_db)",
+     "    return SafeguardReport(theta, changed, changed / (length // 2 + 1), added_db)"),
+    ("period length check", "safeguard.py",
+     "    if period.ndim != 1 or period.size < 2:",
+     "    if period.ndim != 1 or period.size < 1:"),
+    ("threshold range check", "safeguard.py",
+     "    if not 0.0 < theta < math.inf:",
+     "    if not 0.0 <= theta < math.inf:"),
     ("random seed offset", "simulate.py",
      "        config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)",
      "        config = SimulationConfig(snr_db=snr_db, seed=seed + 104729)"),
@@ -98,9 +104,6 @@ MUTANTS = [
     ("stream sample rate check", "core.py",
      '            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")',
      "            pass"),
-    ("period of 2 samples", "core.py",
-     "        if self.samples.size < 2:",
-     "        if self.samples.size < 1:"),
     ("--repeats minimum", "cli.py",
      "type=partial(_integer_at_least, 1)",
      "type=partial(_integer_at_least, 0)"),
@@ -134,9 +137,6 @@ MUTANTS = [
     ("smoothing fraction of zero", "separation.py",
      "    if fraction <= 0:",
      "    if fraction < 0:"),
-    ("spectrum sample rate check", "core.py",
-     '            raise ValueError("sample_rate must be positive")',
-     "            pass"),
     ("range read of a removed file", "wavio.py",
      '        raise CorruptFile(f"cannot read {path}: {exc}") from exc',
      "        raise"),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from sgmeasure.cli import main
-from sgmeasure.core import PeriodicSignal, forward_dft_raw, inverse_dft
+from sgmeasure.core import forward_dft_raw
 from sgmeasure.errors import ManifestError, SampleRateMismatch, SilentRecording
 from sgmeasure.reports import SCHEMA_VERSION, AnalysisReport
 from sgmeasure.separation import (
@@ -47,20 +47,21 @@ def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, spread / (len(rows) - 1)
 
 
-def circular_convolve(x: PeriodicSignal, h: np.ndarray) -> PeriodicSignal:
+def circular_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Circular convolution by direct summation: y[n] = sum_m h[m] x[(n-m) mod L].
 
     The room of the estimator tests: the library has no LTI stage, and a
     recording of this output must give ``h`` back.
     """
+    x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    L = x.period_length
+    L = x.size
     if h.size > L:
         raise ValueError(f"len(h)={h.size} exceeds period L={L}")
     y = np.zeros(L)
     for m, hm in enumerate(h):
-        y += hm * np.roll(x.samples, m)
-    return PeriodicSignal(y, x.sample_rate)
+        y += hm * np.roll(x, m)
+    return y
 
 
 def chain_full_stream(period: np.ndarray, config, repeats: int) -> np.ndarray:
@@ -76,19 +77,27 @@ def chain_full_stream(period: np.ndarray, config, repeats: int) -> np.ndarray:
     return nonlinearity(10.0 ** (config.input_level_db / 20.0) * stream, config.alpha)
 
 
-def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, np.ndarray]:
-    """Flooring on all L complex DFT bins: (bins changed, floored period).
+def floor_bins(bins: np.ndarray, theta_linear: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the bins below the threshold, the bins floored at it).
 
-    Every bin below the threshold is raised to it, keeping its phase (a zero
-    bin becomes theta + 0i), and the period is the real part of the inverse.
+    Every bin below the threshold is raised to it, keeping its phase; a zero
+    bin becomes theta + 0i.
     """
-    bins = np.fft.fft(np.asarray(samples, dtype=np.float64))
     mag = np.abs(bins)
     low = mag < theta_linear * (1.0 - 2.0**-50)
     scaled = low & (mag > 0)
     out = bins.copy()
     out[scaled] = theta_linear * bins[scaled] / mag[scaled]
     out[mag == 0] = theta_linear
+    return low, out
+
+
+def floor_full_spectrum(samples: np.ndarray, theta_linear: float) -> tuple[int, np.ndarray]:
+    """Flooring on all L complex DFT bins: (bins changed, floored period).
+
+    The period is the real part of the inverse of the floored bins.
+    """
+    low, out = floor_bins(np.fft.fft(np.asarray(samples, dtype=np.float64)), theta_linear)
     return int(np.count_nonzero(low)), np.fft.ifft(out).real
 
 
@@ -126,14 +135,15 @@ def separate_stacked(pairs) -> tuple:
     return (h_sti, d_stv_sq, *signal_dependent_response(h_sti))
 
 
-def added_component_db(samples: np.ndarray, floored) -> float:
+def added_component_db(samples: np.ndarray, floored: np.ndarray) -> float:
     """The floored period's change measured in time: power_db(irfft(floored) - x) - power_db(x).
 
+    ``floored`` holds bins 0..L//2 of the floored period of ``samples``.
     :func:`sgmeasure.safeguard.floor_report` reads the same level from the
     bins by Parseval, without the inverse transform.
     """
     x = np.asarray(samples, dtype=np.float64)
-    return power_db(inverse_dft(floored).samples - x) - power_db(x)
+    return power_db(np.fft.irfft(floored, n=x.size) - x) - power_db(x)
 
 
 def pcm_samples(payload: bytes, width: int) -> np.ndarray:

@@ -6,8 +6,8 @@ import time
 import numpy as np
 
 from sgmeasure.cli import main
-from sgmeasure.core import SampleStream, forward_dft
-from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
+from sgmeasure.core import SampleStream
+from sgmeasure.safeguard import safeguard_period
 from sgmeasure.separation import (
     estimate_transfer,
     excitation_bins,
@@ -38,10 +38,8 @@ def _verdict(number, description, ok):
 
 
 def safeguarded(length, seed, theta_db=0.0):
-    signal = white_noise_period(length, FS, seed=seed)
-    spectrum = forward_dft(signal)
-    out, _ = safeguard_signal(signal, threshold_from_db(spectrum, theta_db), spectrum)
-    return out, excitation_bins(out.samples)
+    out, _ = safeguard_period(white_noise_period(length, seed=seed), theta_db)
+    return out, excitation_bins(out)
 
 
 def test_criterion_1_exact_lti_recovery():
@@ -54,31 +52,31 @@ def test_criterion_1_exact_lti_recovery():
     for seed in (0, 1, 2):
         excitation, x_bins = safeguarded(L, seed=seed)
         period_out = circular_convolve(excitation, h)
-        stream = build_test_stream(period_out, 4)
+        stream = np.tile(period_out, 4)
         k = np.arange(L // 2 + 1)
         # every admissible start; an offset d within the period shows up as
         # the known phase ramp exp(2j*pi*k*d/L), compensated before comparing
         for start in range(L, 3 * L + 1):
-            est = estimate_transfer(segment_block(stream.samples, L, 1, start), x_bins)[0]
+            est = estimate_transfer(segment_block(stream, L, 1, start), x_bins)[0]
             aligned = est * np.exp(-2j * np.pi * k * (start - L) / L)
             rel = np.max(np.abs(aligned - h_true) / np.abs(h_true))
             worst = max(worst, rel)
     # identity and pure-delay chains
     excitation, x_bins = safeguarded(L, seed=3)
-    stream = build_test_stream(excitation, 3)
-    est = estimate_transfer(segment_block(stream.samples, L, 1, L), x_bins)[0]
+    stream = np.tile(excitation, 3)
+    est = estimate_transfer(segment_block(stream, L, 1, L), x_bins)[0]
     worst = max(worst, float(np.max(np.abs(est - 1.0))))
-    delayed = SampleStream(np.roll(stream.samples, 5), FS)
-    est = estimate_transfer(segment_block(delayed.samples, L, 1, L), x_bins)[0]
+    delayed = np.roll(stream, 5)
+    est = estimate_transfer(segment_block(delayed, L, 1, L), x_bins)[0]
     ramp = np.exp(-2j * np.pi * np.arange(L // 2 + 1) * 5 / L)
     worst = max(worst, float(np.max(np.abs(est - ramp))))
     # impulse-response recovery at the documented size
     L2 = 8192
     excitation, x_bins = safeguarded(L2, seed=4)
     h2 = np.random.default_rng(101).standard_normal(512) * np.exp(-np.arange(512) / 64.0)
-    stream = build_test_stream(circular_convolve(excitation, h2), 3)
+    stream = np.tile(circular_convolve(excitation, h2), 3)
     recovered = impulse_response(
-        estimate_transfer(segment_block(stream.samples, L2, 1, L2), x_bins)[0], L2
+        estimate_transfer(segment_block(stream, L2, 1, L2), x_bins)[0], L2
     )
     ir_err = max(
         float(np.max(np.abs(recovered[:512] - h2))), float(np.max(np.abs(recovered[512:])))
@@ -132,9 +130,7 @@ def test_criterion_3_flooring_benefit():
 
 
 def test_criterion_4_minus10db_flooring_snr():
-    signal = white_noise_period(100000, FS, seed=0)
-    spectrum = forward_dft(signal)
-    _, report = safeguard_signal(signal, threshold_from_db(spectrum, -10.0), spectrum)
+    _, report = safeguard_period(white_noise_period(100000, seed=0), -10.0)
     snr = -report.added_component_db
     _verdict(4, f"-10 dB flooring adds component at SNR {snr:.2f} dB (30 +- 1.5)",
              abs(snr - 30.0) <= 1.5)
@@ -177,9 +173,9 @@ def test_criterion_7_smoothing_reduces_deviation():
     detail = []
     for snr_db in (20.0, 40.0, 60.0):
         excitation, x_bins = safeguarded(L, seed=8)
-        stream = build_test_stream(excitation, 2)
+        stream = np.tile(excitation, 2)
         recorded = simulate_chain(stream, SimulationConfig(snr_db=snr_db, seed=9))
-        block = segment_block(recorded.samples, L, 1, L)
+        block = segment_block(recorded, L, 1, L)
         power = np.abs(estimate_transfer(block, x_bins)[0]) ** 2
         half = slice(1, L // 2 + 1)
         raw_sd = float(np.std(10 * np.log10(power[half])))
@@ -245,11 +241,11 @@ def test_criterion_9_determinism(tmp_path):
     for p in range(2):
         excitation, _ = safeguarded(L, seed=20 + p)
         exc = tmp_path / f"exc{p}.wav"
-        write_audio(exc, SampleStream(excitation.samples, FS))
-        stream = SampleStream(np.tile(excitation.samples, 5), FS)
-        recorded = simulate_chain(stream, SimulationConfig(snr_db=40.0, seed=30 + p))
+        write_audio(exc, SampleStream(excitation, FS))
+        config = SimulationConfig(snr_db=40.0, seed=30 + p)
+        recorded = simulate_chain(np.tile(excitation, 5), config)
         rec = tmp_path / f"rec{p}.wav"
-        write_audio(rec, recorded)
+        write_audio(rec, SampleStream(recorded, FS))
         entries.append({"excitation": exc.name, "recording": rec.name})
     manifest = tmp_path / "session.json"
     manifest.write_text(json.dumps({

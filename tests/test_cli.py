@@ -12,8 +12,8 @@ import pytest
 import sgmeasure
 from sgmeasure import cli
 from sgmeasure.cli import main
-from sgmeasure.core import SampleStream, forward_dft
-from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
+from sgmeasure.core import SampleStream
+from sgmeasure.safeguard import safeguard_period
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
 
@@ -24,25 +24,22 @@ L = 1024
 
 
 def write_period(path, seed):
-    period = white_noise_period(L, FS, seed=seed)
-    write_audio(path, SampleStream(period.samples * 0.05, FS))
+    write_audio(path, SampleStream(white_noise_period(L, seed=seed) * 0.05, FS))
 
 
 def make_session(tmp_path, p_count=2, m_count=4, snr_db=float("inf"), seed=9):
     """Simulated session on disk: safeguarded excitations + recordings + manifest."""
     entries = []
     for p in range(p_count):
-        raw = white_noise_period(L, FS, seed=seed + p)
-        spectrum = forward_dft(raw)
-        safeguarded, _ = safeguard_signal(raw, threshold_from_db(spectrum, 0.0), spectrum)
+        safeguarded, _ = safeguard_period(white_noise_period(L, seed=seed + p), 0.0)
         exc_path = tmp_path / f"exc{p}.wav"
-        write_audio(exc_path, SampleStream(safeguarded.samples, FS))
+        write_audio(exc_path, SampleStream(safeguarded, FS))
         # re-read so the recording is built from the same float32 period
-        period = read_audio(exc_path)
-        stream = SampleStream(np.tile(period.samples, m_count + 1), FS)
-        recorded = simulate_chain(stream, SimulationConfig(snr_db=snr_db, seed=seed + 50 + p))
+        period = read_audio(exc_path).samples
+        config = SimulationConfig(snr_db=snr_db, seed=seed + 50 + p)
+        recorded = simulate_chain(np.tile(period, m_count + 1), config)
         rec_path = tmp_path / f"rec{p}.wav"
-        write_audio(rec_path, recorded)
+        write_audio(rec_path, SampleStream(recorded, FS))
         entries.append({"excitation": exc_path.name, "recording": rec_path.name})
     manifest = {
         "schema_version": 1,
@@ -75,8 +72,7 @@ def test_safeguard_command_vacuous_floor(tmp_path):
 
 def test_safeguard_command_added_level(tmp_path):
     infile = tmp_path / "in.wav"
-    period = white_noise_period(100000, FS, seed=2)
-    write_audio(infile, SampleStream(period.samples * 0.01, FS))
+    write_audio(infile, SampleStream(white_noise_period(100000, seed=2) * 0.01, FS))
     out = tmp_path / "out.wav"
     report = tmp_path / "report.json"
     rc = main([
@@ -106,7 +102,7 @@ def test_safeguard_command_short_input(tmp_path):
 def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
     # a negative period once sliced from the end and floored the last samples
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(white_noise_period(4096, FS, seed=3).samples * 0.05, FS))
+    write_audio(infile, SampleStream(white_noise_period(4096, seed=3) * 0.05, FS))
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     args = ["--period=4096", option] if option.startswith("--theta-db") else [option]
     with pytest.raises(SystemExit) as exc:
@@ -117,17 +113,31 @@ def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
 
 
 @pytest.mark.parametrize("theta_db,error", [
-    ("3000", "ClippedOutput"), ("6160", "LevelOutOfRange"),
+    ("3000", "ClippedOutput"), ("6160", "LevelOutOfRange"), ("7000", "LevelOutOfRange"),
+    ("-7000", "LevelOutOfRange"),
 ])
 def test_safeguard_level_beyond_float_range_is_analysis_error(tmp_path, capsys, theta_db, error):
-    """The floored period exceeds float32's range, or float64's in the inverse DFT."""
+    """The floored period exceeds float32's range, or float64's in the inverse DFT, or the
+    threshold itself overflows float64 (7000 dB) or underflows to zero (-7000 dB)."""
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(white_noise_period(64, FS, seed=3).samples * 0.05, FS))
+    write_audio(infile, SampleStream(white_noise_period(64, seed=3) * 0.05, FS))
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     rc = main(["safeguard", "--in", str(infile), "--period", "64", "--theta-db", theta_db,
                "--out", str(out), "--report", str(report)])
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists() and not report.exists()
+
+
+def test_safeguard_all_zero_period_is_analysis_error(tmp_path, capsys):
+    """A silent period has no mean magnitude to set the level against."""
+    infile = tmp_path / "in.wav"
+    write_audio(infile, SampleStream(np.zeros(64), FS))
+    out, report = tmp_path / "o.wav", tmp_path / "r.json"
+    rc = main(["safeguard", "--in", str(infile), "--period", "64",
+               "--out", str(out), "--report", str(report)])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSpectrum"
     assert not out.exists() and not report.exists()
 
 
@@ -151,7 +161,7 @@ def test_make_test_writes_the_tiled_stream(tmp_path):
     infile, out, tiled = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "tiled.wav"
     write_period(infile, seed=7)
     assert main(["make-test", "--in", str(infile), "--repeats", "5", "--out", str(out)]) == 0
-    write_audio(tiled, build_test_stream(read_audio(infile), 5))
+    write_audio(tiled, SampleStream(np.tile(read_audio(infile).samples, 5), FS))
     assert out.read_bytes() == tiled.read_bytes()
 
 

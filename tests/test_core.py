@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 import sgmeasure
-from sgmeasure.core import (
-    PeriodicSignal,
-    SampleStream,
-    Spectrum,
-    forward_dft,
-    forward_dft_raw,
-    hermitian_sum,
-    inverse_dft,
-)
+from sgmeasure.core import SampleStream, forward_dft_raw, hermitian_sum
 from sgmeasure.errors import LevelOutOfRange
+from sgmeasure.safeguard import floor_period, safeguard_period
 from sgmeasure.wavio import read_audio, write_audio
 
 from oracles import circular_convolve, power_db
@@ -33,79 +26,69 @@ def dft_direct(x):
 def test_impulse_transform_is_flat():
     x = np.zeros(8)
     x[0] = 1.0
-    spec = forward_dft(PeriodicSignal(x, FS))
-    assert np.allclose(spec.bins, np.ones(5), atol=1e-14)
-    assert spec.length == 8
+    assert np.allclose(forward_dft_raw(x), np.ones(5), atol=1e-14)
 
 
 def test_constant_signal_is_dc_only():
-    spec = forward_dft(PeriodicSignal(np.ones(4), FS))
-    assert np.allclose(spec.bins, [4, 0, 0], atol=1e-14)
+    assert np.allclose(forward_dft_raw(np.ones(4)), [4, 0, 0], atol=1e-14)
 
 
 def test_forward_dft_matches_direct_summation():
     rng = np.random.default_rng(1)
     for length in (15, 16):
         x = rng.standard_normal(length)
-        spec = forward_dft(PeriodicSignal(x, FS))
+        bins = forward_dft_raw(x)
         direct = dft_direct(x)[: length // 2 + 1]
-        assert np.max(np.abs(spec.bins - direct)) < 1e-12 * np.max(np.abs(spec.bins))
+        assert np.max(np.abs(bins - direct)) < 1e-12 * np.max(np.abs(bins))
 
 
 def test_inverse_dft_dc_only():
-    sig = inverse_dft(Spectrum([4, 0, 0], FS, 4))
-    assert np.allclose(sig.samples, 1.0, atol=1e-14)
-    assert sig.period_length == 4
+    """The floor step's inverse is 1/L-normalized: zero bins floored at a vanishing theta."""
+    period = floor_period(np.zeros(4), np.array([4.0, 0, 0]), np.array([4.0, 0, 0]), 1e-300)
+    assert np.allclose(period, 1.0, atol=1e-14)
+    assert period.shape == (4,)
 
 
 def test_inverse_dft_beyond_float_range_is_out_of_range():
-    """Each bin is finite, but the sum the inverse forms is not."""
+    """Each floored bin is finite, but the sum the inverse forms is not."""
+    bins = np.array([1e308, 1e308, 0.0])
     with pytest.raises(LevelOutOfRange, match="overflows"):
-        inverse_dft(Spectrum([1e308, 1e308, 1e308], FS, 4))
+        floor_period(np.zeros(4), bins, np.abs(bins), 1e308)
 
 
 @pytest.mark.parametrize("length", [4, 5])
 def test_spectrum_length_fixes_the_parity_of_the_period(length):
-    """Bins 0..2 belong to a period of 4 or of 5 samples; the inverse follows the length."""
+    """Bins 0..2 belong to a period of 4 or of 5 samples; the floored period follows the period."""
     x = np.random.default_rng(length).standard_normal(length)
-    spec = Spectrum(np.fft.rfft(x), FS, length)
-    assert np.max(np.abs(inverse_dft(spec).samples - x)) < 1e-12
-
-
-@pytest.mark.parametrize("bins,length", [(np.ones(4), 4), (np.ones(3), 6), (np.ones(1), 1)])
-def test_spectrum_bin_count_must_match_length(bins, length):
-    with pytest.raises(ValueError, match="bins"):
-        Spectrum(bins, FS, length)
-
-
-def test_spectrum_refuses_a_sample_rate_of_zero():
-    """inverse_dft reads a ValueError of its period as an overflow: the rate is checked here."""
-    with pytest.raises(ValueError, match="sample_rate"):
-        Spectrum(np.ones(3), 0, 4)
+    bins = forward_dft_raw(x)
+    theta = float(np.min(np.abs(bins))) * (1.0 + 2.0**-40)  # one bin raised by ~1e-12
+    floored = floor_period(x, bins, np.abs(bins), theta)
+    assert floored.shape == (length,) and floored is not x
+    assert np.max(np.abs(floored - x)) < 1e-12
 
 
 def test_round_trip_identity():
+    """The forward transform is unnormalized: numpy's 1/L inverse at length L gives x back."""
     rng = np.random.default_rng(2)
     x = rng.standard_normal(100)
-    back = inverse_dft(forward_dft(PeriodicSignal(x, FS)))
-    assert np.max(np.abs(back.samples - x)) < 1e-12
+    back = np.fft.irfft(forward_dft_raw(x), n=100)
+    assert np.max(np.abs(back - x)) < 1e-12
 
 
 @pytest.mark.parametrize("length", [2, 3, 17, 100, 441, 1000, 2048, 4096])
 def test_round_trip_many_lengths(length):
     rng = np.random.default_rng(length)
     x = rng.standard_normal(length)
-    back = inverse_dft(forward_dft(PeriodicSignal(x, FS)))
-    assert np.max(np.abs(back.samples - x)) < 1e-12
+    back = np.fft.irfft(forward_dft_raw(x), n=length)
+    assert np.max(np.abs(back - x)) < 1e-12
 
 
 def test_parseval():
     rng = np.random.default_rng(3)
     for length in (777, 778):
         x = rng.standard_normal(length)
-        spec = forward_dft(PeriodicSignal(x, FS))
         time_energy = np.sum(x**2)
-        freq_energy = hermitian_sum(np.abs(spec.bins) ** 2, length) / length
+        freq_energy = hermitian_sum(np.abs(forward_dft_raw(x)) ** 2, length) / length
         assert abs(time_energy - freq_energy) < 1e-10 * time_energy
 
 
@@ -121,39 +104,38 @@ def test_hermitian_sum_counts_mirrored_bins_twice(length):
 
 
 def test_real_signal_spectrum_is_hermitian():
-    """The full DFT of a real period mirrors bins 0..L//2, which are all a Spectrum keeps."""
+    """The full DFT of a real period mirrors bins 0..L//2, which are all a transform keeps."""
     rng = np.random.default_rng(4)
     x = rng.standard_normal(64)
     full = dft_direct(x)
     L = full.size
     mirrored = np.conj(full[(-np.arange(L)) % L])
     assert np.max(np.abs(full - mirrored)) < 1e-12 * np.max(np.abs(full))
-    spec = forward_dft(PeriodicSignal(x, FS))
-    assert np.max(np.abs(spec.bins - full[: L // 2 + 1])) < 1e-12 * np.max(np.abs(full))
-    assert spec.bins[0].imag == 0.0
-    assert spec.bins[L // 2].imag == 0.0
+    bins = forward_dft_raw(x)
+    assert np.max(np.abs(bins - full[: L // 2 + 1])) < 1e-12 * np.max(np.abs(full))
+    assert bins[0].imag == 0.0
+    assert bins[L // 2].imag == 0.0
 
 
 def test_convolve_identity_system():
     rng = np.random.default_rng(5)
-    x = PeriodicSignal(rng.standard_normal(32), FS)
+    x = rng.standard_normal(32)
     y = circular_convolve(x, [1.0])
-    assert np.array_equal(y.samples, x.samples)
+    assert np.array_equal(y, x)
 
 
 def test_convolve_unit_delay():
-    x = PeriodicSignal([1.0, 0.0, 0.0, 0.0], FS)
-    y = circular_convolve(x, [0.0, 1.0])
-    assert np.allclose(y.samples, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
+    y = circular_convolve([1.0, 0.0, 0.0, 0.0], [0.0, 1.0])
+    assert np.allclose(y, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_convolution_theorem_cross_check():
     rng = np.random.default_rng(6)
-    x = PeriodicSignal(rng.standard_normal(64), FS)
+    x = rng.standard_normal(64)
     h = rng.standard_normal(16)
     y = circular_convolve(x, h)
-    lhs = forward_dft(y).bins
-    rhs = forward_dft(x).bins * np.fft.rfft(h, n=64)
+    lhs = forward_dft_raw(y)
+    rhs = forward_dft_raw(x) * np.fft.rfft(h, n=64)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
 
@@ -175,13 +157,13 @@ def test_power_db_values():
 
 
 def test_a_period_is_a_sample_stream(tmp_path):
-    """A period goes wherever a stream does: its length is L, and it writes as a WAV."""
-    period = PeriodicSignal(np.float32([0.5, -0.25, 0.125]), FS)
-    assert isinstance(period, SampleStream)
-    assert len(period) == period.period_length == 3
-    write_audio(tmp_path / "p.wav", period)
+    """A safeguarded period writes as a WAV in a stream of its L samples, and reads back."""
+    period, _ = safeguard_period(np.float32([0.5, -0.25, 0.125]), -200.0)  # a vacuous floor
+    stream = SampleStream(period, FS)
+    assert len(stream) == 3
+    write_audio(tmp_path / "p.wav", stream)
     back = read_audio(tmp_path / "p.wav")
-    assert np.array_equal(back.samples, period.samples)
+    assert np.array_equal(back.samples, period)
     assert back.sample_rate == FS
 
 
@@ -192,26 +174,29 @@ def test_package_exports_exactly_these_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported) == [
-        "FloorThreshold", "PeriodicSignal", "SafeguardReport", "SampleStream",
-        "SessionManifest", "SimulationConfig", "Spectrum", "analyze_session",
-        "apply_floor", "build_test_stream", "estimate_transfer", "excitation_bins",
-        "floor_report", "forward_dft", "impulse_response", "inverse_dft", "load_manifest",
+        "SafeguardReport", "SampleStream", "SessionManifest", "SimulationConfig",
+        "analyze_session", "estimate_transfer", "excitation_bins", "floor_period",
+        "floor_report", "floor_threshold", "impulse_response", "load_manifest",
         "nonlinearity", "read_audio", "run_flooring_regression", "run_max_deviation_sweep",
-        "run_nonlinearity_experiment", "run_random_response_experiment", "safeguard_signal",
+        "run_nonlinearity_experiment", "run_random_response_experiment", "safeguard_period",
         "segment_block", "separate_signals", "signal_dependent_response", "simulate_chain",
-        "threshold_from_db", "time_invariant_block", "white_noise_period", "write_audio",
+        "time_invariant_block", "white_noise_period", "write_audio",
     ]
 
 
 def test_periodic_signal_validation():
-    with pytest.raises(ValueError, match="2 samples"):
-        PeriodicSignal([1.0], FS)
-    for kind in (PeriodicSignal, SampleStream):
+    """A period is checked where it is safeguarded, a stream where it is made."""
+    for short in ([1.0], [], 2.0):
+        with pytest.raises(ValueError, match="2 samples"):
+            safeguard_period(short, 0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        safeguard_period(np.ones((2, 3)), 0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        SampleStream(np.ones((2, 3)), FS)
+    for make in (lambda x: safeguard_period(x, 0.0), lambda x: SampleStream(x, FS)):
         with pytest.raises(ValueError, match="finite"):
-            kind([1.0, np.nan], FS)
+            make([1.0, np.nan])
         with pytest.raises(ValueError, match="finite"):
-            kind([1.0, np.inf], FS)
-        with pytest.raises(ValueError, match="1-D"):
-            kind(np.ones((2, 3)), FS)
-        with pytest.raises(ValueError, match="sample_rate"):
-            kind([1.0, 2.0], 0)
+            make([1.0, np.inf])
+    with pytest.raises(ValueError, match="sample_rate"):
+        SampleStream([1.0, 2.0], 0)

@@ -73,3 +73,35 @@ def test_readme_walkthrough_measures_a_known_fir(tmp_path):
     assert np.all(err <= bound)
     # the bound is tight enough to mean something: at most a few thousandths of a dB
     assert np.max(20 * np.log10(1 + bound / truth)) < 0.01
+
+
+def test_readme_walkthrough_reads_a_known_noise_level(tmp_path):
+    """The README's walk-through with white noise of variance sigma**2 added in playback.
+
+    Segment m of the recording is the test stream plus noise N_m, so its
+    estimate is H + N_m[k]/X_s[k] with E|N_m[k]|**2 = L * sigma**2, and the
+    variance over M of each bin estimates L * sigma**2 / |X_s,p[k]|**2.
+    ``random_level`` is its mean over the P signals: averaged over the bins,
+    it must read its expected value within 0.5 dB.
+    """
+    rate, rng = 48000, np.random.default_rng(2022)
+    length, sigma = 16384, 1e-3
+    music = [music_period(length * 3 // 2, rate, rng) for _ in range(2)]
+    noise = np.random.default_rng(7)
+
+    def play(x):
+        return x + sigma * noise.standard_normal(x.size)
+
+    analyze = readme_session(tmp_path, music, rate, play)
+    assert main(analyze) == 0
+
+    manifest = json.loads((tmp_path / "session.json").read_text())
+    L = manifest["period_length"]
+    expected = np.mean([
+        L * sigma**2 / np.abs(np.fft.rfft(read_audio(tmp_path / entry["excitation"]).samples)) ** 2
+        for entry in manifest["entries"]
+    ], axis=0)
+    level_db = np.array(read_report(tmp_path / "result.csv").table["random_level_db"])
+    assert level_db.size == expected.size == L // 2 + 1
+    error_db = 10 * np.log10(np.mean(10.0 ** (level_db / 10.0)) / np.mean(expected))
+    assert abs(error_db) <= 0.5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream, forward_dft
+from sgmeasure.core import SampleStream
 from sgmeasure.errors import (
     InsufficientRepetitions,
     InsufficientSignals,
@@ -14,7 +14,7 @@ from sgmeasure.errors import (
     StreamTooShort,
     ZeroBinExcitation,
 )
-from sgmeasure.safeguard import build_test_stream, safeguard_signal, threshold_from_db
+from sgmeasure.safeguard import safeguard_period
 from sgmeasure.separation import (
     estimate_transfer,
     excitation_bins,
@@ -41,10 +41,8 @@ FS = 44100
 
 def safeguarded_excitation(length, seed):
     """A safeguarded white-noise period and its L//2 + 1 excitation bins."""
-    signal = white_noise_period(length, FS, seed=seed)
-    spectrum = forward_dft(signal)
-    safeguarded, _ = safeguard_signal(signal, threshold_from_db(spectrum, 0.0), spectrum)
-    return safeguarded, excitation_bins(safeguarded.samples)
+    safeguarded, _ = safeguard_period(white_noise_period(length, seed=seed), 0.0)
+    return safeguarded, excitation_bins(safeguarded)
 
 
 def estimate_at(x_bins, samples, L, start):
@@ -85,8 +83,8 @@ def test_plan_rejects_bad_count_and_skip():
 
 def test_identity_system_gives_unit_transfer():
     excitation, x_bins = safeguarded_excitation(256, seed=30)
-    stream = build_test_stream(excitation, 3)
-    h = estimate_transfer(segment_block(stream.samples, 256, 2, 256), x_bins)
+    stream = np.tile(excitation, 3)
+    h = estimate_transfer(segment_block(stream, 256, 2, 256), x_bins)
     assert h.shape == (2, 129)
     assert np.max(np.abs(h - 1.0)) < 1e-10
 
@@ -95,9 +93,9 @@ def test_unaligned_start_differs_only_by_phase_ramp():
     # a segment offset of d within the period rotates bin k by 2*pi*k*d/L
     L = 256
     excitation, x_bins = safeguarded_excitation(L, seed=30)
-    stream = build_test_stream(excitation, 3)
+    stream = np.tile(excitation, 3)
     d = 44
-    h = estimate_at(x_bins, stream.samples, L, L + d)
+    h = estimate_at(x_bins, stream, L, L + d)
     ramp = np.exp(2j * np.pi * np.arange(L // 2 + 1) * d / L)
     assert np.max(np.abs(h - ramp)) < 1e-10
     assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-10
@@ -105,9 +103,9 @@ def test_unaligned_start_differs_only_by_phase_ramp():
 
 def test_pure_delay_gives_phase_ramp():
     excitation, x_bins = safeguarded_excitation(256, seed=31)
-    stream = build_test_stream(excitation, 3)
+    stream = np.tile(excitation, 3)
     delay = 17
-    h = estimate_at(x_bins, np.roll(stream.samples, delay), 256, 256)
+    h = estimate_at(x_bins, np.roll(stream, delay), 256, 256)
     L = 256
     expected = np.exp(-2j * np.pi * np.arange(L // 2 + 1) * delay / L)
     assert np.max(np.abs(h - expected)) < 1e-9
@@ -119,9 +117,9 @@ def test_known_ir_chain_recovered_at_every_plan_start():
     rng = np.random.default_rng(33)
     h = rng.standard_normal(32) * 0.3
     period_out = circular_convolve(excitation, h)
-    stream = build_test_stream(period_out, 4)
+    stream = np.tile(period_out, 4)
     expected = np.fft.rfft(h, n=L)
-    for est in estimate_transfer(segment_block(stream.samples, L, 3, L), x_bins):
+    for est in estimate_transfer(segment_block(stream, L, 3, L), x_bins):
         assert np.max(np.abs(est - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
@@ -194,9 +192,9 @@ def assert_block_path_matches_reference(samples, x, L, m, skip):
 def test_block_path_matches_per_segment_path_exactly(L, m):
     excitation, x_bins = safeguarded_excitation(L, seed=36)
     stream = simulate_chain(
-        build_test_stream(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
+        np.tile(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
     )
-    assert_block_path_matches_reference(stream.samples, x_bins, L, m, L)
+    assert_block_path_matches_reference(stream, x_bins, L, m, L)
 
 
 @st.composite
@@ -340,8 +338,8 @@ def test_opposite_estimates_hand_computed_variance():
 
 def test_noiseless_chain_variance_is_negligible():
     excitation, x_bins = safeguarded_excitation(256, seed=35)
-    stream = build_test_stream(excitation, 5)
-    h_sti, d_stv_sq = time_invariant_block(segment_block(stream.samples, 256, 4, 256), x_bins)
+    stream = np.tile(excitation, 5)
+    h_sti, d_stv_sq = time_invariant_block(segment_block(stream, 256, 4, 256), x_bins)
     assert np.max(d_stv_sq) < 1e-16 * np.max(np.abs(h_sti) ** 2)
 
 
@@ -353,8 +351,8 @@ def test_insufficient_repetitions():
 def test_time_invariant_block_needs_two_rows():
     # A block of one segment gives a single (1, L) row of estimates: no variance.
     excitation, x_bins = safeguarded_excitation(64, seed=36)
-    stream = build_test_stream(excitation, 3)
-    block = segment_block(stream.samples, 64, 1, 64)
+    stream = np.tile(excitation, 3)
+    block = segment_block(stream, 64, 1, 64)
     assert estimate_transfer(block, x_bins).shape == (1, 33)
     with pytest.raises(InsufficientRepetitions):
         time_invariant_block(block, x_bins)
@@ -425,8 +423,8 @@ def test_linear_chain_has_no_signal_dependence():
     per_signal = []
     for p in range(4):
         excitation, x_bins = safeguarded_excitation(256, seed=40 + p)
-        stream = build_test_stream(excitation, 5)
-        h_sti, _ = time_invariant_block(segment_block(stream.samples, 256, 4, 256), x_bins)
+        stream = np.tile(excitation, 5)
+        h_sti, _ = time_invariant_block(segment_block(stream, 256, 4, 256), x_bins)
         per_signal.append(h_sti)
     h_slti, h_ssdr_sq = signal_dependent_response(np.vstack(per_signal))
     assert np.max(h_ssdr_sq) < 1e-16 * np.max(np.abs(h_slti) ** 2)
@@ -500,9 +498,9 @@ def test_smoothing_preserves_interior_mean():
 def test_smoothing_reduces_gain_deviation():
     # noisy gain estimate: smoothed spread strictly below unsmoothed
     excitation, x_bins = safeguarded_excitation(4096, seed=44)
-    stream = build_test_stream(excitation, 2)
+    stream = np.tile(excitation, 2)
     recorded = simulate_chain(stream, SimulationConfig(snr_db=40.0, seed=45))
-    power = np.abs(estimate_at(x_bins, recorded.samples, 4096, 4096)) ** 2
+    power = np.abs(estimate_at(x_bins, recorded, 4096, 4096)) ** 2
     half = slice(1, 2049)
     raw_sd = np.std(10 * np.log10(power[half]))
     smooth_sd = np.std(10 * np.log10(smooth_one_sided(power, 1 / 3)[half]))
@@ -533,7 +531,7 @@ def test_known_ir_recovered_from_simulated_chain():
     rng = np.random.default_rng(47)
     h = rng.standard_normal(512) * np.exp(-np.arange(512) / 80.0)
     period_out = circular_convolve(excitation, h)
-    stream = build_test_stream(period_out, 3)
-    recovered = impulse_response(estimate_at(x_bins, stream.samples, L, L), L)
+    stream = np.tile(period_out, 3)
+    recovered = impulse_response(estimate_at(x_bins, stream, L, L), L)
     assert np.max(np.abs(recovered[:512] - h)) < 1e-7
     assert np.max(np.abs(recovered[512:])) < 1e-7

@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream
 from sgmeasure.errors import (
     AnalysisError, DegenerateFit, InputFormatError, InsufficientRepetitions, InsufficientSignals,
     LevelOutOfRange,
 )
-from sgmeasure.safeguard import build_test_stream
-import sgmeasure.core
-import sgmeasure.safeguard
+from sgmeasure.safeguard import safeguard_period
 import sgmeasure.simulate
 from sgmeasure.simulate import (
     DEFAULT_INPUT_LEVEL_GRID,
@@ -32,8 +29,6 @@ from sgmeasure.simulate import (
 )
 
 from oracles import chain_full_stream, power_db
-
-FS = 44100
 
 
 def test_nonlinearity_linear_limit_is_exact():
@@ -100,25 +95,25 @@ def test_config_refuses_a_negative_alpha_or_an_undefined_snr(change, message):
 
 
 def test_transparent_chain():
-    stream = build_test_stream(white_noise_period(256, FS, seed=1), 3)
+    stream = np.tile(white_noise_period(256, seed=1), 3)
     out = simulate_chain(stream, SimulationConfig(input_level_db=-6.0))
-    assert np.max(np.abs(out.samples - stream.samples * 10 ** (-6.0 / 20.0))) < 1e-12
+    assert np.max(np.abs(out - stream * 10 ** (-6.0 / 20.0))) < 1e-12
 
 
 def test_noise_power_bookkeeping():
-    stream = build_test_stream(white_noise_period(16384, FS, seed=2), 8)
+    stream = np.tile(white_noise_period(16384, seed=2), 8)
     config = SimulationConfig(snr_db=40.0, seed=3)
     out = simulate_chain(stream, config)
-    noise_db = power_db(out.samples - stream.samples)
-    assert noise_db == pytest.approx(power_db(stream.samples) - 40.0, abs=0.2)
+    noise_db = power_db(out - stream)
+    assert noise_db == pytest.approx(power_db(stream) - 40.0, abs=0.2)
 
 
 def test_chain_is_deterministic():
-    stream = build_test_stream(white_noise_period(512, FS, seed=4), 4)
+    stream = np.tile(white_noise_period(512, seed=4), 4)
     config = SimulationConfig(snr_db=30.0, alpha=0.2, seed=5)
     a = simulate_chain(stream, config)
     b = simulate_chain(stream, config)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 @st.composite
@@ -139,12 +134,11 @@ def chain_cases(draw):
 def test_period_chain_matches_tiled_stream_chain(case, snr_db):
     """The period's chain output, tiled, is the stream's; its noise is sigma times the draws."""
     period, config, repeats = case
-    test = SampleStream(period, FS)
-    quiet = simulate_chain(test, config, repeats=repeats).samples
+    quiet = simulate_chain(period, config, repeats=repeats)
     oracle = chain_full_stream(period, config, repeats)
     assert quiet.size == oracle.size == repeats * period.size
     assert np.array_equal(quiet, oracle)
-    noisy = simulate_chain(test, replace(config, snr_db=snr_db), repeats=repeats).samples
+    noisy = simulate_chain(period, replace(config, snr_db=snr_db), repeats=repeats)
     one_period = quiet[: period.size]
     sigma = math.sqrt(np.mean(one_period**2) * 10.0 ** (-snr_db / 10.0))
     philox = np.random.Philox(np.random.SeedSequence([config.seed, 0xD1CE]))
@@ -154,7 +148,7 @@ def test_period_chain_matches_tiled_stream_chain(case, snr_db):
 
 @pytest.mark.parametrize("level_db", [-1e300, -7000.0])
 def test_level_that_underflows_the_gain_is_out_of_range(level_db):
-    test = SampleStream(white_noise_period(64, FS, seed=8).samples, FS)
+    test = white_noise_period(64, seed=8)
     with pytest.raises(LevelOutOfRange, match="zero gain"):
         simulate_chain(test, SimulationConfig(input_level_db=level_db), repeats=3)
 
@@ -162,20 +156,19 @@ def test_level_that_underflows_the_gain_is_out_of_range(level_db):
 @pytest.mark.parametrize("alpha,snr_db", [(0.4, 40.0), (0.0, 40.0), (0.0, math.inf)])
 def test_level_that_underflows_the_output_power_is_out_of_range(alpha, snr_db):
     """A gain of 1e-300 is representable, but the output's squares are not."""
-    test = SampleStream(white_noise_period(64, FS, seed=8).samples, FS)
+    test = white_noise_period(64, seed=8)
     config = SimulationConfig(alpha=alpha, snr_db=snr_db, input_level_db=-6000.0)
     with pytest.raises(LevelOutOfRange, match="output power"):
         simulate_chain(test, config, repeats=2)
 
 
 def test_silent_period_gives_a_silent_stream():
-    test = SampleStream(np.zeros(64), FS)
-    out = simulate_chain(test, SimulationConfig(alpha=0.4), repeats=2)
-    assert not np.any(out.samples)
+    out = simulate_chain(np.zeros(64), SimulationConfig(alpha=0.4), repeats=2)
+    assert out.shape == (128,) and not np.any(out)
 
 
 def test_level_that_overflows_the_output_is_out_of_range():
-    test = SampleStream(white_noise_period(64, FS, seed=9).samples, FS)
+    test = white_noise_period(64, seed=9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
         with pytest.raises(LevelOutOfRange, match="output"):
@@ -187,7 +180,7 @@ def test_level_that_overflows_the_output_is_out_of_range():
 ])
 def test_output_or_noise_power_beyond_float_range_is_out_of_range(input_level_db, snr_db):
     """Every output sample is finite, but the output's power or its noise power is not."""
-    test = SampleStream(white_noise_period(64, FS, seed=9).samples, FS)
+    test = white_noise_period(64, seed=9)
     config = SimulationConfig(snr_db=snr_db, input_level_db=input_level_db)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
@@ -280,16 +273,10 @@ def test_random_response_noise_off_is_negligible():
 
 
 def test_full_floor_excitation_has_flat_magnitude():
-    from sgmeasure.core import forward_dft
-    from sgmeasure.safeguard import safeguard_signal, threshold_from_db
-
-    signal = white_noise_period(4096, FS, seed=5)
-    spectrum = forward_dft(signal)
-    theta = threshold_from_db(spectrum, 20.0)
-    safeguarded, report = safeguard_signal(signal, theta, spectrum)
+    safeguarded, report = safeguard_period(white_noise_period(4096, seed=5), 20.0)
     assert report.bins_changed == 4096
-    mags = np.abs(forward_dft(safeguarded).bins)
-    assert np.max(np.abs(mags - theta.theta_linear)) < 1e-12 * theta.theta_linear
+    mags = np.abs(np.fft.rfft(safeguarded))
+    assert np.max(np.abs(mags - report.theta_linear)) < 1e-12 * report.theta_linear
 
 
 def count_calls(monkeypatch, name, modules):
@@ -309,7 +296,7 @@ def count_calls(monkeypatch, name, modules):
 @pytest.mark.parametrize("runner", [run_random_response_experiment, run_max_deviation_sweep])
 def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
     """One spectrum of the shared noise period and one per floored excitation."""
-    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
+    dfts = count_calls(monkeypatch, "forward_dft_raw", [sgmeasure.simulate])
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     runner(period_length=1024)
     assert len(dfts) == 1 and len(excitations) == len(DEFAULT_THETA_DB_GRID)
@@ -327,7 +314,7 @@ def test_runner_with_too_few_periods_raises_the_typed_error(runner, counts, erro
 
 
 def test_nonlinearity_transforms_each_period_once(monkeypatch):
-    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
+    dfts = count_calls(monkeypatch, "forward_dft_raw", [sgmeasure.simulate])
     excitations = count_calls(monkeypatch, "excitation_bins", [sgmeasure.simulate])
     result = run_nonlinearity_experiment(period_length=1024)
     assert len(result.table["input_level_db"]) == len(DEFAULT_INPUT_LEVEL_GRID)
@@ -336,8 +323,8 @@ def test_nonlinearity_transforms_each_period_once(monkeypatch):
 
 def test_flooring_regression_transforms_its_period_once(monkeypatch):
     """One forward transform; every report comes from the spectrum, with no inverse."""
-    dfts = count_calls(monkeypatch, "forward_dft", [sgmeasure.simulate])
-    inverses = count_calls(monkeypatch, "inverse_dft", [sgmeasure.safeguard, sgmeasure.core])
+    dfts = count_calls(monkeypatch, "forward_dft_raw", [sgmeasure.simulate])
+    inverses = count_calls(monkeypatch, "irfft", [np.fft])
     result = run_flooring_regression()
     assert len(result.table["theta_db"]) == len(DEFAULT_THETA_DB_GRID)
     assert len(dfts) == 1

@@ -1,11 +1,12 @@
 """The benchmark's trace mode still reads what the library passes and returns.
 
 ``perfbench/tracer.py`` wraps the package's public functions and reads
-their arguments to count work (``_count_work``): a period's
-``period_length``, a threshold's ``theta_linear``, a stream's length, a
-report's table.  A change of those signatures or types would break
+their arguments to count work (``_count_work``): the length of the samples
+transformed and of the period played through the chain, a stream's length,
+a report's table.  A change of those signatures or types would break
 ``perfbench/run.py --trace 1`` with no tier-1 test failing, so this test
-runs one small job of each command under the tracer.
+runs one small job of each command under the tracer, and checks that each
+command passes through the functions it is metered by.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 FS = 8000
 L = 256
 COUNTED = (
-    "core.forward_dft", "core.inverse_dft", "safeguard.safeguard_signal",
+    "core.forward_dft_raw", "safeguard.safeguard_period",
     "simulate.simulate_chain", "wavio.read_audio", "reports.write_report",
 )
 
