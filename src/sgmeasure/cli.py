@@ -141,7 +141,8 @@ _MINIMUMS = {
 # refused from the config before anything is made.  That array holds period_length
 # samples times: 1 for the regression's noise period, 2 for the max-deviation chain
 # stream, m_count + 1 for the other chain streams, or p_count for the nonlinearity runner's
-# (p_count, L/2 + 1) complex per-signal stack when that is larger.
+# (p_count, L/2 + 1) complex per-signal stack when that is larger.  A chain runner
+# runs two sweep points at once, so it may hold two such arrays.
 SIMULATE_MAX_SAMPLES = 2**26
 _PERIODS_HELD = {
     "regression": lambda k: 1,

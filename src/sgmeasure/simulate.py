@@ -6,15 +6,18 @@ relative to the pre-noise output power (the safeguarded signal's own
 level), so the configured SNR refers to what actually reaches the virtual
 microphone.  All randomness flows through counter-based Philox generators
 keyed on the configured seed, so identical configs give bit-identical
-streams.  Each experiment runner returns the report the ``simulate``
-command writes: a table of its sweep axis followed by its metric columns,
-and the fitted line in the summary where it has one.  Zero power is -inf
-dB (a null cell).
+streams.  Each sweep point draws from its own Philox key, so the chain
+runners run their points two at a time (:func:`_sweep`) and still write
+the report bytes of a loop.  Each experiment runner returns the report
+the ``simulate`` command writes: a table of its sweep axis followed by
+its metric columns, and the fitted line in the summary where it has
+one.  Zero power is -inf dB (a null cell).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,35 @@ DEFAULT_INPUT_LEVEL_GRID = tuple(float(t) for t in range(0, -44, -4))
 def _rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for one sweep point, keyed on (seed, indices)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+
+
+def _sweep(point, count):
+    """``[point(j) for j in range(count)]``, even j on this thread and odd j on one more.
+
+    numpy releases the GIL in Philox fills, FFTs and large ufuncs, so the sides overlap.
+    Each side stops at its first failure; the error of the least failing j is
+    raised, as the loop raises it.  A point sets the ``np.errstate`` it needs
+    itself: a thread does not inherit its caller's.
+    """
+    results, errors = [None] * count, {}
+
+    def side(start):
+        for j in range(start, count, 2):
+            try:
+                results[j] = point(j)
+            except Exception as exc:
+                errors[j] = exc
+                return
+
+    worker = threading.Thread(target=side, args=(1,))
+    worker.start()
+    try:
+        side(0)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -230,17 +262,21 @@ def run_max_deviation_sweep(
     names = [f"max_deviation_db_snr{snr_db:g}" for snr_db in snr_db_list]
     if len(set(names)) < len(names):
         raise InputFormatError(f"snr_db_list {list(snr_db_list)} names a column twice: {names}")
-    cols: list[list[float]] = [[] for _ in snr_db_list]
     floored = _flooring(white_noise_period(period_length, seed))
-    for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = floored(theta_db)
+
+    def point(j):
+        excitation, x_bins = floored(theta_db_list[j])
+        deviations = []
         for i, snr_db in enumerate(snr_db_list):
             config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
             _, block = _measured_block(excitation, config, 1)
             gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
-            cols[i].append(float(np.max(np.abs(gain_db))))
-    table = {"theta_db": list(theta_db_list), **dict(zip(names, cols))}
-    return AnalysisReport(summary={}, table=table)
+            deviations.append(float(np.max(np.abs(gain_db))))
+        return deviations
+
+    rows = _sweep(point, len(theta_db_list))
+    cols = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return AnalysisReport(summary={}, table={"theta_db": list(theta_db_list), **cols})
 
 
 def run_random_response_experiment(
@@ -255,16 +291,18 @@ def run_random_response_experiment(
     At full flooring the excitation is periodic pseudo-random noise and the
     estimate recovers the injected noise level (-snr dB) directly.
     """
-    levels = []
     floored = _flooring(white_noise_period(period_length, seed))
-    for j, theta_db in enumerate(theta_db_list):
-        excitation, x_bins = floored(theta_db)
+
+    def point(j):
+        excitation, x_bins = floored(theta_db_list[j])
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, block = _measured_block(excitation, config, m_count)
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
             _, d_stv_sq = time_invariant_block(block, x_bins)
             level = full_spectrum_mean(d_stv_sq, period_length)
-        levels.append(_db(level))
+        return _db(level)
+
+    levels = _sweep(point, len(theta_db_list))
     return AnalysisReport(
         summary={}, table={"theta_db": list(theta_db_list), "random_level_db": levels}
     )
@@ -296,8 +334,8 @@ def run_nonlinearity_experiment(
         excitation_power = float(np.mean([np.mean(e**2) for e, _ in excitations]))
     if not excitation_power < math.inf:
         raise LevelOutOfRange(f"an excitation power of {excitation_power} overflows float64")
-    rand_raw, sdr_raw, rand_norm, sdr_norm = [], [], [], []
-    for j, level_db in enumerate(input_level_db_list):
+
+    def point(j):
         output_power = []
 
         def measured(p):
@@ -305,12 +343,13 @@ def run_nonlinearity_experiment(
             config = SimulationConfig(
                 alpha=alpha,
                 snr_db=snr_db,
-                input_level_db=level_db,
+                input_level_db=input_level_db_list[j],
                 seed=seed + 4099 * (j + 1) + p,
             )
             recorded, block = _measured_block(excitation, config, m_count)
-            output_power.append(float(np.mean(recorded**2)))
-            return estimate_transfer(block, x_bins)
+            estimate = estimate_transfer(block, x_bins)  # block views recorded, squared next
+            output_power.append(float(np.mean(np.square(recorded, out=recorded))))
+            return estimate
 
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
             _, d_stv_sq, _, h_ssdr_sq = separate_signals(map(measured, range(p_count)))
@@ -318,17 +357,10 @@ def run_nonlinearity_experiment(
             rand = float(np.mean([full_spectrum_mean(d, period_length) for d in d_stv_sq]))
             sdr = full_spectrum_mean(h_ssdr_sq, period_length)
         norm_db, rand_db, sdr_db = _db(norm), _db(rand), _db(sdr)
-        rand_raw.append(rand_db)
-        sdr_raw.append(sdr_db)
-        rand_norm.append(rand_db - norm_db)
-        sdr_norm.append(sdr_db - norm_db)
-    return AnalysisReport(
-        summary={},
-        table={
-            "input_level_db": list(input_level_db_list),
-            "random_level_db": rand_raw,
-            "signal_dependent_level_db": sdr_raw,
-            "random_level_norm_db": rand_norm,
-            "signal_dependent_level_norm_db": sdr_norm,
-        },
-    )
+        return rand_db, sdr_db, rand_db - norm_db, sdr_db - norm_db
+
+    rows = _sweep(point, len(input_level_db_list))
+    names = ("random_level_db", "signal_dependent_level_db",
+             "random_level_norm_db", "signal_dependent_level_norm_db")
+    cols = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return AnalysisReport(summary={}, table={"input_level_db": list(input_level_db_list), **cols})

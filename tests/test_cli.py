@@ -530,6 +530,23 @@ def test_simulate_nonlinearity_distortion_falls_with_drive_level(tmp_path):
     assert sdr[4] - sdr[3] == pytest.approx(-80.0, abs=1.0)
 
 
+@pytest.mark.parametrize("levels,named", [
+    ([0.0, 7000.0, 8000.0], 7000.0), ([0.0, 0.0, 8000.0, 7000.0], 8000.0),
+])
+def test_simulate_sweep_refuses_its_first_out_of_range_level(tmp_path, capsys, levels, named):
+    """Drive levels run two at a time; the error is still that of the first failing level."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "period_length": 256, "input_level_db_list": levels}))
+    assert main(["simulate", "--config", str(config), "--experiment", "nonlinearity",
+                 "--out", str(tmp_path / "nl.csv")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "LevelOutOfRange"
+    assert f"input level {named} dB" in error["message"]
+    assert str(15000.0 - named) not in error["message"]
+
+
 def test_simulate_unknown_config_key(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 1, "typo_key": 5}))

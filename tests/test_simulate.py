@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -329,3 +331,69 @@ def test_flooring_regression_transforms_its_period_once(monkeypatch):
     assert len(result.table["theta_db"]) == len(DEFAULT_THETA_DB_GRID)
     assert len(dfts) == 1
     assert inverses == []
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_sweep_returns_the_points_in_index_order(count):
+    before = threading.active_count()
+    assert sgmeasure.simulate._sweep(lambda j: 10 * j, count) == [10 * j for j in range(count)]
+    assert threading.active_count() == before
+
+
+def test_sweep_runs_even_points_here_and_odd_points_on_one_worker():
+    threads = sgmeasure.simulate._sweep(lambda j: threading.get_ident(), 5)
+    assert threads[0] == threads[2] == threads[4] == threading.get_ident()
+    assert threads[1] == threads[3] != threading.get_ident()
+
+
+@pytest.mark.parametrize("failing,raised,run", [({1, 2}, 1, {0, 1, 2}), ({2}, 2, {0, 1, 2, 3})])
+def test_sweep_raises_the_error_of_the_least_failing_point(failing, raised, run):
+    """Each side stops at its own first failure; the loop's error is raised, whatever came first."""
+    before = threading.active_count()
+    ran = set()
+    caller_failed = threading.Event()
+
+    def point(j):
+        ran.add(j)
+        if j in failing:
+            if j % 2 == 0:
+                caller_failed.set()
+            else:
+                assert caller_failed.wait(timeout=10)  # the worker fails after the caller
+            raise LevelOutOfRange(str(j))
+        return j
+
+    with pytest.raises(LevelOutOfRange, match=f"^{raised}$"):
+        sgmeasure.simulate._sweep(point, 5)
+    assert ran == run
+    assert threading.active_count() == before
+
+
+def test_concurrent_sweeps_under_frequent_thread_switches_keep_their_points():
+    """Four sweeps at once (eight threads on any core count) each give the loop's list and error."""
+    def point(j):
+        if j == 37:
+            raise LevelOutOfRange(str(j))
+        return float(np.sum(np.arange(j + 1.0)))
+
+    def sweep(count, into):
+        try:
+            into.append(sgmeasure.simulate._sweep(point, count))
+        except LevelOutOfRange as exc:
+            into.append(str(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = [[] for _ in range(4)]
+        callers = [threading.Thread(target=sweep, args=(count, into))
+                   for count, into in zip((30, 37, 38, 60), outcomes)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    loop = [float(np.sum(np.arange(j + 1.0))) for j in range(37)]
+    assert outcomes == [[loop[:30]], [loop], ["37"], ["37"]]

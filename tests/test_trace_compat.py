@@ -39,7 +39,8 @@ def test_every_command_runs_under_the_benchmark_tracer(tmp_path):
     source = tmp_path / "source.wav"
     write_audio(source, SampleStream(0.1 * np.random.default_rng(1).standard_normal(L), FS))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 1, "period_length": 64, "theta_db_list": [0.0]}))
+    # two levels, so the sweep's second point runs on its worker thread under the tracer
+    config.write_text(json.dumps({"seed": 1, "period_length": 64, "theta_db_list": [0.0, -10.0]}))
     manifest = tmp_path / "session.json"
     manifest.write_text(json.dumps({
         "schema_version": 1, "sample_rate": FS, "period_length": L,
