@@ -17,11 +17,8 @@ from .safeguard import (
 from .separation import (
     estimate_transfer,
     excitation_bins,
-    impulse_response,
     segment_block,
     separate_signals,
-    signal_dependent_response,
-    time_invariant_block,
 )
 from .session import SessionManifest, analyze_session, load_manifest
 from .simulate import (

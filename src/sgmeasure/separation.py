@@ -1,19 +1,20 @@
 """Transfer estimation from excitation/recording pairs and response separation.
 
-A recording of a repeated safeguarded period is cut into M non-overlapping
-length-L segments, viewed as one (M, L) block (:func:`segment_block`).
-The block is transformed onto its K = L//2 + 1 one-sided bins, which carry
-all of a real signal's spectrum, in one call, and divided by X_s in place
-(:func:`estimate_transfer`), giving one transfer estimate H[k] = Y[k]/X_s[k]
-per row.  The mean and variance over the M rows separate the time-invariant
-response from the random/time-varying one (:func:`time_invariant_block`,
-which reduces the estimate in its own memory, so no array the size of H is
-made beside it); the mean and variance over the per-signal results of P
-different test signals separate the LTI response from the signal-dependent
-one (:func:`signal_dependent_response`).  Both spreads are unbiased sample
-variances (denominators M-1 and P-1).
-:func:`separate_signals` runs the whole separation on P estimates, reducing
-each one as it arrives, so a generator of estimates keeps one in memory.
+The paper's steps, in order.  A recording of a repeated safeguarded period
+is cut into M non-overlapping length-L segments, viewed as one (M, L)
+block (:func:`segment_block`).  The excitation period's spectrum is taken
+on its K = L//2 + 1 one-sided bins, which carry all of a real signal's
+spectrum (:func:`excitation_bins`).  The block is transformed in one call
+and divided by X_s in place (:func:`estimate_transfer`), giving one
+transfer estimate H[k] = Y[k]/X_s[k] per row.  One statistic, the bin-wise
+mean and unbiased sample variance, is then taken twice
+(:func:`separate_signals`): over the M rows of each estimate, which
+separates the time-invariant response from the random/time-varying one,
+and over the per-signal means of P different test signals, which
+separates the LTI response from the signal-dependent one.  Each estimate
+is reduced in its own memory as it arrives, so a generator of estimates
+keeps one in memory.  A length-L impulse response is
+``np.fft.irfft(h, n=L)`` of a one-sided estimate.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ __all__ = [
     "segment_block",
     "excitation_bins",
     "estimate_transfer",
-    "time_invariant_block",
-    "signal_dependent_response",
     "separate_signals",
-    "impulse_response",
 ]
 
 
@@ -106,13 +104,12 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part, are formed in its memory.  The rows are added in order and
     squared magnitudes are formed as re^2 + im^2, so the result is
     bit-identical to a direct summation of the formulas.  Fewer than two
-    rows raise :class:`InsufficientRepetitions`: a reduction over P checks
-    for two signals first.  A non-finite mean raises :class:`LevelOutOfRange`:
-    an IEEE sum is non-finite exactly when a term is or the sum overflows,
-    so this one check of K bins refuses every non-finite estimate.
+    rows raise :class:`InsufficientRepetitions`; :func:`separate_signals`
+    reduces over P only when it has two signals.  A non-finite mean raises
+    :class:`LevelOutOfRange`: an IEEE sum is non-finite exactly when a term
+    is or the sum overflows, so this one check of K bins refuses every
+    non-finite estimate.
     """
-    if rows.ndim != 2:
-        raise ValueError(f"expected one estimate per row of a 2-D array, got shape {rows.shape}")
     n = rows.shape[0]
     if n < 2:
         raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {n}")
@@ -130,29 +127,6 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def time_invariant_block(block: np.ndarray, x_bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and unbiased per-bin variance over M of :func:`estimate_transfer` of an (M, L) block.
-
-    Returns ``(h_sti, d_stv_sq)``: the time-invariant response and the
-    squared absolute random/time-varying response.  The estimate is reduced
-    in its own memory and not returned.
-    """
-    return _reduce_rows(estimate_transfer(block, x_bins))
-
-
-def signal_dependent_response(per_signal_h_sti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean response and unbiased per-bin variance over the P rows of a (P, K) array.
-
-    Each row is one test signal's h_sti.  Returns ``(h_slti, h_ssdr_sq)``:
-    the LTI response and the squared absolute signal-dependent response.
-    The input is not modified.
-    """
-    p = len(per_signal_h_sti)
-    if p < 2:
-        raise InsufficientSignals(f"need P >= 2 distinct signals, got {p}")
-    return _reduce_rows(np.array(per_signal_h_sti, dtype=np.complex128))
-
-
 def separate_signals(
     estimates: Iterable[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -162,9 +136,11 @@ def separate_signals(
     its M rows in its own memory as it arrives, overwriting it, and is not
     referenced once reduced, so ``estimates`` may be a generator that makes
     one at a time.  Returns ``(h_sti, d_stv_sq, h_slti, h_ssdr_sq)``: the
-    per-signal statistics stacked as (P, K) arrays, then
-    :func:`signal_dependent_response` of ``h_sti``; with P = 1, ``h_slti``
-    is the single row and ``h_ssdr_sq`` is None.
+    time-invariant responses and squared random/time-varying responses,
+    stacked as (P, K) arrays, then the mean and unbiased variance of
+    ``h_sti`` over P, reduced in a copy so ``h_sti`` is returned intact:
+    the LTI response and the squared signal-dependent response.  With
+    P = 1, ``h_slti`` is the single row and ``h_ssdr_sq`` is None.
     """
     means, variances = [], []
     # map binds no estimate between calls; a loop over ``estimates`` would
@@ -180,7 +156,7 @@ def separate_signals(
     del variances
     if len(h_sti) == 1:
         return h_sti, d_stv_sq, h_sti[0], None
-    return h_sti, d_stv_sq, *signal_dependent_response(h_sti)
+    return h_sti, d_stv_sq, *_reduce_rows(h_sti.copy())
 
 
 def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
@@ -202,11 +178,3 @@ def smooth_one_sided(power: np.ndarray, fraction: float) -> np.ndarray:
     out[1:] = (csum[hi] - csum[lo - 1]) / (hi - lo + 1)
     return out
 
-
-def impulse_response(h: np.ndarray, length: int) -> np.ndarray:
-    """Length-``length`` impulse response from one transfer estimate H[0..length//2].
-
-    The 1/L inverse transform extends H to the Hermitian spectrum of a real
-    response, taking the real part of H[0] (and of H[L/2] for even L).
-    """
-    return np.fft.irfft(h, n=length)

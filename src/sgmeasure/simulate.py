@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import forward_dft_raw, full_spectrum_mean
-from .errors import DegenerateFit, InputFormatError, InsufficientSignals, LevelOutOfRange
+from .errors import (
+    DegenerateFit,
+    InputFormatError,
+    InsufficientRepetitions,
+    InsufficientSignals,
+    LevelOutOfRange,
+)
 from .reports import AnalysisReport
 from .safeguard import floor_period, floor_report, floor_threshold
-from .separation import (
-    estimate_transfer,
-    excitation_bins,
-    segment_block,
-    separate_signals,
-    time_invariant_block,
-)
+from .separation import estimate_transfer, excitation_bins, segment_block, separate_signals
 
 __all__ = [
     "SimulationConfig",
@@ -291,6 +291,8 @@ def run_random_response_experiment(
     At full flooring the excitation is periodic pseudo-random noise and the
     estimate recovers the injected noise level (-snr dB) directly.
     """
+    if m_count < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m_count}")
     floored = _flooring(white_noise_period(period_length, seed))
 
     def point(j):
@@ -298,8 +300,8 @@ def run_random_response_experiment(
         config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
         _, block = _measured_block(excitation, config, m_count)
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
-            _, d_stv_sq = time_invariant_block(block, x_bins)
-            level = full_spectrum_mean(d_stv_sq, period_length)
+            _, d_stv_sq, _, _ = separate_signals([estimate_transfer(block, x_bins)])
+            level = full_spectrum_mean(d_stv_sq[0], period_length)
         return _db(level)
 
     levels = _sweep(point, len(theta_db_list))
@@ -326,6 +328,8 @@ def run_nonlinearity_experiment(
     """
     if p_count < 2:
         raise InsufficientSignals(f"need P >= 2 distinct signals, got {p_count}")
+    if m_count < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {m_count}")
     excitations = [
         _flooring(white_noise_period(period_length, seed + 1000 + p))(theta_db)
         for p in range(p_count)

@@ -11,14 +11,18 @@ import numpy as np
 
 from sgmeasure.cli import main
 from sgmeasure.core import forward_dft_raw
-from sgmeasure.errors import ManifestError, SampleRateMismatch, SilentRecording
+from sgmeasure.errors import (
+    InsufficientRepetitions,
+    ManifestError,
+    SampleRateMismatch,
+    SilentRecording,
+)
 from sgmeasure.reports import SCHEMA_VERSION, AnalysisReport
 from sgmeasure.separation import (
+    estimate_transfer,
     excitation_bins,
     segment_block,
-    signal_dependent_response,
     smooth_one_sided,
-    time_invariant_block,
 )
 from sgmeasure.wavio import read_audio
 
@@ -32,10 +36,14 @@ def power_db(samples: np.ndarray) -> float:
 def time_invariant_response(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and unbiased variance over the M rows of an (M, K) estimate, summed row by row.
 
-    Returns ``(h_sti, d_stv_sq)``.  :func:`sgmeasure.separation.time_invariant_block`
-    reduces the estimate of a block in its own memory and must agree bit for bit.
+    Returns ``(h_sti, d_stv_sq)``.  Applied to the P rows of per-signal
+    means it gives ``(h_slti, h_ssdr_sq)``.  :func:`sgmeasure.separation.separate_signals`
+    reduces each estimate in its own memory, and then their means, and must
+    agree bit for bit.  Fewer than two rows raise :class:`InsufficientRepetitions`.
     """
     rows = list(np.asarray(h, dtype=np.complex128))
+    if len(rows) < 2:
+        raise InsufficientRepetitions(f"need M >= 2 repeated estimates, got {len(rows)}")
     total = 0
     for row in rows:
         total = total + row
@@ -123,16 +131,17 @@ def fractional_octave_smooth(power_spectrum: np.ndarray, fraction: float = 1.0 /
 def separate_stacked(pairs) -> tuple:
     """Every (block, x_bins) pair reduced over M, the P rows stacked, then reduced over P.
 
+    Both reductions are :func:`time_invariant_response`'s loop.
     :func:`sgmeasure.separation.separate_signals` reduces each block as it
     arrives and must agree bit for bit.  With P = 1 the LTI response is
     the single row and there is no signal-dependent response.
     """
-    rows = [time_invariant_block(block, x_bins) for block, x_bins in pairs]
+    rows = [time_invariant_response(estimate_transfer(block, x)) for block, x in pairs]
     h_sti = np.vstack([mean for mean, _ in rows])
     d_stv_sq = np.vstack([var for _, var in rows])
     if len(rows) == 1:
         return h_sti, d_stv_sq, h_sti[0], None
-    return (h_sti, d_stv_sq, *signal_dependent_response(h_sti))
+    return (h_sti, d_stv_sq, *time_invariant_response(h_sti))
 
 
 def added_component_db(samples: np.ndarray, floored: np.ndarray) -> float:
@@ -272,14 +281,14 @@ def whole_recording_report(manifest, smooth_fraction=None) -> AnalysisReport:
         output_power.append(float(np.mean(block.ravel() ** 2)))
         if output_power[-1] == 0.0:
             raise SilentRecording(f"{entry.recording}")
-        mean, var = time_invariant_block(block, x_bins)
+        mean, var = time_invariant_response(estimate_transfer(block, x_bins))
         means.append(mean)
         variances.append(var)
     h_sti = np.vstack(means)
     if len(means) == 1:
         h_slti, sdr_power = h_sti[0], None
     else:
-        h_slti, sdr_power = signal_dependent_response(h_sti)
+        h_slti, sdr_power = time_invariant_response(h_sti)
     lti_power = np.abs(h_slti) ** 2
     random_power = np.mean(np.vstack(variances), axis=0)
 

@@ -176,11 +176,10 @@ def test_package_exports_exactly_these_names():
     assert sorted(exported) == [
         "SafeguardReport", "SampleStream", "SessionManifest", "SimulationConfig",
         "analyze_session", "estimate_transfer", "excitation_bins", "floor_period",
-        "floor_report", "floor_threshold", "impulse_response", "load_manifest",
-        "nonlinearity", "read_audio", "run_flooring_regression", "run_max_deviation_sweep",
-        "run_nonlinearity_experiment", "run_random_response_experiment", "safeguard_period",
-        "segment_block", "separate_signals", "signal_dependent_response", "simulate_chain",
-        "time_invariant_block", "white_noise_period", "write_audio",
+        "floor_report", "floor_threshold", "load_manifest", "nonlinearity", "read_audio",
+        "run_flooring_regression", "run_max_deviation_sweep", "run_nonlinearity_experiment",
+        "run_random_response_experiment", "safeguard_period", "segment_block",
+        "separate_signals", "simulate_chain", "white_noise_period", "write_audio",
     ]
 
 

@@ -18,12 +18,9 @@ from sgmeasure.safeguard import safeguard_period
 from sgmeasure.separation import (
     estimate_transfer,
     excitation_bins,
-    impulse_response,
     segment_block,
     separate_signals,
-    signal_dependent_response,
     smooth_one_sided,
-    time_invariant_block,
 )
 from sgmeasure.session import analyze_session, load_manifest
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
@@ -152,8 +149,6 @@ def test_non_finite_estimate_rejected():
     tiny = np.full(5, 1e-300 + 0j)
     with np.errstate(over="ignore"):
         with pytest.raises(LevelOutOfRange, match="non-finite"):
-            time_invariant_block(block, tiny)
-        with pytest.raises(LevelOutOfRange, match="non-finite"):
             estimate_transfer(block, tiny)
     finite = np.ones((3, 4), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +178,7 @@ def assert_block_path_matches_reference(samples, x, L, m, skip):
     h = estimate_transfer(block, x[: L // 2 + 1])
     ref_h, ref_mean, ref_var = reference_estimates(samples, x, L, m, skip)
     assert np.array_equal(h, ref_h)
-    mean, var = time_invariant_block(block, x[: L // 2 + 1])  # reduced in place
+    (mean,), (var,), _, _ = separate_signals([h])  # reduced in place
     assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
 
 
@@ -229,7 +224,7 @@ def test_time_invariant_block_holds_one_estimate():
     h_bytes = 64 * 2049 * 16
     tracemalloc.start()
     try:
-        time_invariant_block(block, x)
+        separate_signals([estimate_transfer(block, x)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,11 +271,11 @@ def test_analyze_holds_one_recording_at_a_time(tmp_path):
 
 
 def test_statistics_leave_their_input_unchanged():
+    """The reduction over P leaves its input, the returned per-signal means, unchanged."""
     rng = np.random.default_rng(51)
     h = rng.standard_normal((5, 33)) + 1j * rng.standard_normal((5, 33))
-    before = h.tobytes()
-    signal_dependent_response(h)
-    assert h.tobytes() == before
+    h_sti, _, _, _ = separate_signals([np.vstack([row, row]) for row in h])
+    assert h_sti.tobytes() == h.tobytes()  # two equal rows reduce over M to that row
 
 
 def test_segment_block_checks_capacity():
@@ -339,13 +334,15 @@ def test_opposite_estimates_hand_computed_variance():
 def test_noiseless_chain_variance_is_negligible():
     excitation, x_bins = safeguarded_excitation(256, seed=35)
     stream = np.tile(excitation, 5)
-    h_sti, d_stv_sq = time_invariant_block(segment_block(stream, 256, 4, 256), x_bins)
+    (h_sti,), (d_stv_sq,), _, _ = separate_signals(
+        [estimate_transfer(segment_block(stream, 256, 4, 256), x_bins)]
+    )
     assert np.max(d_stv_sq) < 1e-16 * np.max(np.abs(h_sti) ** 2)
 
 
 def test_insufficient_repetitions():
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_block(np.ones((1, 4)), np.ones(3, dtype=complex))
+        separate_signals([estimate_transfer(np.ones((1, 4)), np.ones(3, dtype=complex))])
 
 
 def test_time_invariant_block_needs_two_rows():
@@ -355,18 +352,13 @@ def test_time_invariant_block_needs_two_rows():
     block = segment_block(stream, 64, 1, 64)
     assert estimate_transfer(block, x_bins).shape == (1, 33)
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_block(block, x_bins)
+        separate_signals([estimate_transfer(block, x_bins)])
 
 
 def test_time_invariant_block_of_one_segment_is_insufficient():
     _, x_bins = safeguarded_excitation(64, seed=36)
     with pytest.raises(InsufficientRepetitions):
-        time_invariant_block(np.ones((1, 64)), x_bins)
-
-
-def test_statistics_need_one_estimate_per_row():
-    with pytest.raises(ValueError, match="2-D"):
-        signal_dependent_response(np.ones(4, dtype=complex))
+        separate_signals([estimate_transfer(np.ones((1, 64)), x_bins)])
 
 
 @st.composite
@@ -414,34 +406,28 @@ def test_separation_core_needs_a_signal():
 
 def test_identical_signals_have_zero_signal_dependence():
     h = np.array([1 + 1j, 2.0, -1j, 0.5])
-    h_slti, h_ssdr_sq = signal_dependent_response(np.vstack([h, h, h]))
+    _, _, h_slti, h_ssdr_sq = separate_signals([np.vstack([h, h]) for _ in range(3)])
     assert np.array_equal(h_slti, h)
     assert np.all(h_ssdr_sq == 0)
 
 
 def test_linear_chain_has_no_signal_dependence():
-    per_signal = []
+    estimates = []
     for p in range(4):
         excitation, x_bins = safeguarded_excitation(256, seed=40 + p)
         stream = np.tile(excitation, 5)
-        h_sti, _ = time_invariant_block(segment_block(stream, 256, 4, 256), x_bins)
-        per_signal.append(h_sti)
-    h_slti, h_ssdr_sq = signal_dependent_response(np.vstack(per_signal))
+        estimates.append(estimate_transfer(segment_block(stream, 256, 4, 256), x_bins))
+    _, _, h_slti, h_ssdr_sq = separate_signals(estimates)
     assert np.max(h_ssdr_sq) < 1e-16 * np.max(np.abs(h_slti) ** 2)
     # the LTI estimate equals the identity single-signal estimate
     assert np.max(np.abs(h_slti - 1.0)) < 1e-8
 
 
-def test_insufficient_signals():
-    with pytest.raises(InsufficientSignals):
-        signal_dependent_response(np.ones((1, 4), dtype=complex))
-
-
 def test_averaging_is_linear():
     rng = np.random.default_rng(41)
     hs = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    scaled_then_avg = signal_dependent_response(2.0 * hs)[0]
-    avg_then_scaled = 2.0 * signal_dependent_response(hs)[0]
+    scaled_then_avg = separate_signals([np.vstack([h, h]) for h in 2.0 * hs])[2]
+    avg_then_scaled = 2.0 * separate_signals([np.vstack([h, h]) for h in hs])[2]
     assert np.array_equal(scaled_then_avg, avg_then_scaled)
 
 
@@ -510,21 +496,6 @@ def test_smoothing_reduces_gain_deviation():
 # --- impulse response ------------------------------------------------------
 
 
-def test_all_ones_transfer_is_unit_impulse():
-    ir = impulse_response(np.ones(33, dtype=complex), 64)
-    expected = np.zeros(64)
-    expected[0] = 1.0
-    assert np.max(np.abs(ir - expected)) < 1e-12
-
-
-def test_phase_ramp_transfer_is_delayed_impulse():
-    L, d = 64, 9
-    bins = np.exp(-2j * np.pi * np.arange(L // 2 + 1) * d / L)
-    ir = impulse_response(bins, L)
-    assert ir[d] == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(np.delete(ir, d))) < 1e-12
-
-
 def test_known_ir_recovered_from_simulated_chain():
     L = 8192
     excitation, x_bins = safeguarded_excitation(L, seed=46)
@@ -532,6 +503,6 @@ def test_known_ir_recovered_from_simulated_chain():
     h = rng.standard_normal(512) * np.exp(-np.arange(512) / 80.0)
     period_out = circular_convolve(excitation, h)
     stream = np.tile(period_out, 3)
-    recovered = impulse_response(estimate_at(x_bins, stream, L, L), L)
+    recovered = np.fft.irfft(estimate_at(x_bins, stream, L, L), n=L)
     assert np.max(np.abs(recovered[:512] - h)) < 1e-7
     assert np.max(np.abs(recovered[512:])) < 1e-7

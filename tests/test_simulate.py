@@ -308,10 +308,18 @@ def test_theta_sweep_transforms_its_noise_period_once(monkeypatch, runner):
     (run_random_response_experiment, {"m_count": 1}, InsufficientRepetitions),
     (run_nonlinearity_experiment, {"m_count": 1}, InsufficientRepetitions),
     (run_nonlinearity_experiment, {"p_count": 1}, InsufficientSignals),
+    (run_random_response_experiment, {"m_count": 0}, InsufficientRepetitions),
+    (run_random_response_experiment, {"m_count": -1}, InsufficientRepetitions),
+    (run_nonlinearity_experiment, {"m_count": 0}, InsufficientRepetitions),
+    (run_nonlinearity_experiment, {"m_count": -1}, InsufficientRepetitions),
 ])
 def test_runner_with_too_few_periods_raises_the_typed_error(runner, counts, error):
-    """A library caller gets the same typed error as a session analysis: M and P are >= 2."""
-    with pytest.raises(error):
+    """A library caller gets the same typed error as a session analysis: M and P are >= 2.
+
+    Any M below 2 is refused before a chain runs, with the count in the message.
+    """
+    (count,) = counts.values()
+    with pytest.raises(error, match=f">= 2 .*, got {count}$"):
         runner(period_length=64, **counts)
 
 
