@@ -6,7 +6,6 @@ recordings of their repeated playback, and separate the LTI,
 random/time-varying, and signal-dependent parts of the response.
 """
 
-from .core import SampleStream
 from .safeguard import (
     SafeguardReport,
     floor_period,

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .core import SampleStream
 from .errors import InputFormatError, SgMeasureError, UnwritableOutput
 from .reports import SCHEMA_VERSION, _clean, write_report
 from .safeguard import safeguard_period
@@ -85,7 +84,7 @@ def _cmd_safeguard(args) -> int:
         )
     period = next(audio.read_ranges([(0, args.period)]))  # the period alone is read
     safeguarded, report = safeguard_period(period, args.theta_db)
-    write_audio(args.out, SampleStream(safeguarded, audio.sample_rate))
+    write_audio(args.out, safeguarded, audio.sample_rate)
     doc = _clean({
         "schema_version": SCHEMA_VERSION,
         "period_length": args.period,
@@ -102,10 +101,10 @@ def _cmd_safeguard(args) -> int:
 
 
 def _cmd_make_test(args) -> int:
-    stream = read_audio(args.infile)
-    if len(stream) < 2:
-        raise InputFormatError(f"{args.infile}: {len(stream)} samples, a period needs at least 2")
-    write_audio(args.out, stream, args.repeats)
+    samples, sample_rate = read_audio(args.infile)
+    if samples.size < 2:
+        raise InputFormatError(f"{args.infile}: {samples.size} samples, a period needs at least 2")
+    write_audio(args.out, samples, sample_rate, args.repeats)
     return 0
 
 

@@ -1,41 +1,18 @@
-"""The sample stream type and the DFT conventions.
+"""The DFT conventions.
 
 Convention: unnormalized forward DFT, 1/L-normalized inverse.  A period is
-a 1-D float64 array of L >= 2 samples; a :class:`SampleStream` is what WAV
-I/O reads and writes.  Every transform keeps only bins 0..L//2, which
-carry all of a real signal's spectrum; L fixes the parity those bins
-leave open.  :func:`hermitian_sum` turns a quantity on those bins into its
-sum over all L bins.
+a 1-D float64 array of L >= 2 samples; WAV I/O reads and writes an array
+and a sample rate.  Every transform keeps only bins 0..L//2, which carry
+all of a real signal's spectrum; L fixes the parity those bins leave open.
+:func:`hermitian_sum` turns a quantity on those bins into its sum over all
+L bins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SampleStream", "forward_dft_raw"]
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """A real sample sequence of any length: 1-D, finite, at a positive sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError("samples must be 1-D")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
+__all__ = ["forward_dft_raw"]
 
 
 def forward_dft_raw(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -50,7 +50,7 @@ class SilentRecording(AnalysisError):
 
 
 class ClippedOutput(AnalysisError):
-    """Samples beyond float32's range, which a written WAV file cannot hold."""
+    """Samples not finite or beyond float32's range, which a written WAV file cannot hold."""
 
 
 class UnsupportedFormat(InputFormatError):

@@ -157,23 +157,20 @@ def load_manifest(path: str | Path) -> SessionManifest:
     )
 
 
-def _read_checked(path: Path, manifest: SessionManifest, read):
-    """``read(path)``, a stream or an opened file, checked for the manifest's sample rate."""
-    audio = read(path)
-    if audio.sample_rate != manifest.sample_rate:
-        raise SampleRateMismatch(
-            f"{path}: {audio.sample_rate} Hz, manifest says {manifest.sample_rate} Hz"
-        )
-    return audio
+def _check_rate(path: Path, rate: int, manifest: SessionManifest) -> None:
+    """Refuse the file ``path`` when its sample rate is not the manifest's."""
+    if rate != manifest.sample_rate:
+        raise SampleRateMismatch(f"{path}: {rate} Hz, manifest says {manifest.sample_rate} Hz")
 
 
 def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndarray, float]:
     """Bins 0..L/2 of the excitation period's spectrum, and the period's power."""
-    stream = _read_checked(path, manifest, read_audio)
+    samples, sample_rate = read_audio(path)
+    _check_rate(path, sample_rate, manifest)
     L = manifest.period_length
-    if len(stream) < L:
+    if samples.size < L:
         raise ManifestError(f"{path}: excitation shorter than period length {L}")
-    period = stream.samples[:L]
+    period = samples[:L]
     return excitation_bins(period), float(np.mean(period**2))
 
 
@@ -217,7 +214,8 @@ def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.n
     power)`` is appended to ``log``.
     """
     x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
-    audio = _read_checked(entry.recording, manifest, open_audio)
+    audio = open_audio(entry.recording)
+    _check_rate(entry.recording, audio.sample_rate, manifest)
     L, M, skip = manifest.period_length, manifest.segments_per_recording, manifest.skip_preamble
     if skip + M * L > audio.length:
         raise StreamTooShort(
@@ -249,7 +247,8 @@ def _background_level(manifest: SessionManifest) -> np.ndarray:
     bytes; each segment's spectrum serves every signal, so a copy of it is
     divided and squared on its own and no (segments, bins) quotient is held.
     """
-    audio = _read_checked(manifest.background_recording, manifest, open_audio)
+    audio = open_audio(manifest.background_recording)
+    _check_rate(manifest.background_recording, audio.sample_rate, manifest)
     L, skip = manifest.period_length, manifest.skip_preamble
     usable = (audio.length - skip) // L
     if usable < 1:

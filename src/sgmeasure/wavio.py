@@ -2,9 +2,10 @@
 
 Reads mono PCM 16/24-bit and 32-bit float, in a plain fmt chunk or a
 ``WAVE_FORMAT_EXTENSIBLE`` (0xFFFE) one whose subformat GUID is PCM or IEEE
-float.  A file of any other channel count is refused: the estimate needs
-the recording of one path, and mixing channels would change it.  Writes
-mono 32-bit float files, the header and then the samples, with no copy of
+float, into a 1-D float64 array and its sample rate.  A file of any other
+channel count is refused: the estimate needs the recording of one path, and
+mixing channels would change it.  Writes an array and a sample rate as a
+mono 32-bit float file, the header and then the samples, with no copy of
 them, as many times over as asked.  The stdlib wave module cannot handle
 float data, hence the hand-rolled chunk parsing.
 
@@ -26,6 +27,7 @@ spare byte, and an arithmetic right shift by 8 sign-extends it.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -34,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SampleStream
 from .errors import ClippedOutput, CorruptFile, UnsupportedFormat, UnwritableOutput
 
 __all__ = ["AudioFile", "open_audio", "read_audio", "write_audio"]
@@ -196,39 +197,47 @@ def open_audio(path: str | Path) -> AudioFile:
     return audio
 
 
-def read_audio(path: str | Path) -> SampleStream:
-    """Read a mono WAV file into a SampleStream; other channel counts raise UnsupportedFormat."""
+def read_audio(path: str | Path) -> tuple[np.ndarray, int]:
+    """(samples, sample_rate) of a mono WAV file; other channel counts raise UnsupportedFormat."""
     path = Path(path)
     with _opened(path) as fh:
         audio = _parse(fh, path)
         samples = next(_decode_ranges(fh, audio, [(0, audio.length)]))
     if audio.bits == 32:
         _check_finite(samples, path)
-    return SampleStream(samples, audio.sample_rate)
+    return samples, audio.sample_rate
 
 
-def write_audio(path: str | Path, stream: SampleStream, repeats: int = 1) -> None:
+def write_audio(path: str | Path, samples, sample_rate: int, repeats: int = 1) -> None:
     """Write a mono 32-bit float WAV file: the header, then the float32 samples ``repeats`` times.
 
-    A negative ``repeats`` raises ValueError.  Samples beyond float32's range
-    raise :class:`ClippedOutput`; a sample rate whose byte rate, or
-    ``repeats`` of a stream whose data size, does not fit the header's
-    32-bit fields raises :class:`UnsupportedFormat`.  All are checked before
-    the file is opened.  A path that cannot be written raises
-    :class:`UnwritableOutput`.  Only the samples, once, are held as float32.
+    Samples that are not 1-D, a sample rate that is not an integer of at
+    least 1 or a negative ``repeats`` raise ValueError.  Samples that are
+    not finite or beyond float32's range raise :class:`ClippedOutput`; a
+    sample rate whose byte rate, or ``repeats`` of samples whose data size,
+    does not fit the header's 32-bit fields raises :class:`UnsupportedFormat`.
+    All are checked before the file is opened.  A path that cannot be
+    written raises :class:`UnwritableOutput`.  Only the samples, once, are
+    held as float32.
     """
     if repeats < 0:
         raise ValueError(f"repeats must be non-negative, got {repeats}")
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError("samples must be 1-D")
+    integral = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
+    if not integral or sample_rate < 1:
+        raise ValueError(f"sample_rate must be an integer of at least 1, got {sample_rate!r}")
     with np.errstate(over="ignore"):  # an overflow is counted below
-        f32 = stream.samples.astype("<f4")
+        f32 = samples.astype("<f4")
     if not np.all(np.isfinite(f32)):  # no mask is kept beside the samples
         beyond = int(np.count_nonzero(~np.isfinite(f32)))
-        peak = float(np.max(np.abs(stream.samples)))
-        raise ClippedOutput(f"{beyond} samples beyond float32 range (peak {peak!r})")
-    byte_rate = stream.sample_rate * 4
+        peak = float(np.max(np.abs(samples)))
+        raise ClippedOutput(f"{beyond} samples not finite or beyond float32 range (peak {peak!r})")
+    byte_rate = int(sample_rate) * 4
     if byte_rate > 0xFFFFFFFF:
         raise UnsupportedFormat(
-            f"sample rate {stream.sample_rate} Hz: its byte rate does not fit a WAV header"
+            f"sample rate {sample_rate} Hz: its byte rate does not fit a WAV header"
         )
     if repeats * f32.size > MAX_FLOAT_SAMPLES:
         raise UnsupportedFormat(
@@ -237,7 +246,7 @@ def write_audio(path: str | Path, stream: SampleStream, repeats: int = 1) -> Non
     nbytes = repeats * f32.nbytes
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + nbytes, b"WAVE", b"fmt ", 16, _FORMAT_FLOAT, 1,
-        stream.sample_rate, byte_rate, 4, 32, b"data", nbytes,
+        sample_rate, byte_rate, 4, 32, b"data", nbytes,
     )
     try:
         with Path(path).open("wb") as out:

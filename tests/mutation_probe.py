@@ -101,9 +101,12 @@ MUTANTS = [
     ("hermitian_sum Nyquist bin", "core.py",
      "    if length % 2 == 0:",
      "    if length % 2 == 1:"),
-    ("stream sample rate check", "core.py",
-     '            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")',
-     "            pass"),
+    ("write sample rate check", "wavio.py",
+     '        raise ValueError(f"sample_rate must be an integer of at least 1, got {sample_rate!r}")',
+     "        pass"),
+    ("write 1-D check", "wavio.py",
+     '        raise ValueError("samples must be 1-D")',
+     "        pass"),
     ("--repeats minimum", "cli.py",
      "type=partial(_integer_at_least, 1)",
      "type=partial(_integer_at_least, 0)"),

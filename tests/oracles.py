@@ -262,10 +262,10 @@ def whole_recording_report(manifest, smooth_fraction=None) -> AnalysisReport:
     L, M, skip = manifest.period_length, manifest.segments_per_recording, manifest.skip_preamble
 
     def samples(path):
-        stream = read_audio(path)
-        if stream.sample_rate != manifest.sample_rate:
-            raise SampleRateMismatch(f"{path}: {stream.sample_rate} Hz")
-        return stream.samples
+        samples, rate = read_audio(path)
+        if rate != manifest.sample_rate:
+            raise SampleRateMismatch(f"{path}: {rate} Hz")
+        return samples
 
     def excitation(path):
         period = samples(path)
@@ -492,7 +492,7 @@ def readme_session(root: Path, music: list, rate: int, play) -> list[str]:
         write_wav(root / names["music.wav"], music[p], "pcm24", rate)
         run(lines["safeguard"], names)
         run(lines["make-test"], names)
-        stream = read_audio(root / names["test_stream.wav"]).samples
+        stream = read_audio(root / names["test_stream.wav"])[0]
         write_wav(root / entry["recording"], play(stream), "float32", rate)
     write_wav(root / manifest["background_recording"], np.zeros(stream.size), "float32", rate)
     analyze = lines["analyze"]

@@ -6,7 +6,6 @@ import time
 import numpy as np
 
 from sgmeasure.cli import main
-from sgmeasure.core import SampleStream
 from sgmeasure.safeguard import safeguard_period
 from sgmeasure.separation import (
     estimate_transfer,
@@ -240,11 +239,11 @@ def test_criterion_9_determinism(tmp_path):
     for p in range(2):
         excitation, _ = safeguarded(L, seed=20 + p)
         exc = tmp_path / f"exc{p}.wav"
-        write_audio(exc, SampleStream(excitation, FS))
+        write_audio(exc, excitation, FS)
         config = SimulationConfig(snr_db=40.0, seed=30 + p)
         recorded = simulate_chain(np.tile(excitation, 5), config)
         rec = tmp_path / f"rec{p}.wav"
-        write_audio(rec, SampleStream(recorded, FS))
+        write_audio(rec, recorded, FS)
         entries.append({"excitation": exc.name, "recording": rec.name})
     manifest = tmp_path / "session.json"
     manifest.write_text(json.dumps({

@@ -12,7 +12,6 @@ import pytest
 import sgmeasure
 from sgmeasure import cli
 from sgmeasure.cli import main
-from sgmeasure.core import SampleStream
 from sgmeasure.safeguard import safeguard_period
 from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
@@ -24,7 +23,7 @@ L = 1024
 
 
 def write_period(path, seed):
-    write_audio(path, SampleStream(white_noise_period(L, seed=seed) * 0.05, FS))
+    write_audio(path, white_noise_period(L, seed=seed) * 0.05, FS)
 
 
 def make_session(tmp_path, p_count=2, m_count=4, snr_db=float("inf"), seed=9):
@@ -33,13 +32,13 @@ def make_session(tmp_path, p_count=2, m_count=4, snr_db=float("inf"), seed=9):
     for p in range(p_count):
         safeguarded, _ = safeguard_period(white_noise_period(L, seed=seed + p), 0.0)
         exc_path = tmp_path / f"exc{p}.wav"
-        write_audio(exc_path, SampleStream(safeguarded, FS))
+        write_audio(exc_path, safeguarded, FS)
         # re-read so the recording is built from the same float32 period
-        period = read_audio(exc_path).samples
+        period = read_audio(exc_path)[0]
         config = SimulationConfig(snr_db=snr_db, seed=seed + 50 + p)
         recorded = simulate_chain(np.tile(period, m_count + 1), config)
         rec_path = tmp_path / f"rec{p}.wav"
-        write_audio(rec_path, SampleStream(recorded, FS))
+        write_audio(rec_path, recorded, FS)
         entries.append({"excitation": exc_path.name, "recording": rec_path.name})
     manifest = {
         "schema_version": 1,
@@ -67,12 +66,12 @@ def test_safeguard_command_vacuous_floor(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["bins_changed"] == 0
     assert doc["added_component_db"] is None
-    assert np.array_equal(read_audio(out).samples, read_audio(infile).samples)
+    assert np.array_equal(read_audio(out)[0], read_audio(infile)[0])
 
 
 def test_safeguard_command_added_level(tmp_path):
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(white_noise_period(100000, seed=2) * 0.01, FS))
+    write_audio(infile, white_noise_period(100000, seed=2) * 0.01, FS)
     out = tmp_path / "out.wav"
     report = tmp_path / "report.json"
     rc = main([
@@ -102,7 +101,7 @@ def test_safeguard_command_short_input(tmp_path):
 def test_safeguard_bad_period_or_level_is_usage_error(tmp_path, capsys, option):
     # a negative period once sliced from the end and floored the last samples
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(white_noise_period(4096, seed=3) * 0.05, FS))
+    write_audio(infile, white_noise_period(4096, seed=3) * 0.05, FS)
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     args = ["--period=4096", option] if option.startswith("--theta-db") else [option]
     with pytest.raises(SystemExit) as exc:
@@ -120,7 +119,7 @@ def test_safeguard_level_beyond_float_range_is_analysis_error(tmp_path, capsys, 
     """The floored period exceeds float32's range, or float64's in the inverse DFT, or the
     threshold itself overflows float64 (7000 dB) or underflows to zero (-7000 dB)."""
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(white_noise_period(64, seed=3) * 0.05, FS))
+    write_audio(infile, white_noise_period(64, seed=3) * 0.05, FS)
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     rc = main(["safeguard", "--in", str(infile), "--period", "64", "--theta-db", theta_db,
                "--out", str(out), "--report", str(report)])
@@ -132,7 +131,7 @@ def test_safeguard_level_beyond_float_range_is_analysis_error(tmp_path, capsys, 
 def test_safeguard_all_zero_period_is_analysis_error(tmp_path, capsys):
     """A silent period has no mean magnitude to set the level against."""
     infile = tmp_path / "in.wav"
-    write_audio(infile, SampleStream(np.zeros(64), FS))
+    write_audio(infile, np.zeros(64), FS)
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     rc = main(["safeguard", "--in", str(infile), "--period", "64",
                "--out", str(out), "--report", str(report)])
@@ -146,7 +145,7 @@ def test_make_test_identity(tmp_path):
     write_period(infile, seed=4)
     out = tmp_path / "out.wav"
     assert main(["make-test", "--in", str(infile), "--repeats", "1", "--out", str(out)]) == 0
-    assert np.array_equal(read_audio(out).samples, read_audio(infile).samples)
+    assert np.array_equal(read_audio(out)[0], read_audio(infile)[0])
 
 
 def test_make_test_six_repeats_length(tmp_path):
@@ -154,14 +153,14 @@ def test_make_test_six_repeats_length(tmp_path):
     write_period(infile, seed=5)
     out = tmp_path / "out.wav"
     assert main(["make-test", "--in", str(infile), "--repeats", "6", "--out", str(out)]) == 0
-    assert len(read_audio(out)) == 6 * L
+    assert read_audio(out)[0].size == 6 * L
 
 
 def test_make_test_writes_the_tiled_stream(tmp_path):
     infile, out, tiled = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "tiled.wav"
     write_period(infile, seed=7)
     assert main(["make-test", "--in", str(infile), "--repeats", "5", "--out", str(out)]) == 0
-    write_audio(tiled, SampleStream(np.tile(read_audio(infile).samples, 5), FS))
+    write_audio(tiled, np.tile(read_audio(infile)[0], 5), FS)
     assert out.read_bytes() == tiled.read_bytes()
 
 
@@ -191,7 +190,7 @@ def test_make_test_zero_repeats_is_usage_error(tmp_path):
 @pytest.mark.parametrize("samples", [0, 1])
 def test_make_test_shorter_than_a_period_is_input_error(tmp_path, capsys, samples):
     infile, out = tmp_path / "in.wav", tmp_path / "o.wav"
-    write_audio(infile, SampleStream(np.full(samples, 0.5), FS))
+    write_audio(infile, np.full(samples, 0.5), FS)
     assert main(["make-test", "--in", str(infile), "--repeats", "2", "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
     assert not out.exists()
@@ -202,7 +201,7 @@ def test_make_test_beyond_a_wav_data_chunk_is_input_error(tmp_path, capsys, repe
     """Repeats of 64 samples whose float32 data passes 2**32 - 37 bytes (2**24 repeats
     pass it by 37 bytes) are refused from the sizes, before any stream is made."""
     infile, out = tmp_path / "in.wav", tmp_path / "o.wav"
-    write_audio(infile, SampleStream(np.linspace(-0.5, 0.5, 64), FS))
+    write_audio(infile, np.linspace(-0.5, 0.5, 64), FS)
     argv = ["make-test", "--in", str(infile), "--repeats", str(repeats), "--out", str(out)]
     assert main(argv) == 3
     lines = capsys.readouterr().err.splitlines()
@@ -293,8 +292,8 @@ def test_analyze_insufficient_repetitions_exit_code(tmp_path, capsys):
 def test_analyze_recording_shorter_than_its_segments_is_analysis_error(tmp_path, capsys):
     """A recording of 3 periods cannot hold a preamble and M = 4 segments."""
     manifest = make_session(tmp_path, m_count=4)
-    period = read_audio(tmp_path / "exc1.wav").samples
-    write_audio(tmp_path / "rec1.wav", SampleStream(np.tile(period, 3), FS))
+    period = read_audio(tmp_path / "exc1.wav")[0]
+    write_audio(tmp_path / "rec1.wav", np.tile(period, 3), FS)
     rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
     assert rc == 4
     lines = capsys.readouterr().err.splitlines()
@@ -307,7 +306,7 @@ def test_analyze_with_background_column(tmp_path):
     manifest_path = make_session(tmp_path, snr_db=40.0)
     doc = json.loads(manifest_path.read_text())
     noise = np.random.default_rng(77).standard_normal(3 * L) * 1e-4
-    write_audio(tmp_path / "bg.wav", SampleStream(noise, FS))
+    write_audio(tmp_path / "bg.wav", noise, FS)
     doc["background_recording"] = "bg.wav"
     manifest_path.write_text(json.dumps(doc))
     out = tmp_path / "report.csv"
@@ -321,7 +320,7 @@ def test_analyze_with_background_column(tmp_path):
 
 def test_analyze_zero_bin_excitation_exit_code(tmp_path, capsys):
     manifest = make_session(tmp_path)
-    write_audio(tmp_path / "exc1.wav", SampleStream(np.full(L, 0.25), FS))
+    write_audio(tmp_path / "exc1.wav", np.full(L, 0.25), FS)
     rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["error"] == "ZeroBinExcitation"
@@ -330,7 +329,7 @@ def test_analyze_zero_bin_excitation_exit_code(tmp_path, capsys):
 def test_analyze_silent_recordings_is_analysis_error(tmp_path, capsys):
     manifest = make_session(tmp_path)
     for p in range(2):
-        write_audio(tmp_path / f"rec{p}.wav", SampleStream(np.zeros(5 * L), FS))
+        write_audio(tmp_path / f"rec{p}.wav", np.zeros(5 * L), FS)
     rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
     assert rc == 4
     error = json.loads(capsys.readouterr().err)
@@ -826,7 +825,7 @@ def test_simulate_max_deviation_refuses_snrs_that_name_one_column(tmp_path, caps
     np.array([0.9, -0.8, 0.5, 0.1, 0.0, 0.3]),  # the floored bins themselves overflow
 ], ids=["noise", "full scale"])
 def test_safeguard_overflow_prints_only_the_json_error(tmp_path, period):
-    write_audio(tmp_path / "in.wav", SampleStream(period, FS))
+    write_audio(tmp_path / "in.wav", period, FS)
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     assert_only_analysis_error(["safeguard", "--in", str(tmp_path / "in.wav"),
                                 "--period", str(min(len(period), 1024)), "--theta-db", "6160",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sgmeasure
-from sgmeasure.core import SampleStream, forward_dft_raw, hermitian_sum
-from sgmeasure.errors import LevelOutOfRange
+from sgmeasure.core import forward_dft_raw, hermitian_sum
+from sgmeasure.errors import ClippedOutput, LevelOutOfRange
 from sgmeasure.safeguard import floor_period, safeguard_period
 from sgmeasure.wavio import read_audio, write_audio
 
@@ -157,14 +157,13 @@ def test_power_db_values():
 
 
 def test_a_period_is_a_sample_stream(tmp_path):
-    """A safeguarded period writes as a WAV in a stream of its L samples, and reads back."""
+    """A safeguarded period writes as a WAV of its L samples, and reads back."""
     period, _ = safeguard_period(np.float32([0.5, -0.25, 0.125]), -200.0)  # a vacuous floor
-    stream = SampleStream(period, FS)
-    assert len(stream) == 3
-    write_audio(tmp_path / "p.wav", stream)
-    back = read_audio(tmp_path / "p.wav")
-    assert np.array_equal(back.samples, period)
-    assert back.sample_rate == FS
+    assert period.shape == (3,)
+    write_audio(tmp_path / "p.wav", period, FS)
+    back, rate = read_audio(tmp_path / "p.wav")
+    assert np.array_equal(back, period)
+    assert rate == FS
 
 
 def test_package_exports_exactly_these_names():
@@ -174,7 +173,7 @@ def test_package_exports_exactly_these_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported) == [
-        "SafeguardReport", "SampleStream", "SessionManifest", "SimulationConfig",
+        "SafeguardReport", "SessionManifest", "SimulationConfig",
         "analyze_session", "estimate_transfer", "excitation_bins", "floor_period",
         "floor_report", "floor_threshold", "load_manifest", "nonlinearity", "read_audio",
         "run_flooring_regression", "run_max_deviation_sweep", "run_nonlinearity_experiment",
@@ -183,19 +182,21 @@ def test_package_exports_exactly_these_names():
     ]
 
 
-def test_periodic_signal_validation():
-    """A period is checked where it is safeguarded, a stream where it is made."""
+def test_periodic_signal_validation(tmp_path):
+    """A period is checked where it is safeguarded, samples and a rate where they are written."""
+    path = tmp_path / "w.wav"
     for short in ([1.0], [], 2.0):
         with pytest.raises(ValueError, match="2 samples"):
             safeguard_period(short, 0.0)
     with pytest.raises(ValueError, match="1-D"):
         safeguard_period(np.ones((2, 3)), 0.0)
     with pytest.raises(ValueError, match="1-D"):
-        SampleStream(np.ones((2, 3)), FS)
-    for make in (lambda x: safeguard_period(x, 0.0), lambda x: SampleStream(x, FS)):
+        write_audio(path, np.ones((2, 3)), FS)
+    for bad in ([1.0, np.nan], [1.0, np.inf], [1.0, -np.inf]):
         with pytest.raises(ValueError, match="finite"):
-            make([1.0, np.nan])
-        with pytest.raises(ValueError, match="finite"):
-            make([1.0, np.inf])
+            safeguard_period(bad, 0.0)
+        with pytest.raises(ClippedOutput, match="not finite"):
+            write_audio(path, bad, FS)
     with pytest.raises(ValueError, match="sample_rate"):
-        SampleStream([1.0, 2.0], 0)
+        write_audio(path, [1.0, 2.0], 0)
+    assert not path.exists()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream
 from sgmeasure.errors import ClippedOutput, CorruptFile, UnsupportedFormat
 from sgmeasure.reports import _CSV_BLOCK_ROWS, SCHEMA_VERSION, AnalysisReport, write_report
 from sgmeasure import wavio
@@ -22,9 +21,9 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
 
 
-def sine_stream(freq=1000.0, n=4410, amp=0.5):
+def sine(freq=1000.0, n=4410, amp=0.5):
     t = np.arange(n) / FS
-    return SampleStream(amp * np.sin(2 * np.pi * freq * t), FS)
+    return amp * np.sin(2 * np.pi * freq * t)
 
 
 def riff(*chunks: tuple[bytes, bytes]) -> bytes:
@@ -60,11 +59,11 @@ def wav_bytes(samples, encoding: str, channels: int = 1) -> bytes:
 
 def test_float_round_trip_is_lossless(tmp_path):
     path = tmp_path / "f32.wav"
-    stream = SampleStream(sine_stream().samples.astype(np.float32), FS)
-    write_audio(path, stream)
-    back = read_audio(path)
-    assert back.sample_rate == FS
-    assert np.array_equal(back.samples, stream.samples)
+    samples = sine().astype(np.float32)
+    write_audio(path, samples, FS)
+    back, rate = read_audio(path)
+    assert rate == FS
+    assert np.array_equal(back, samples)
 
 
 # Finite float64 samples within float32's range, with the edges a float32 write meets:
@@ -85,28 +84,29 @@ WRITABLE_SAMPLES = st.one_of(
 def test_float_write_then_read_is_float32_bit_for_bit(tmp_path_factory, samples, rate):
     path = tmp_path_factory.mktemp("f32") / "f32.wav"
     samples = np.array(samples, dtype=np.float64)
-    write_audio(path, SampleStream(samples, rate))
-    back = read_audio(path)
-    assert back.sample_rate == rate
+    write_audio(path, samples, rate)
+    back, back_rate = read_audio(path)
+    assert back_rate == rate
     expected = samples.astype(np.float32).astype(np.float64)
-    assert back.samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert back.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_float_write_keeps_samples_beyond_full_scale(tmp_path):
     path = tmp_path / "f32.wav"
-    write_audio(path, SampleStream([0.5, 1.7, -2.0], FS))
-    assert read_audio(path).samples.tolist() == np.float32([0.5, 1.7, -2.0]).tolist()
+    write_audio(path, [0.5, 1.7, -2.0], FS)
+    assert read_audio(path)[0].tolist() == np.float32([0.5, 1.7, -2.0]).tolist()
 
 
 def test_float_write_refuses_samples_beyond_float32_range(tmp_path, capsys):
     from sgmeasure.cli import main
 
     path = tmp_path / "f32.wav"
-    with pytest.raises(ClippedOutput, match=r"1 samples beyond float32 range \(peak 3\.5e\+38"):
-        write_audio(path, SampleStream([0.5, 3.5e38, -2.0], FS))
+    with pytest.raises(ClippedOutput,
+                       match=r"1 samples not finite or beyond float32 range \(peak 3\.5e\+38"):
+        write_audio(path, [0.5, 3.5e38, -2.0], FS)
     assert not path.exists()
     # flooring a float32 period near full range lifts samples beyond it
-    write_audio(path, SampleStream(np.full(64, 3.0e38), FS))
+    write_audio(path, np.full(64, 3.0e38), FS)
     out, report = tmp_path / "o.wav", tmp_path / "r.json"
     assert main(["safeguard", "--in", str(path), "--period", "64",
                  "--out", str(out), "--report", str(report)]) == 4
@@ -119,7 +119,7 @@ def test_write_refuses_a_sample_rate_the_header_cannot_hold(tmp_path, capsys):
 
     path = tmp_path / "f32.wav"
     with pytest.raises(UnsupportedFormat, match="byte rate"):
-        write_audio(path, SampleStream([0.5, -0.5], 2**32 - 1))
+        write_audio(path, [0.5, -0.5], 2**32 - 1)
     assert not path.exists()
     fmt = struct.pack("<HHIIHH", 3, 1, 2**32 - 1, 0, 4, 32)
     path.write_bytes(riff((b"fmt ", fmt), (b"data", np.float32([0.5, -0.5]).tobytes())))
@@ -137,13 +137,13 @@ def test_multichannel_file_is_unsupported(tmp_path, capsys, encoding, channels):
 
     path = tmp_path / "multi.wav"
     # a loopback reference beside the measured channel: mixing them would halve the path
-    frames = np.tile(sine_stream(n=2048, amp=0.25).samples, (channels, 1))
+    frames = np.tile(sine(n=2048, amp=0.25), (channels, 1))
     frames[1] = -1.0
     path.write_bytes(wav_bytes(frames.T.ravel(), encoding, channels))
     with pytest.raises(UnsupportedFormat, match=f"{channels} channels; give the measured channel"):
         read_audio(path)
     mono = tmp_path / "mono.wav"
-    write_audio(mono, sine_stream(n=2048))
+    write_audio(mono, sine(n=2048), FS)
     manifest = {"sample_rate": FS, "period_length": 512, "segments_per_recording": 2,
                 "entries": [{"excitation": mono.name, "recording": path.name}]}
     (tmp_path / "m.json").write_text(json.dumps(manifest))
@@ -212,16 +212,16 @@ def as_extensible(plain: bytes, guid: bytes, cb_size: int = 22) -> bytes:
 ])
 def test_extensible_reads_like_plain_format(tmp_path, encoding, guid):
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    plain.write_bytes(wav_bytes(sine_stream().samples, encoding))
+    plain.write_bytes(wav_bytes(sine(), encoding))
     extensible.write_bytes(as_extensible(plain.read_bytes(), guid))
-    a, b = read_audio(plain), read_audio(extensible)
-    assert b.sample_rate == a.sample_rate
-    assert np.array_equal(b.samples, a.samples)
+    (a, a_rate), (b, b_rate) = read_audio(plain), read_audio(extensible)
+    assert b_rate == a_rate
+    assert np.array_equal(b, a)
 
 
 def test_extensible_unknown_subformat_is_unsupported(tmp_path):
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    plain.write_bytes(wav_bytes(sine_stream().samples, "pcm16"))
+    plain.write_bytes(wav_bytes(sine(), "pcm16"))
     alaw = bytes.fromhex("0600000000001000800000aa00389b71")
     other = bytes(range(16))  # not a KSDATAFORMAT_SUBTYPE GUID at all
     for guid in (alaw, other):
@@ -235,7 +235,7 @@ def test_extensible_truncated_extension_is_corrupt(tmp_path, capsys, cut):
     from sgmeasure.cli import main
 
     plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
-    write_audio(plain, sine_stream())
+    write_audio(plain, sine(), FS)
     raw = as_extensible(plain.read_bytes(), FLOAT_GUID, cb_size=0 if cut == "cb_size" else 22)
     if cut == "guid":  # fmt chunk of 32 bytes: the GUID is cut in half
         raw = raw[:16] + struct.pack("<I", 32) + raw[20:52] + raw[60:]
@@ -302,7 +302,7 @@ def test_pcm24_decode_equals_byte_assembly(tmp_path_factory, encoded, layout):
     else:
         expected = pcm_samples(payload, ENCODINGS[encoding][1] // 8)
     assert expected.view(np.uint64).tolist() == values.view(np.uint64).tolist()
-    assert read_audio(path).samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert read_audio(path)[0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_pcm24_data_size_not_a_multiple_of_three_is_corrupt(tmp_path, capsys):
@@ -344,7 +344,7 @@ def test_data_size_or_sample_rate_the_fmt_chunk_rules_out_is_corrupt(
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_nonfinite_float_sample_is_corrupt_file(tmp_path, bad):
     path = tmp_path / "nan.wav"
-    samples = sine_stream().samples
+    samples = sine()
     samples[100] = bad
     path.write_bytes(wav_bytes(samples, "float32"))
     with pytest.raises(CorruptFile):
@@ -355,7 +355,7 @@ def test_nonfinite_float_sample_exits_as_input_error(tmp_path, capsys):
     from sgmeasure.cli import main
 
     path = tmp_path / "nan.wav"
-    samples = sine_stream().samples
+    samples = sine()
     samples[7] = float("nan")
     path.write_bytes(wav_bytes(samples, "float32"))
     rc = main([
@@ -403,7 +403,7 @@ def test_range_reads_equal_slices_of_the_whole_read(
         chunks.append((b"LIST", junk))
     path = tmp_path_factory.mktemp("range") / "r.wav"
     path.write_bytes(riff(*chunks, (b"data", encode(samples, encoding))))
-    whole = read_audio(path).samples
+    whole = read_audio(path)[0]
     audio = open_audio(path)
     assert audio.length == whole.size == n and audio.sample_rate == FS
     spans = [sorted((round(a * n), round(b * n))) for a, b in [(0, 1), *ranges, (1, 1)]]
@@ -437,7 +437,7 @@ def test_range_read_of_a_file_removed_after_opening_is_corrupt(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_open_checks_every_float_sample(tmp_path, bad):
     path = tmp_path / "nan.wav"
-    samples = sine_stream().samples
+    samples = sine()
     samples[-1] = bad
     path.write_bytes(wav_bytes(samples, "float32"))
     with pytest.raises(CorruptFile, match="NaN or infinite"):
@@ -474,24 +474,32 @@ def test_open_holds_no_copy_of_the_file(tmp_path, encoding):
 
 @pytest.mark.parametrize("n, repeats", [(3, 1), (3, 5), (0, 5), (3, 0)])
 def test_repeated_write_is_the_write_of_the_tiled_stream(tmp_path, n, repeats):
-    """One header, then the samples ``repeats`` times: the bytes of the stream tiled first."""
-    stream = SampleStream(np.linspace(-1.0, 1.0, n), FS)
-    write_audio(tmp_path / "repeated.wav", stream, repeats)
-    write_audio(tmp_path / "tiled.wav", SampleStream(np.tile(stream.samples, repeats), FS))
+    """One header, then the samples ``repeats`` times: the bytes of the samples tiled first."""
+    samples = np.linspace(-1.0, 1.0, n)
+    write_audio(tmp_path / "repeated.wav", samples, FS, repeats)
+    write_audio(tmp_path / "tiled.wav", np.tile(samples, repeats), FS)
     assert (tmp_path / "repeated.wav").read_bytes() == (tmp_path / "tiled.wav").read_bytes()
 
 
 def test_repeated_write_refuses_more_samples_than_a_data_chunk_holds(tmp_path, monkeypatch):
     monkeypatch.setattr(wavio, "MAX_FLOAT_SAMPLES", 99)
-    write_audio(tmp_path / "fits.wav", SampleStream(np.zeros(33), FS), 3)
+    write_audio(tmp_path / "fits.wav", np.zeros(33), FS, 3)
     with pytest.raises(UnsupportedFormat, match="3 repeats of 34 samples"):
-        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(34), FS), 3)
+        write_audio(tmp_path / "w.wav", np.zeros(34), FS, 3)
     assert not (tmp_path / "w.wav").exists()
 
 
 def test_repeated_write_refuses_a_negative_count(tmp_path):
     with pytest.raises(ValueError, match="non-negative"):
-        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(4), FS), -1)
+        write_audio(tmp_path / "w.wav", np.zeros(4), FS, -1)
+    assert not (tmp_path / "w.wav").exists()
+
+
+@pytest.mark.parametrize("rate", [0, -1, 48000.0, 44100.5, True])
+def test_write_refuses_a_rate_that_is_not_an_integer_of_at_least_1(tmp_path, rate):
+    """A float rate does not pack into the header, and True would write a file read at 1 Hz."""
+    with pytest.raises(ValueError, match="sample_rate must be an integer of at least 1"):
+        write_audio(tmp_path / "w.wav", np.zeros(4), rate)
     assert not (tmp_path / "w.wav").exists()
 
 
@@ -509,7 +517,7 @@ def test_whole_read_reads_each_data_byte_once(tmp_path, encoding, monkeypatch):
         return read_into(fh, buffer, position, size, path)
 
     monkeypatch.setattr(wavio, "_read_into", counted)
-    assert len(read_audio(path)) == n
+    assert read_audio(path)[0].size == n
     width = ENCODINGS[encoding][1] // 8
     assert sizes == [n * width + 1]  # from the byte before the first sample
 
@@ -539,7 +547,7 @@ def test_safeguard_refuses_a_nan_after_its_period(tmp_path, capsys):
     from sgmeasure.cli import main
 
     path = tmp_path / "nan.wav"
-    samples = sine_stream(n=4096).samples
+    samples = sine(n=4096)
     samples[-1] = float("nan")
     path.write_bytes(wav_bytes(samples, "float32"))
     rc = main(["safeguard", "--in", str(path), "--period", "1024",
@@ -552,25 +560,25 @@ def test_safeguard_refuses_a_nan_after_its_period(tmp_path, capsys):
 def test_float_write_holds_no_copy_of_the_samples(tmp_path):
     """The header and then the float32 samples are written: no bytes copy of them is made."""
     n = 1 << 18
-    stream = SampleStream(np.linspace(-1.0, 1.0, n), FS)
+    samples = np.linspace(-1.0, 1.0, n)
     tracemalloc.start()
     try:
-        write_audio(tmp_path / "w.wav", stream)
+        write_audio(tmp_path / "w.wav", samples, FS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # 4 bytes a sample of float32 and a 1-byte finiteness mask; a bytes copy adds 4
     assert peak <= 5.5 * n
-    assert read_audio(tmp_path / "w.wav").samples.tobytes() == (
-        stream.samples.astype(np.float32).astype(np.float64).tobytes()
+    assert read_audio(tmp_path / "w.wav")[0].tobytes() == (
+        samples.astype(np.float32).astype(np.float64).tobytes()
     )
 
 
 def test_float_write_refuses_more_samples_than_a_data_chunk_holds(tmp_path, monkeypatch):
     monkeypatch.setattr(wavio, "MAX_FLOAT_SAMPLES", 99)
-    write_audio(tmp_path / "fits.wav", SampleStream(np.zeros(99), FS))
+    write_audio(tmp_path / "fits.wav", np.zeros(99), FS)
     with pytest.raises(UnsupportedFormat, match="data chunk"):
-        write_audio(tmp_path / "w.wav", SampleStream(np.zeros(100), FS))
+        write_audio(tmp_path / "w.wav", np.zeros(100), FS)
     assert not (tmp_path / "w.wav").exists()
 
 

@@ -61,8 +61,8 @@ def test_readme_walkthrough_measures_a_known_fir(tmp_path):
     for p, entry in enumerate(manifest["entries"]):
         floor = json.loads((tmp_path / f"floor_report_{p}.json").read_text())
         assert floor["bins_changed"] > 0  # music needs the flooring
-        x_bins = np.abs(np.fft.rfft(read_audio(tmp_path / entry["excitation"]).samples))
-        y = read_audio(tmp_path / entry["recording"]).samples
+        x_bins = np.abs(np.fft.rfft(read_audio(tmp_path / entry["excitation"])[0]))
+        y = read_audio(tmp_path / entry["recording"])[0]
         segments = np.abs(y[skip : skip + M * L]).reshape(M, L)
         worst = np.max(np.sum(segments, axis=1)) * (1 + 2.0**-23)  # sum |y_n| from the written
         bound = bound + ((2.0**-24 + 2.0**-40) * worst + L * 2.0**-150) / x_bins
@@ -98,7 +98,7 @@ def test_readme_walkthrough_reads_a_known_noise_level(tmp_path):
     manifest = json.loads((tmp_path / "session.json").read_text())
     L = manifest["period_length"]
     expected = np.mean([
-        L * sigma**2 / np.abs(np.fft.rfft(read_audio(tmp_path / entry["excitation"]).samples)) ** 2
+        L * sigma**2 / np.abs(np.fft.rfft(read_audio(tmp_path / entry["excitation"])[0])) ** 2
         for entry in manifest["entries"]
     ], axis=0)
     level_db = np.array(read_report(tmp_path / "result.csv").table["random_level_db"])

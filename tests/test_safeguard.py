@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream, forward_dft_raw
+from sgmeasure.core import forward_dft_raw
 from sgmeasure.errors import DegenerateSpectrum, LevelOutOfRange
 from sgmeasure.safeguard import floor_period, floor_report, floor_threshold, safeguard_period
 from sgmeasure.simulate import white_noise_period
@@ -207,8 +207,8 @@ def test_regression_law_over_sweep():
 
 def repeated(tmp_path, period, repeats):
     """The test stream of ``period`` repeated, as make-test writes it and analyze reads it."""
-    write_audio(tmp_path / "stream.wav", SampleStream(period, FS), repeats)
-    return read_audio(tmp_path / "stream.wav").samples
+    write_audio(tmp_path / "stream.wav", period, FS, repeats)
+    return read_audio(tmp_path / "stream.wav")[0]
 
 
 def test_build_test_stream_single_repeat(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmeasure.core import SampleStream
 from sgmeasure.errors import (
     InsufficientRepetitions,
     InsufficientSignals,
@@ -249,10 +248,10 @@ def test_analyze_holds_one_recording_at_a_time(tmp_path):
     for p in range(P):
         period = rng.standard_normal(L) * 0.1
         recording = np.tile(period, M + 1) + rng.standard_normal((M + 1) * L) * 1e-3
-        write_audio(tmp_path / f"exc{p}.wav", SampleStream(period, FS))
-        write_audio(tmp_path / f"rec{p}.wav", SampleStream(recording, FS))
+        write_audio(tmp_path / f"exc{p}.wav", period, FS)
+        write_audio(tmp_path / f"rec{p}.wav", recording, FS)
         entries.append({"excitation": f"exc{p}.wav", "recording": f"rec{p}.wav"})
-    write_audio(tmp_path / "bg.wav", SampleStream(rng.standard_normal((M + 1) * L) * 1e-3, FS))
+    write_audio(tmp_path / "bg.wav", rng.standard_normal((M + 1) * L) * 1e-3, FS)
     (tmp_path / "session.json").write_text(json.dumps({
         "sample_rate": FS, "period_length": L, "segments_per_recording": M,
         "entries": entries, "background_recording": "bg.wav",

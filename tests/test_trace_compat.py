@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from sgmeasure import cli
-from sgmeasure.core import SampleStream
 from sgmeasure.wavio import write_audio
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,7 +36,7 @@ def load_tracer():
 
 def test_every_command_runs_under_the_benchmark_tracer(tmp_path):
     source = tmp_path / "source.wav"
-    write_audio(source, SampleStream(0.1 * np.random.default_rng(1).standard_normal(L), FS))
+    write_audio(source, 0.1 * np.random.default_rng(1).standard_normal(L), FS)
     config = tmp_path / "config.json"
     # two levels, so the sweep's second point runs on its worker thread under the tracer
     config.write_text(json.dumps({"seed": 1, "period_length": 64, "theta_db_list": [0.0, -10.0]}))
