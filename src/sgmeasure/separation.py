@@ -59,11 +59,11 @@ def segment_block(samples: np.ndarray, period_length: int, count: int, skip: int
 
 
 def excitation_bins(period: np.ndarray) -> np.ndarray:
-    """Bins 0..L//2 of a real excitation period's spectrum, checked once for zeros.
+    """Bins 0..L//2 of a real excitation period's spectrum, or of each row of a (P, L) stack.
 
     For a real period X_s[L-k] = conj(X_s[k]), so a zero anywhere in the
-    full spectrum is a zero among these bins.  Every bin must be nonzero:
-    the excitation must be safeguarded.
+    full spectrum is a zero among these bins.  Every bin must be nonzero,
+    checked once: the excitation must be safeguarded.
     """
     x_bins = forward_dft_raw(period)
     if np.any(x_bins == 0):

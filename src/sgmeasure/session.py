@@ -3,11 +3,12 @@
 A session manifest lists, per test signal, the safeguarded excitation
 period file and the recording of its repeated playback, plus the segment
 bookkeeping (period length, segments per recording, preamble skip).  The
-analysis pipeline is one pass over each recording's M length-L segments,
-a piece at a time: transform a piece on bins 0..L/2 (all the report reads)
-into its rows of an (M, K) estimate, add its squares into the output power,
-then divide by the excitation; then separate the time-invariant, random,
-LTI and signal-dependent responses.
+analysis reads each excitation once, first, and transforms the P periods
+on bins 0..L/2 (all the report reads) into one (P, K) stack of X_s.  Then
+it makes one pass over each recording's M length-L segments, a piece at a
+time: transform a piece into its rows of an (M, K) estimate, add its
+squares into the output power, then divide by the signal's row of X_s;
+then separate the time-invariant, random, LTI and signal-dependent responses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .core import forward_dft_raw
 from .errors import (
-    LevelOutOfRange,
     ManifestError,
     SampleRateMismatch,
     SilentRecording,
@@ -87,7 +87,7 @@ def load_manifest(path: str | Path) -> SessionManifest:
 
     def resolve(name: str) -> Path:
         p = base / name
-        if not p.exists():
+        if not p.exists():  # an OSError, such as a name too long, is a ManifestError below
             raise ManifestError(f"manifest references missing file: {p}")
         return p
 
@@ -139,7 +139,7 @@ def load_manifest(path: str | Path) -> SessionManifest:
             lambda v: v is None or isinstance(v, str) and v != "", "a non-empty file name or null",
         )
         background = resolve(background) if background is not None else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ManifestError(f"invalid manifest {path}: {exc}") from exc
     if not entries:
         raise ManifestError("manifest has no entries")
@@ -161,17 +161,6 @@ def _check_rate(path: Path, rate: int, manifest: SessionManifest) -> None:
     """Refuse the file ``path`` when its sample rate is not the manifest's."""
     if rate != manifest.sample_rate:
         raise SampleRateMismatch(f"{path}: {rate} Hz, manifest says {manifest.sample_rate} Hz")
-
-
-def _excitation_spectrum(path: Path, manifest: SessionManifest) -> tuple[np.ndarray, float]:
-    """Bins 0..L/2 of the excitation period's spectrum, and the period's power."""
-    samples, sample_rate = read_audio(path)
-    _check_rate(path, sample_rate, manifest)
-    L = manifest.period_length
-    if samples.size < L:
-        raise ManifestError(f"{path}: excitation shorter than period length {L}")
-    period = samples[:L]
-    return excitation_bins(period), float(np.mean(period**2))
 
 
 def _pieces(audio: AudioFile, manifest: SessionManifest, count: int) -> Iterator:
@@ -206,14 +195,15 @@ def _pairwise_sum(n: int, rest: list, pieces: Iterator[np.ndarray]) -> float:
     return float(np.add.reduce(head))
 
 
-def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.ndarray:
+def _estimate(
+    entry: SessionEntry, x_bins: np.ndarray, manifest: SessionManifest, log: list
+) -> np.ndarray:
     """The (M, K) transfer estimate of one entry, its recording read once, a piece at a time.
 
     Each piece is transformed into its rows of the estimate, then squared in
-    place and summed into the output power; ``(excitation power, output
-    power)`` is appended to ``log``.
+    place and summed into the output power, which is appended to ``log``;
+    the estimate is divided by the entry's excitation bins ``x_bins``.
     """
-    x_bins, exc_power = _excitation_spectrum(entry.excitation, manifest)
     audio = open_audio(entry.recording)
     _check_rate(entry.recording, audio.sample_rate, manifest)
     L, M, skip = manifest.period_length, manifest.segments_per_recording, manifest.skip_preamble
@@ -233,16 +223,16 @@ def _estimate(entry: SessionEntry, manifest: SessionManifest, log: list) -> np.n
     power = _pairwise_sum(M * L, [np.empty(0)], squares()) / (M * L)
     if power == 0.0:
         raise SilentRecording(f"{entry.recording}: the analyzed segments have zero power")
-    log.append((exc_power, power))
+    log.append(power)
     est /= x_bins  # separate_signals refuses a non-finite estimate from its mean
     return est
 
 
-def _background_level(manifest: SessionManifest) -> np.ndarray:
+def _background_level(manifest: SessionManifest, x_bins: np.ndarray) -> np.ndarray:
     """Mean |noise DFT / X_s|^2 over all signals and available segments.
 
     The background segments are transformed once, a piece at a time, and
-    each excitation spectrum is computed again from its file.  The sum runs
+    divided by each row of ``x_bins``, the (P, K) stack of X_s.  The sum runs
     signal by signal, segment by segment, the order that fixes the report's
     bytes; each segment's spectrum serves every signal, so a copy of it is
     divided and squared on its own and no (segments, bins) quotient is held.
@@ -258,14 +248,10 @@ def _background_level(manifest: SessionManifest) -> np.ndarray:
         forward_dft_raw(piece, out=y_bins[rows])
         del piece  # before the next piece is read
     acc = np.zeros(y_bins.shape[1])
-    for entry in manifest.entries:
-        x_bins, _ = _excitation_spectrum(entry.excitation, manifest)
+    for x in x_bins:
         for y in y_bins:
-            acc += np.abs(y / x_bins) ** 2
-    level = acc / (len(manifest.entries) * usable)
-    if not np.all(np.isfinite(level)):
-        raise LevelOutOfRange("background level has non-finite bins")
-    return level
+            acc += np.abs(y / x) ** 2
+    return acc / (len(x_bins) * usable)
 
 
 def _db_power(values: np.ndarray) -> np.ndarray:
@@ -283,11 +269,21 @@ def analyze_session(
     summary.  Smoothing operates on the power quantities.  Each table column
     is a float64 array, one row per bin 0..L/2.
     """
-    log: list[tuple[float, float]] = []
-    estimates = (_estimate(entry, manifest, log) for entry in manifest.entries)
-    h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(estimates)
-    excitation_power, output_power = zip(*log)
     L = manifest.period_length
+    periods = None  # made once a file shows that it holds a period
+    for p, entry in enumerate(manifest.entries):
+        samples, sample_rate = read_audio(entry.excitation)
+        _check_rate(entry.excitation, sample_rate, manifest)
+        if samples.size < L:
+            raise ManifestError(f"{entry.excitation}: excitation shorter than period length {L}")
+        if periods is None:
+            periods = np.empty((len(manifest.entries), L))
+        periods[p] = samples[:L]
+    x_bins, excitation_power = excitation_bins(periods), np.mean(periods**2, axis=1)
+    del samples, periods  # the (P, K) stack of X_s is all the analysis keeps
+    output_power: list[float] = []
+    estimates = (_estimate(e, x, manifest, output_power) for e, x in zip(manifest.entries, x_bins))
+    h_sti, d_stv_sq, h_slti, sdr_power = separate_signals(estimates)
     powers = {
         "lti_gain": np.abs(h_slti) ** 2,
         "random_level": np.mean(d_stv_sq, axis=0),
@@ -295,7 +291,7 @@ def analyze_session(
     }
     del h_sti, d_stv_sq, h_slti  # the (P, K) stacks go before the background is read
     if manifest.background_recording is not None:
-        powers["background_level"] = _background_level(manifest)
+        powers["background_level"] = _background_level(manifest, x_bins)
     powers = {name: power for name, power in powers.items() if power is not None}
 
     output_power = float(np.mean(output_power))

@@ -38,8 +38,11 @@ TIMEOUT_S = 900
 # (name, module under src/sgmeasure, text within one line as it is, that text mutated)
 MUTANTS = [
     ("background divisor", "session.py",
-     "    level = acc / (len(manifest.entries) * usable)",
-     "    level = acc / usable"),
+     "    return acc / (len(x_bins) * usable)",
+     "    return acc / usable"),
+    ("background first excitation", "session.py",
+     "            acc += np.abs(y / x) ** 2",
+     "            acc += np.abs(y / x_bins[0]) ** 2"),
     ("normalization", "session.py",
      "    normalization_db = 10.0 * math.log10(output_power / excitation_power)",
      "    normalization_db = 10.0 * math.log10(output_power)"),

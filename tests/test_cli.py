@@ -425,6 +425,37 @@ def test_analyze_invalid_manifest_is_input_error(tmp_path, capsys, change):
     assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
+@pytest.mark.parametrize("key", ["excitation", "recording", "background_recording"])
+def test_analyze_file_name_the_os_refuses_is_input_error(tmp_path, capsys, key):
+    """A name too long to stat is a ManifestError, not a leaked OSError."""
+    manifest = make_session(tmp_path)
+    doc = json.loads(manifest.read_text())
+    name = "x" * 300 + ".wav"
+    if key == "background_recording":
+        doc[key] = name
+    else:
+        doc["entries"][1][key] = name
+    manifest.write_text(json.dumps(doc))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ManifestError"
+
+
+@pytest.mark.parametrize("period_length", [2**40, 2**62])
+def test_analyze_period_beyond_every_file_is_input_error(tmp_path, capsys, period_length):
+    """Each excitation is checked against L before any L-sized array is made."""
+    manifest = make_session(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["period_length"] = period_length
+    manifest.write_text(json.dumps(doc))
+    rc = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ManifestError"
+    assert "excitation shorter than period length" in error["message"]
+
+
 def test_analyze_summary_keys_are_echoed(tmp_path):
     """Valid summary keys pass through; a null background is no background."""
     manifest = make_session(tmp_path, snr_db=40.0)

@@ -167,7 +167,7 @@ def test_streamed_power_sum_is_numpys_pairwise_sum(case):
 
 def test_each_recording_sample_is_decoded_once(tmp_path, monkeypatch):
     """Each recording's M·L samples are decoded once, in pieces read through one open file,
-    and the background's usable·L samples once per analysis."""
+    the background's usable·L samples once, and each excitation's L samples once."""
     L, M, P, skip, usable = 256, 10, 2, 300, 5
     rng = np.random.default_rng(57)
     periods = [rng.uniform(-0.5, 0.5, L) for _ in range(P)]
@@ -193,11 +193,11 @@ def test_each_recording_sample_is_decoded_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "open", counting_open)
     monkeypatch.setattr(session, "_PIECE_SAMPLES", 3 * L)  # pieces of 3, 3, 3 and 1 segments
     analyze_session(manifest)
-    # each excitation is read whole twice: for its estimate and for the background
-    assert sum(decoded) == P * M * L + usable * L + 2 * P * L
-    assert len(decoded) == P * 4 + 2 + 2 * P
-    # a recording is opened to check it, then once for all its pieces
-    assert opened == {"rec0.wav": 2, "rec1.wav": 2, "bg.wav": 2, "exc0.wav": 2, "exc1.wav": 2}
+    # each excitation is read whole once, and its spectrum serves the estimate and the background
+    assert sum(decoded) == P * M * L + usable * L + P * L
+    assert len(decoded) == P * 4 + 2 + P
+    # a recording is opened to check it, then once for all its pieces; an excitation once
+    assert opened == {"rec0.wav": 2, "rec1.wav": 2, "bg.wav": 2, "exc0.wav": 1, "exc1.wav": 1}
 
 
 def test_nan_in_an_unanalyzed_preamble_is_corrupt_file(tmp_path, capsys):
