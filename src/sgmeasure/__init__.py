@@ -21,7 +21,6 @@ from .separation import (
 )
 from .session import SessionManifest, analyze_session, load_manifest
 from .simulate import (
-    SimulationConfig,
     nonlinearity,
     run_flooring_regression,
     run_max_deviation_sweep,

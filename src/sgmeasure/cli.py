@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .errors import InputFormatError, SgMeasureError, UnwritableOutput
+from .errors import InputFormatError, SgMeasureError, discard, output_file
 from .reports import SCHEMA_VERSION, _clean, write_report
 from .safeguard import safeguard_period
 from .session import analyze_session, load_manifest
@@ -93,10 +93,11 @@ def _cmd_safeguard(args) -> int:
         **dataclasses.asdict(report),  # added_component_db is null when no bin changed
     })
     try:
-        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        Path(args.out).unlink()  # no half of the command's output is left
-        raise UnwritableOutput(f"cannot write {args.report}: {exc}") from exc
+        with output_file(args.report, "w") as out:
+            out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        discard(args.out)  # no half of the command's output is left
+        raise
     return 0
 
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one policy for an output that cannot be written.
 
 These types alone decide the CLI's exit code: ``InputFormatError`` and its
 subclasses map to exit code 3, every other ``SgMeasureError`` to exit code 4.
 """
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class SgMeasureError(Exception):
@@ -71,4 +74,28 @@ class ManifestError(InputFormatError):
 
 
 class UnwritableOutput(InputFormatError):
-    """An output path could not be opened or written (a missing directory, a directory)."""
+    """An output could not be opened, written or closed (a missing directory, a full disk)."""
+
+
+def discard(path) -> None:
+    """Remove the regular file ``path`` names, through a symlink; leave a device or a FIFO."""
+    target = Path(path).resolve()
+    if target.is_file():
+        target.unlink()
+
+
+@contextmanager
+def output_file(path, mode: str):
+    """``path`` open to write: an OSError raises UnwritableOutput, and any failure discards it."""
+    try:
+        out = Path(path).open(mode)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+    try:
+        with out:
+            yield out
+    except BaseException as exc:
+        discard(path)
+        if isinstance(exc, OSError):
+            raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+        raise

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnwritableOutput
+from .errors import output_file
 
 SCHEMA_VERSION = 1
 
@@ -135,21 +135,12 @@ def write_report(path: str | Path, report: AnalysisReport) -> None:
 
     The table is formatted as it is written, one JSON column or one block of
     CSV rows at a time.  A summary that cannot be serialized raises before
-    the file is opened, a path that cannot be opened raises
-    :class:`~sgmeasure.errors.UnwritableOutput`, and a write that fails
-    part-way removes the file.
+    the file is opened.  A failed write raises
+    :class:`~sgmeasure.errors.UnwritableOutput`, and no partial file is left.
     """
     path = Path(path)
     chunks = _json_chunks(report) if path.suffix.lower() == ".json" else _csv_chunks(report)
     head = next(chunks)
-    try:
-        out = path.open("w")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
-    try:
-        with out:
-            out.write(head)
-            out.writelines(chunks)
-    except BaseException:
-        path.unlink()
-        raise
+    with output_file(path, "w") as out:
+        out.write(head)
+        out.writelines(chunks)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .safeguard import floor_period, floor_report, floor_threshold
 from .separation import estimate_transfer, excitation_bins, segment_block, separate_signals
 
 __all__ = [
-    "SimulationConfig",
     "white_noise_period",
     "nonlinearity",
     "simulate_chain",
@@ -86,22 +84,6 @@ def _sweep(point, count):
     return results
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Virtual measurement chain description."""
-
-    alpha: float = 0.0
-    snr_db: float = SNR_OFF
-    input_level_db: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if not (math.isfinite(self.snr_db) or self.snr_db == SNR_OFF):
-            raise ValueError("snr_db must be finite or +inf (noise off)")
-
-
 def _db(power: float) -> float:
     """10*log10 of a power; -inf for zero power, :class:`LevelOutOfRange` for an overflowed one."""
     if not power < math.inf:
@@ -129,38 +111,42 @@ def nonlinearity(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.expm1(alpha * x) / alpha
 
 
-def simulate_chain(test: np.ndarray, config: SimulationConfig, *, repeats: int = 1) -> np.ndarray:
+def simulate_chain(
+    test: np.ndarray, *, alpha: float = 0.0, snr_db: float = SNR_OFF,
+    input_level_db: float = 0.0, seed: int = 0, repeats: int = 1,
+) -> np.ndarray:
     """Play ``repeats`` back-to-back copies of the period ``test`` through the virtual chain.
 
     Gain and the nonlinearity run once on the period: their output tiled
     ``repeats`` times is the periodic steady state of the whole stream.
     Noise is drawn over the whole stream, scaled to the period's output power.
     A drive level whose gain underflows to zero, whose gain, output power
-    or noise power overflows, or whose output from a non-zero period has
-    zero power raises :class:`LevelOutOfRange`.
+    or noise power overflows or is undefined (a NaN or -inf SNR), or whose
+    output from a non-zero period has zero power raises :class:`LevelOutOfRange`.
     """
     try:
-        gain = 10.0 ** (config.input_level_db / 20.0)
-        noise_ratio = 10.0 ** (-config.snr_db / 10.0)
+        gain = 10.0 ** (input_level_db / 20.0)
+        noise_ratio = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise LevelOutOfRange(
-            f"input level {config.input_level_db} dB or SNR {config.snr_db} dB "
-            "exceeds float64 range"
+            f"input level {input_level_db} dB or SNR {snr_db} dB exceeds float64 range"
         ) from None
     if gain == 0.0:
-        raise LevelOutOfRange(f"input level {config.input_level_db} dB underflows to zero gain")
+        raise LevelOutOfRange(f"input level {input_level_db} dB underflows to zero gain")
     with np.errstate(over="ignore", invalid="ignore"):  # checked here, without a warning
-        out = nonlinearity(gain * test, config.alpha)
+        out = nonlinearity(gain * test, alpha)
         power = float(np.mean(out**2))  # finite only if every output sample is
         if not (math.isfinite(power) and math.isfinite(power * noise_ratio)):
-            raise LevelOutOfRange(f"{config} overflows the output or its noise power")
+            raise LevelOutOfRange(
+                f"input level {input_level_db} dB, SNR {snr_db} dB: output/noise power not finite"
+            )
     if power == 0.0 and np.any(test):
         raise LevelOutOfRange(
-            f"input level {config.input_level_db} dB underflows the output power to zero"
+            f"input level {input_level_db} dB underflows the output power to zero"
         )
-    if not math.isfinite(config.snr_db):
+    if not math.isfinite(snr_db):
         return np.tile(out, repeats)
-    samples = _rng(config.seed, 0xD1CE).standard_normal(repeats * out.size)
+    samples = _rng(seed, 0xD1CE).standard_normal(repeats * out.size)
     samples *= math.sqrt(power * noise_ratio)
     samples.reshape(repeats, out.size)[...] += out  # the tiled output, without a copy
     return samples
@@ -241,13 +227,13 @@ def _flooring(period):
     return floored
 
 
-def _measured_block(excitation, config, m_count):
-    """Run m_count + 1 periods through the chain.
+def _measured_block(excitation, m_count, **levels):
+    """Run m_count + 1 periods through the chain at ``levels``, :func:`simulate_chain`'s keywords.
 
     The first period is the preamble.  Returns the recorded stream and the
     (m_count, L) segment block of the periods after it.
     """
-    recorded = simulate_chain(excitation, config, repeats=m_count + 1)
+    recorded = simulate_chain(excitation, repeats=m_count + 1, **levels)
     L = excitation.size
     return recorded, segment_block(recorded, L, m_count, skip=L)
 
@@ -268,8 +254,9 @@ def run_max_deviation_sweep(
         excitation, x_bins = floored(theta_db_list[j])
         deviations = []
         for i, snr_db in enumerate(snr_db_list):
-            config = SimulationConfig(snr_db=snr_db, seed=seed + 7919 * (i + 1) + j)
-            _, block = _measured_block(excitation, config, 1)
+            _, block = _measured_block(
+                excitation, 1, snr_db=snr_db, seed=seed + 7919 * (i + 1) + j
+            )
             gain_db = 20.0 * np.log10(np.abs(estimate_transfer(block, x_bins)[0]))
             deviations.append(float(np.max(np.abs(gain_db))))
         return deviations
@@ -297,8 +284,7 @@ def run_random_response_experiment(
 
     def point(j):
         excitation, x_bins = floored(theta_db_list[j])
-        config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)
-        _, block = _measured_block(excitation, config, m_count)
+        _, block = _measured_block(excitation, m_count, snr_db=snr_db, seed=seed + 104729 + j)
         with np.errstate(over="ignore"):  # _db refuses an overflowed level
             _, d_stv_sq, _, _ = separate_signals([estimate_transfer(block, x_bins)])
             level = full_spectrum_mean(d_stv_sq[0], period_length)
@@ -344,13 +330,10 @@ def run_nonlinearity_experiment(
 
         def measured(p):
             excitation, x_bins = excitations[p]
-            config = SimulationConfig(
-                alpha=alpha,
-                snr_db=snr_db,
-                input_level_db=input_level_db_list[j],
-                seed=seed + 4099 * (j + 1) + p,
+            recorded, block = _measured_block(
+                excitation, m_count, alpha=alpha, snr_db=snr_db,
+                input_level_db=input_level_db_list[j], seed=seed + 4099 * (j + 1) + p,
             )
-            recorded, block = _measured_block(excitation, config, m_count)
             estimate = estimate_transfer(block, x_bins)  # block views recorded, squared next
             output_power.append(float(np.mean(np.square(recorded, out=recorded))))
             return estimate

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClippedOutput, CorruptFile, UnsupportedFormat, UnwritableOutput
+from .errors import ClippedOutput, CorruptFile, UnsupportedFormat, output_file
 
 __all__ = ["AudioFile", "open_audio", "read_audio", "write_audio"]
 
@@ -216,9 +216,9 @@ def write_audio(path: str | Path, samples, sample_rate: int, repeats: int = 1) -
     not finite or beyond float32's range raise :class:`ClippedOutput`; a
     sample rate whose byte rate, or ``repeats`` of samples whose data size,
     does not fit the header's 32-bit fields raises :class:`UnsupportedFormat`.
-    All are checked before the file is opened.  A path that cannot be
-    written raises :class:`UnwritableOutput`.  Only the samples, once, are
-    held as float32.
+    All are checked before the file is opened.  A failed write raises
+    :class:`~sgmeasure.errors.UnwritableOutput`, and no partial file is left.
+    Only the samples, once, are held as float32.
     """
     if repeats < 0:
         raise ValueError(f"repeats must be non-negative, got {repeats}")
@@ -248,10 +248,7 @@ def write_audio(path: str | Path, samples, sample_rate: int, repeats: int = 1) -
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + nbytes, b"WAVE", b"fmt ", 16, _FORMAT_FLOAT, 1,
         sample_rate, byte_rate, 4, 32, b"data", nbytes,
     )
-    try:
-        with Path(path).open("wb") as out:
-            out.write(header)
-            for _ in range(repeats):
-                out.write(f32.data)
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+    with output_file(path, "wb") as out:
+        out.write(header)
+        for _ in range(repeats):
+            out.write(f32.data)

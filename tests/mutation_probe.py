@@ -5,7 +5,9 @@ it in a temporary copy of ``src/``, ``tests/``, ``perfbench/`` (whose tracer
 ``tests/test_trace_compat.py`` loads), ``README.md`` and ``pyproject.toml``,
 runs the tier-1 suite there with ``-x``, and prints whether the mutant was
 killed (a test failed, named) or survived (the suite passed).  A mutant whose text is not in its module exactly once is reported
-stale: update or drop it with the change that moved the line.
+stale: update or drop it with the change that moved the line.  Tier-1 checks
+that no mutant is stale (``tests/test_mutation_probe.py``); the probe does not
+run that test, which every mutant's copy would fail.
 
 The probe needs only the standard library and the test suite's own
 dependencies.  pytest does not collect it (its name does not start with
@@ -80,11 +82,11 @@ MUTANTS = [
      "    if not 0.0 < theta < math.inf:",
      "    if not 0.0 <= theta < math.inf:"),
     ("random seed offset", "simulate.py",
-     "        config = SimulationConfig(snr_db=snr_db, seed=seed + 104729 + j)",
-     "        config = SimulationConfig(snr_db=snr_db, seed=seed + 104729)"),
+     "_measured_block(excitation, m_count, snr_db=snr_db, seed=seed + 104729 + j)",
+     "_measured_block(excitation, m_count, snr_db=snr_db, seed=seed + 104729)"),
     ("nonlinearity seed offset", "simulate.py",
-     "                seed=seed + 4099 * (j + 1) + p,",
-     "                seed=seed + 4099 * (j + 1),"),
+     "seed=seed + 4099 * (j + 1) + p,",
+     "seed=seed + 4099 * (j + 1),"),
     ("PCM24 scale", "wavio.py",
      "        return np.right_shift(words, 8) / 2.0**23",
      "        return np.right_shift(words, 8) / 2.0**24"),
@@ -131,12 +133,6 @@ MUTANTS = [
     ("manifest without entries", "session.py",
      "    if not entries:",
      "    if entries is None:"),
-    ("negative alpha", "simulate.py",
-     '            raise ValueError("alpha must be >= 0")',
-     "            pass"),
-    ("NaN SNR", "simulate.py",
-     '            raise ValueError("snr_db must be finite or +inf (noise off)")',
-     "            pass"),
     ("unequal table columns", "reports.py",
      '            raise ValueError("table columns have unequal lengths")',
      "            pass"),
@@ -165,8 +161,8 @@ MUTANTS = [
      "        _check_finite(samples, path)",
      "        pass"),
     ("one repeat written", "wavio.py",
-     "            for _ in range(repeats):",
-     "            for _ in range(1):"),
+     "        for _ in range(repeats):",
+     "        for _ in range(1):"),
 ]
 
 
@@ -195,7 +191,7 @@ def run(module: str, before: str, after: str) -> tuple[str, str]:
         path.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-                   "tests"]
+                   "--ignore", "tests/test_mutation_probe.py", "tests"]
         try:
             done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)

@@ -72,7 +72,9 @@ def circular_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return y
 
 
-def chain_full_stream(period: np.ndarray, config, repeats: int) -> np.ndarray:
+def chain_full_stream(
+    period: np.ndarray, alpha: float, input_level_db: float, repeats: int
+) -> np.ndarray:
     """The simulator's deterministic stages run over the whole tiled stream.
 
     Gain and the nonlinearity act on all ``repeats`` * L samples: the
@@ -82,7 +84,7 @@ def chain_full_stream(period: np.ndarray, config, repeats: int) -> np.ndarray:
     from sgmeasure.simulate import nonlinearity
 
     stream = np.tile(np.asarray(period, dtype=np.float64), repeats)
-    return nonlinearity(10.0 ** (config.input_level_db / 20.0) * stream, config.alpha)
+    return nonlinearity(10.0 ** (input_level_db / 20.0) * stream, alpha)
 
 
 def floor_bins(bins: np.ndarray, theta_linear: float) -> tuple[np.ndarray, np.ndarray]:

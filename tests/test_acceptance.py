@@ -15,7 +15,6 @@ from sgmeasure.separation import (
     smooth_one_sided,
 )
 from sgmeasure.simulate import (
-    SimulationConfig,
     run_flooring_regression,
     run_max_deviation_sweep,
     run_nonlinearity_experiment,
@@ -171,7 +170,7 @@ def test_criterion_7_smoothing_reduces_deviation():
     for snr_db in (20.0, 40.0, 60.0):
         excitation, x_bins = safeguarded(L, seed=8)
         stream = np.tile(excitation, 2)
-        recorded = simulate_chain(stream, SimulationConfig(snr_db=snr_db, seed=9))
+        recorded = simulate_chain(stream, snr_db=snr_db, seed=9)
         block = segment_block(recorded, L, 1, L)
         power = np.abs(estimate_transfer(block, x_bins)[0]) ** 2
         half = slice(1, L // 2 + 1)
@@ -240,8 +239,7 @@ def test_criterion_9_determinism(tmp_path):
         excitation, _ = safeguarded(L, seed=20 + p)
         exc = tmp_path / f"exc{p}.wav"
         write_audio(exc, excitation, FS)
-        config = SimulationConfig(snr_db=40.0, seed=30 + p)
-        recorded = simulate_chain(np.tile(excitation, 5), config)
+        recorded = simulate_chain(np.tile(excitation, 5), snr_db=40.0, seed=30 + p)
         rec = tmp_path / f"rec{p}.wav"
         write_audio(rec, recorded, FS)
         entries.append({"excitation": exc.name, "recording": rec.name})

@@ -1,6 +1,8 @@
+import errno
 import functools
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,7 @@ import sgmeasure
 from sgmeasure import cli
 from sgmeasure.cli import main
 from sgmeasure.safeguard import safeguard_period
-from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
+from sgmeasure.simulate import simulate_chain, white_noise_period
 from sgmeasure.wavio import read_audio, write_audio
 
 from oracles import read_report
@@ -35,8 +37,7 @@ def make_session(tmp_path, p_count=2, m_count=4, snr_db=float("inf"), seed=9):
         write_audio(exc_path, safeguarded, FS)
         # re-read so the recording is built from the same float32 period
         period = read_audio(exc_path)[0]
-        config = SimulationConfig(snr_db=snr_db, seed=seed + 50 + p)
-        recorded = simulate_chain(np.tile(period, m_count + 1), config)
+        recorded = simulate_chain(np.tile(period, m_count + 1), snr_db=snr_db, seed=seed + 50 + p)
         rec_path = tmp_path / f"rec{p}.wav"
         write_audio(rec_path, recorded, FS)
         entries.append({"excitation": exc_path.name, "recording": rec_path.name})
@@ -764,6 +765,115 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, command, option
     assert str(bad) in error["message"]
     assert bad.is_dir() == (target == "directory")
     assert not any(Path(path).is_file() for path in paths.values())
+
+
+class FullDisk:
+    """An open file whose first ``room`` writes go through and whose later ones raise ENOSPC."""
+
+    def __init__(self, file, room):
+        self.file, self.room = file, room
+
+    def write(self, data):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.file.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def fill_disk(monkeypatch, path, room=1):
+    """Writes to ``path`` fail with ENOSPC after its first ``room``; other files are untouched."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        file = real_open(self, mode, *args, **kwargs)
+        return FullDisk(file, room) if self == Path(path) and "w" in mode else file
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+def assert_unwritable(argv, capsys):
+    """``main(argv)`` exits 3 with one JSON ``UnwritableOutput`` line on stderr."""
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnwritableOutput"
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_report_write_that_fills_the_disk_is_input_error(tmp_path, capsys, monkeypatch, command,
+                                                         suffix):
+    """A failed write of the report exits 3, not with a traceback, and leaves no partial file."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"period_length": 256, "theta_db_list": [0.0]}))
+    argv = {
+        "analyze": ["--manifest", str(make_session(tmp_path, m_count=2))],
+        "simulate": ["--config", str(config), "--experiment", "random"],
+    }[command]
+    out = tmp_path / f"o{suffix}"
+    fill_disk(monkeypatch, out)
+    assert_unwritable([command, *argv, "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,full,room", [
+    ("make-test", "o.wav", 1), ("safeguard", "o.wav", 1), ("safeguard", "r.json", 0),
+])
+def test_wav_or_safeguard_report_that_fills_the_disk_leaves_no_output(
+    tmp_path, capsys, monkeypatch, command, full, room
+):
+    infile, out, report = tmp_path / "in.wav", tmp_path / "o.wav", tmp_path / "r.json"
+    write_period(infile, seed=8)
+    argv = {
+        "make-test": ["--in", str(infile), "--repeats", "2"],
+        "safeguard": ["--in", str(infile), "--period", str(L), "--report", str(report)],
+    }[command]
+    fill_disk(monkeypatch, tmp_path / full, room)
+    assert_unwritable([command, *argv, "--out", str(out)], capsys)
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command,name", [("simulate", "o.csv"), ("make-test", "o.wav")])
+def test_failed_write_to_a_fifo_leaves_the_fifo(tmp_path, capsys, monkeypatch, command, name):
+    """Only a regular file is removed: a FIFO, a device or ``/dev/stdout`` stays in place."""
+    infile, config, fifo = tmp_path / "in.wav", tmp_path / "c.json", tmp_path / name
+    write_period(infile, seed=8)
+    config.write_text(json.dumps({"period_length": 256, "theta_db_list": [0.0]}))
+    argv = {
+        "simulate": ["--config", str(config), "--experiment", "random"],
+        "make-test": ["--in", str(infile), "--repeats", "2"],
+    }[command]
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        fill_disk(monkeypatch, fifo)
+        assert_unwritable([command, *argv, "--out", str(fifo)], capsys)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_failed_write_through_a_symlink_removes_its_file_and_keeps_the_link(
+    tmp_path, capsys, monkeypatch
+):
+    config, link, target = tmp_path / "c.json", tmp_path / "link.csv", tmp_path / "o.csv"
+    config.write_text(json.dumps({"period_length": 256, "theta_db_list": [0.0]}))
+    link.symlink_to(target)
+    fill_disk(monkeypatch, link)
+    assert_unwritable(
+        ["simulate", "--config", str(config), "--experiment", "random", "--out", str(link)], capsys
+    )
+    assert link.is_symlink() and not target.exists()
 
 
 def assert_only_analysis_error(argv: list[str], error: str = "LevelOutOfRange") -> None:

@@ -173,7 +173,7 @@ def test_package_exports_exactly_these_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported) == [
-        "SafeguardReport", "SessionManifest", "SimulationConfig",
+        "SafeguardReport", "SessionManifest",
         "analyze_session", "estimate_transfer", "excitation_bins", "floor_period",
         "floor_report", "floor_threshold", "load_manifest", "nonlinearity", "read_audio",
         "run_flooring_regression", "run_max_deviation_sweep", "run_nonlinearity_experiment",

@@ -22,7 +22,7 @@ from sgmeasure.separation import (
     smooth_one_sided,
 )
 from sgmeasure.session import analyze_session, load_manifest
-from sgmeasure.simulate import SimulationConfig, simulate_chain, white_noise_period
+from sgmeasure.simulate import simulate_chain, white_noise_period
 from sgmeasure.wavio import write_audio
 
 from oracles import (
@@ -185,9 +185,7 @@ def assert_block_path_matches_reference(samples, x, L, m, skip):
 @pytest.mark.parametrize("L, m", [(256, 3), (1000, 5), (4096, 20)])
 def test_block_path_matches_per_segment_path_exactly(L, m):
     excitation, x_bins = safeguarded_excitation(L, seed=36)
-    stream = simulate_chain(
-        np.tile(excitation, m + 1), SimulationConfig(snr_db=30.0, seed=37)
-    )
+    stream = simulate_chain(np.tile(excitation, m + 1), snr_db=30.0, seed=37)
     assert_block_path_matches_reference(stream, x_bins, L, m, L)
 
 
@@ -484,7 +482,7 @@ def test_smoothing_reduces_gain_deviation():
     # noisy gain estimate: smoothed spread strictly below unsmoothed
     excitation, x_bins = safeguarded_excitation(4096, seed=44)
     stream = np.tile(excitation, 2)
-    recorded = simulate_chain(stream, SimulationConfig(snr_db=40.0, seed=45))
+    recorded = simulate_chain(stream, snr_db=40.0, seed=45)
     power = np.abs(estimate_at(x_bins, recorded, 4096, 4096)) ** 2
     half = slice(1, 2049)
     raw_sd = np.std(10 * np.log10(power[half]))

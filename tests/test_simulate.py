@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import sgmeasure.simulate
 from sgmeasure.simulate import (
     DEFAULT_INPUT_LEVEL_GRID,
     DEFAULT_THETA_DB_GRID,
-    SimulationConfig,
     full_spectrum_mean,
     least_squares_line,
     nonlinearity,
@@ -86,64 +84,52 @@ def test_one_sided_mean_equals_full_spectrum_mean(length, scale, seed):
     assert abs(full_spectrum_mean(one_sided, length) - expected) <= 1e-15 * expected
 
 
-@pytest.mark.parametrize("change,message", [
-    ({"alpha": -1.0}, "alpha"),
-    ({"snr_db": math.nan}, "snr_db"),
-    ({"snr_db": -math.inf}, "snr_db"),
-])
-def test_config_refuses_a_negative_alpha_or_an_undefined_snr(change, message):
-    with pytest.raises(ValueError, match=message):
-        SimulationConfig(**change)
-
-
 def test_transparent_chain():
     stream = np.tile(white_noise_period(256, seed=1), 3)
-    out = simulate_chain(stream, SimulationConfig(input_level_db=-6.0))
+    out = simulate_chain(stream, input_level_db=-6.0)
     assert np.max(np.abs(out - stream * 10 ** (-6.0 / 20.0))) < 1e-12
 
 
 def test_noise_power_bookkeeping():
     stream = np.tile(white_noise_period(16384, seed=2), 8)
-    config = SimulationConfig(snr_db=40.0, seed=3)
-    out = simulate_chain(stream, config)
+    out = simulate_chain(stream, snr_db=40.0, seed=3)
     noise_db = power_db(out - stream)
     assert noise_db == pytest.approx(power_db(stream) - 40.0, abs=0.2)
 
 
 def test_chain_is_deterministic():
     stream = np.tile(white_noise_period(512, seed=4), 4)
-    config = SimulationConfig(snr_db=30.0, alpha=0.2, seed=5)
-    a = simulate_chain(stream, config)
-    b = simulate_chain(stream, config)
+    a = simulate_chain(stream, snr_db=30.0, alpha=0.2, seed=5)
+    b = simulate_chain(stream, snr_db=30.0, alpha=0.2, seed=5)
     assert np.array_equal(a, b)
 
 
 @st.composite
 def chain_cases(draw):
-    """A period of odd or even length and a chain."""
+    """A period of odd or even length and a chain's levels; a negative alpha mirrors the curve."""
     length = draw(st.integers(2, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    config = SimulationConfig(
-        alpha=draw(st.sampled_from([0.0, 1e-3, 0.4, 2.0])),
+    levels = dict(
+        alpha=draw(st.sampled_from([0.0, 1e-3, 0.4, 2.0])) * draw(st.sampled_from([1.0, -1.0])),
         input_level_db=draw(st.floats(-40.0, 12.0)),
         seed=draw(st.integers(0, 2**16)),
     )
-    return rng.standard_normal(length), config, draw(st.integers(1, 5))
+    return rng.standard_normal(length), levels, draw(st.integers(1, 5))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=chain_cases(), snr_db=st.sampled_from([0.0, 30.0]))
 def test_period_chain_matches_tiled_stream_chain(case, snr_db):
     """The period's chain output, tiled, is the stream's; its noise is sigma times the draws."""
-    period, config, repeats = case
-    quiet = simulate_chain(period, config, repeats=repeats)
-    oracle = chain_full_stream(period, config, repeats)
+    period, levels, repeats = case
+    quiet = simulate_chain(period, **levels, repeats=repeats)
+    oracle = chain_full_stream(period, levels["alpha"], levels["input_level_db"], repeats)
     assert quiet.size == oracle.size == repeats * period.size
     assert np.array_equal(quiet, oracle)
-    noisy = simulate_chain(period, replace(config, snr_db=snr_db), repeats=repeats)
+    noisy = simulate_chain(period, **levels, snr_db=snr_db, repeats=repeats)
     one_period = quiet[: period.size]
     sigma = math.sqrt(np.mean(one_period**2) * 10.0 ** (-snr_db / 10.0))
-    philox = np.random.Philox(np.random.SeedSequence([config.seed, 0xD1CE]))
+    philox = np.random.Philox(np.random.SeedSequence([levels["seed"], 0xD1CE]))
     draws = np.random.Generator(philox).standard_normal(quiet.size)
     assert np.max(np.abs((noisy - quiet) - sigma * draws)) <= 4e-16 * np.max(np.abs(noisy))
 
@@ -152,20 +138,19 @@ def test_period_chain_matches_tiled_stream_chain(case, snr_db):
 def test_level_that_underflows_the_gain_is_out_of_range(level_db):
     test = white_noise_period(64, seed=8)
     with pytest.raises(LevelOutOfRange, match="zero gain"):
-        simulate_chain(test, SimulationConfig(input_level_db=level_db), repeats=3)
+        simulate_chain(test, input_level_db=level_db, repeats=3)
 
 
 @pytest.mark.parametrize("alpha,snr_db", [(0.4, 40.0), (0.0, 40.0), (0.0, math.inf)])
 def test_level_that_underflows_the_output_power_is_out_of_range(alpha, snr_db):
     """A gain of 1e-300 is representable, but the output's squares are not."""
     test = white_noise_period(64, seed=8)
-    config = SimulationConfig(alpha=alpha, snr_db=snr_db, input_level_db=-6000.0)
     with pytest.raises(LevelOutOfRange, match="output power"):
-        simulate_chain(test, config, repeats=2)
+        simulate_chain(test, alpha=alpha, snr_db=snr_db, input_level_db=-6000.0, repeats=2)
 
 
 def test_silent_period_gives_a_silent_stream():
-    out = simulate_chain(np.zeros(64), SimulationConfig(alpha=0.4), repeats=2)
+    out = simulate_chain(np.zeros(64), alpha=0.4, repeats=2)
     assert out.shape == (128,) and not np.any(out)
 
 
@@ -174,20 +159,22 @@ def test_level_that_overflows_the_output_is_out_of_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
         with pytest.raises(LevelOutOfRange, match="output"):
-            simulate_chain(test, SimulationConfig(input_level_db=6160.0), repeats=3)
+            simulate_chain(test, input_level_db=6160.0, repeats=3)
 
 
 @pytest.mark.parametrize("input_level_db,snr_db", [
-    (3100.0, math.inf), (3100.0, 40.0), (20.0, -3080.0),
+    (3100.0, math.inf), (3100.0, 40.0), (20.0, -3080.0), (20.0, math.nan), (20.0, -math.inf),
 ])
 def test_output_or_noise_power_beyond_float_range_is_out_of_range(input_level_db, snr_db):
-    """Every output sample is finite, but the output's power or its noise power is not."""
+    """Every output sample is finite, but the output's power or its noise power is not.
+
+    A NaN or -inf SNR gives an undefined or infinite noise power.
+    """
     test = white_noise_period(64, seed=9)
-    config = SimulationConfig(snr_db=snr_db, input_level_db=input_level_db)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CLI's stderr carries only the JSON error
         with pytest.raises(LevelOutOfRange, match="noise power"):
-            simulate_chain(test, config, repeats=3)
+            simulate_chain(test, snr_db=snr_db, input_level_db=input_level_db, repeats=3)
 
 
 def test_fit_oracle_exact_line():
