@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from .errors import InputFormatError, SgMeasureError, discard, output_file
@@ -41,39 +40,24 @@ def _default_seed() -> int:
         raise InputFormatError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-def _smooth_fraction(text: str) -> float | None:
-    """argparse type of ``--smooth``: a positive octave fraction, or none/off/0."""
+def _octave_fraction(text: str) -> float | None:
+    """``--smooth``'s text as a float, such as 1/3; none, off and 0 turn smoothing off."""
     if text.lower() in ("none", "off", "0"):
         return None
-    try:
-        fraction = float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        fraction = 0.0
-    if fraction <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive octave fraction: {text!r}")
-    return fraction
+    return float(Fraction(text))
 
 
-def _integer_at_least(minimum: int, text: str) -> int:
-    """argparse type, bound to its minimum, of ``--period`` (2) and ``--repeats`` (1)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"not an integer of at least {minimum}: {text!r}")
-    return value
-
-
-def _finite_db(text: str) -> float:
-    """argparse type of ``--theta-db``: a finite level in dB."""
-    try:
-        level = float(text)
-    except ValueError:
-        level = math.nan
-    if not math.isfinite(level):
-        raise argparse.ArgumentTypeError(f"not a finite level in dB: {text!r}")
-    return level
+def _argument(parse, ok, expected: str):
+    """argparse type: ``parse(text)`` where ``ok`` takes it, else ``not <expected>: <text>``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"not {expected}: {text!r}")
+    return convert
 
 
 def _cmd_safeguard(args) -> int:
@@ -227,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("safeguard", help="floor a period's DFT magnitudes")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
-        "--period", type=partial(_integer_at_least, 2), required=True,
-        help="period length L >= 2 in samples",
+        "--period", type=_argument(int, lambda n: n >= 2, "an integer of at least 2"),
+        required=True, help="period length L >= 2 in samples",
     )
     p.add_argument(
         "--theta-db",
-        type=_finite_db,
+        type=_argument(float, math.isfinite, "a finite level in dB"),
         default=0.0,
         help="flooring level in dB relative to the mean bin magnitude",
     )
@@ -242,17 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-test", help="concatenate a period into a test stream")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--repeats", type=partial(_integer_at_least, 1), required=True)
+    p.add_argument("--repeats", required=True,
+                   type=_argument(int, lambda n: n >= 1, "an integer of at least 1"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_test)
 
     p = sub.add_parser("analyze", help="analyze a measurement session")
     p.add_argument("--manifest", required=True)
     p.add_argument(
-        "--smooth",
-        type=_smooth_fraction,
-        default=None,
-        help="octave fraction, e.g. 1/3, or none",
+        "--smooth", help="octave fraction, e.g. 1/3, or none",
+        type=_argument(_octave_fraction, lambda f: f is None or f > 0,
+                       "a positive octave fraction"),
     )
     p.add_argument("--out", required=True, help=".csv or .json report path")
     p.set_defaults(func=_cmd_analyze)

@@ -8,7 +8,9 @@ microphone.  All randomness flows through counter-based Philox generators
 keyed on the configured seed, so identical configs give bit-identical
 streams.  Each sweep point draws from its own Philox key, so the chain
 runners run their points two at a time (:func:`_sweep`) and still write
-the report bytes of a loop.  Each experiment runner returns the report
+the report bytes of a loop: a failed or interrupted point stops both
+threads before any point of higher index, and the loop's error is raised.
+Each experiment runner returns the report
 the ``simulate`` command writes: a table of its sweep axis followed by
 its metric columns, and the fitted line in the summary where it has
 one.  Zero power is -inf dB (a null cell).
@@ -17,6 +19,7 @@ one.  Zero power is -inf dB (a null cell).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -59,26 +62,44 @@ def _sweep(point, count):
     """``[point(j) for j in range(count)]``, even j on this thread and odd j on one more.
 
     numpy releases the GIL in Philox fills, FFTs and large ufuncs, so the sides overlap.
-    Each side stops at its first failure; the error of the least failing j is
-    raised, as the loop raises it.  A point sets the ``np.errstate`` it needs
-    itself: a thread does not inherit its caller's.
+    Any exception a point raises, an interrupt too, is that point's failure, and
+    an interrupt of this thread between its points or while it waits for the
+    worker is a failure before every point.  Before each point a side stops if
+    a point of lower index has failed.  Once both sides have stopped, the error
+    of the least failing j is raised, as the loop raises it.  A point sets the
+    ``np.errstate`` it needs itself: a thread does not inherit its caller's.
     """
-    results, errors = [None] * count, {}
+    results, errors, stopped = [None] * count, {}, threading.Event()
 
     def side(start):
         for j in range(start, count, 2):
+            if j > min(errors, default=j):
+                return
             try:
                 results[j] = point(j)
-            except Exception as exc:
+            except BaseException as exc:
                 errors[j] = exc
                 return
 
-    worker = threading.Thread(target=side, args=(1,))
-    worker.start()
+    def work():
+        try:
+            side(1)
+        finally:
+            stopped.set()
+
+    worker = threading.Thread(target=work)
     try:
+        worker.start()
         side(0)
-    finally:
-        worker.join()
+    except BaseException as exc:  # an interrupt outside this side's points
+        errors.setdefault(-1, exc)
+    while worker.ident is not None:  # started, so it sets `stopped`
+        try:  # an interrupted join may return before the thread ends (CPython 3.11)
+            stopped.wait()
+            worker.join()
+            break
+        except BaseException as exc:  # an interrupt while waiting stops the worker too
+            errors.setdefault(-1, exc)
     if errors:
         raise errors[min(errors)]
     return results
@@ -123,7 +144,11 @@ def simulate_chain(
     A drive level whose gain underflows to zero, whose gain, output power
     or noise power overflows or is undefined (a NaN or -inf SNR), or whose
     output from a non-zero period has zero power raises :class:`LevelOutOfRange`.
+    A ``repeats`` that is not an integer of at least 1 (a bool is not) raises
+    ValueError, before any draw.
     """
+    if not isinstance(repeats, numbers.Integral) or isinstance(repeats, bool) or repeats < 1:
+        raise ValueError(f"repeats must be an integer of at least 1, got {repeats!r}")
     try:
         gain = 10.0 ** (input_level_db / 20.0)
         noise_ratio = 10.0 ** (-snr_db / 10.0)

@@ -212,7 +212,8 @@ def write_audio(path: str | Path, samples, sample_rate: int, repeats: int = 1) -
     """Write a mono 32-bit float WAV file: the header, then the float32 samples ``repeats`` times.
 
     Samples that are not 1-D, a sample rate that is not an integer of at
-    least 1 or a negative ``repeats`` raise ValueError.  Samples that are
+    least 1 or a ``repeats`` that is not a non-negative integer (a bool is
+    not an integer here) raise ValueError.  Samples that are
     not finite or beyond float32's range raise :class:`ClippedOutput`; a
     sample rate whose byte rate, or ``repeats`` of samples whose data size,
     does not fit the header's 32-bit fields raises :class:`UnsupportedFormat`.
@@ -220,8 +221,9 @@ def write_audio(path: str | Path, samples, sample_rate: int, repeats: int = 1) -
     :class:`~sgmeasure.errors.UnwritableOutput`, and no partial file is left.
     Only the samples, once, are held as float32.
     """
-    if repeats < 0:
-        raise ValueError(f"repeats must be non-negative, got {repeats}")
+    if not isinstance(repeats, numbers.Integral) or isinstance(repeats, bool) or repeats < 0:
+        raise ValueError(f"repeats must be a non-negative integer, got {repeats!r}")
+    repeats = int(repeats)  # a numpy integer's sizes below would wrap at 2**63
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be 1-D")

@@ -113,8 +113,8 @@ MUTANTS = [
      '        raise ValueError("samples must be 1-D")',
      "        pass"),
     ("--repeats minimum", "cli.py",
-     "type=partial(_integer_at_least, 1)",
-     "type=partial(_integer_at_least, 0)"),
+     "type=_argument(int, lambda n: n >= 1,",
+     "type=_argument(int, lambda n: n >= 0,"),
     ("nonlinearity p_count check", "simulate.py",
      "    if p_count < 2:",
      "    if p_count < 1:"),
@@ -125,8 +125,8 @@ MUTANTS = [
      'table[f"{name}_smooth_db"] = _db_power(',
      'if name != "background_level": table[f"{name}_smooth_db"] = _db_power('),
     ("--theta-db text", "cli.py",
-     "        level = math.nan",
-     "        level = 0.0"),
+     "            pass",
+     "            return 0.0"),
     ("config not an object", "cli.py",
      "        if not isinstance(config, dict):",
      "        if not isinstance(config, (dict, list)):"),
@@ -163,6 +163,15 @@ MUTANTS = [
     ("one repeat written", "wavio.py",
      "        for _ in range(repeats):",
      "        for _ in range(1):"),
+    ("sweep runs on past a failure", "simulate.py",
+     "            if j > min(errors, default=j):",
+     "            if False:"),
+    ("chain takes a float repeats", "simulate.py",
+     "if not isinstance(repeats, numbers.Integral) or isinstance(repeats, bool) or repeats < 1:",
+     "if repeats < 1:"),
+    ("write takes a bool repeats", "wavio.py",
+     "or isinstance(repeats, bool) or repeats < 0:",
+     "or repeats < 0:"),
 ]
 
 

@@ -374,6 +374,57 @@ def test_analyze_smooth_off_spellings(tmp_path, smooth):
     assert not any(name.endswith("_smooth_db") for name in report.table)
 
 
+# The command line each option is parsed on; the command itself is replaced, so no file is read.
+NUMBER_OPTION_ARGV = {
+    "--period": ["safeguard", "--in", "in.wav", "--out", "o.wav", "--report", "r.json"],
+    "--theta-db": ["safeguard", "--in", "in.wav", "--period", "64", "--out", "o.wav",
+                   "--report", "r.json"],
+    "--repeats": ["make-test", "--in", "in.wav", "--out", "o.wav"],
+    "--smooth": ["analyze", "--manifest", "m.json", "--out", "r.json"],
+}
+
+
+@pytest.mark.parametrize("option,text,outcome", [
+    ("--period", "1", "not an integer of at least 2: '1'"),
+    ("--period", "2.0", "not an integer of at least 2: '2.0'"),
+    ("--period", "x", "not an integer of at least 2: 'x'"),
+    ("--period", "2", 2),
+    ("--repeats", "0", "not an integer of at least 1: '0'"),
+    ("--repeats", "1", 1),
+    ("--theta-db", "nan", "not a finite level in dB: 'nan'"),
+    ("--theta-db", "1e400", "not a finite level in dB: '1e400'"),
+    ("--theta-db", "-3.5", -3.5),
+    ("--smooth", "1/0", "not a positive octave fraction: '1/0'"),
+    ("--smooth", "-1/3", "not a positive octave fraction: '-1/3'"),
+    ("--smooth", "0.0", "not a positive octave fraction: '0.0'"),
+    ("--smooth", "1e999", "not a positive octave fraction: '1e999'"),
+    ("--smooth", "none", None),
+    ("--smooth", "OFF", None),
+    ("--smooth", "0", None),
+    ("--smooth", "1/3", 1 / 3),
+])
+def test_number_option_is_parsed_or_refused_with_its_message(monkeypatch, capsys, option, text,
+                                                              outcome):
+    """A refused number exits 2 with ``not <what it must be>: <text>``; a taken one is parsed."""
+    parsed = []
+    for name in ("_cmd_safeguard", "_cmd_make_test", "_cmd_analyze"):
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
+    argv = NUMBER_OPTION_ARGV[option] + [f"{option}={text}"]  # -1/3 is not an option
+    if isinstance(outcome, str):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        command = argv[0]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"sgmeasure {command}: error: argument {option}: {outcome}"
+        )
+        assert parsed == []
+    else:
+        assert main(argv) == 0
+        value = getattr(parsed[0], option[2:].replace("-", "_"))
+        assert value == outcome and type(value) is type(outcome)
+
+
 def test_analyze_missing_file_exit_code(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({

@@ -495,6 +495,24 @@ def test_repeated_write_refuses_a_negative_count(tmp_path):
     assert not (tmp_path / "w.wav").exists()
 
 
+@pytest.mark.parametrize("repeats", [2.5, 3.0, True, np.float64(2.0), "2"])
+def test_repeated_write_refuses_a_count_that_is_not_an_integer(tmp_path, repeats):
+    """True would write one copy, and 2.5 would leak struct.error from the header."""
+    with pytest.raises(ValueError, match="non-negative integer"):
+        write_audio(tmp_path / "w.wav", np.zeros(4), FS, repeats)
+    assert not (tmp_path / "w.wav").exists()
+
+
+def test_repeated_write_takes_a_numpy_integer_count(tmp_path, monkeypatch):
+    """Its sizes are the int's: as int64, 2**62 + 2**59 repeats of 2 samples would wrap."""
+    write_audio(tmp_path / "int.wav", np.ones(3), FS, 3)
+    write_audio(tmp_path / "numpy.wav", np.ones(3), FS, np.int64(3))
+    assert (tmp_path / "numpy.wav").read_bytes() == (tmp_path / "int.wav").read_bytes()
+    with pytest.raises(UnsupportedFormat, match="repeats of 2 samples"):
+        write_audio(tmp_path / "w.wav", np.ones(2), FS, np.int64(2**62 + 2**59))
+    assert not (tmp_path / "w.wav").exists()
+
+
 @pytest.mark.parametrize("rate", [0, -1, 48000.0, 44100.5, True])
 def test_write_refuses_a_rate_that_is_not_an_integer_of_at_least_1(tmp_path, rate):
     """A float rate does not pack into the header, and True would write a file read at 1 Hz."""

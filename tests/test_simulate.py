@@ -1,6 +1,9 @@
+import _thread
 import math
+import signal
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -177,6 +180,19 @@ def test_output_or_noise_power_beyond_float_range_is_out_of_range(input_level_db
             simulate_chain(test, snr_db=snr_db, input_level_db=input_level_db, repeats=3)
 
 
+@pytest.mark.parametrize("repeats", [0, -1, 2.5, 3.0, True, np.float64(2.0), "2"])
+def test_chain_refuses_a_repeats_that_is_not_an_integer_of_at_least_1(monkeypatch, repeats):
+    """Refused before any draw, with noise on or off; a numpy integer is taken."""
+    test = white_noise_period(64, seed=8)
+    monkeypatch.setattr(sgmeasure.simulate, "_rng", None)  # a draw would raise TypeError
+    for snr_db in (math.inf, 30.0):
+        with pytest.raises(ValueError, match="repeats must be an integer of at least 1"):
+            simulate_chain(test, snr_db=snr_db, repeats=repeats)
+    monkeypatch.undo()
+    assert np.array_equal(simulate_chain(test, snr_db=30.0, repeats=np.int64(3)),
+                          simulate_chain(test, snr_db=30.0, repeats=3))
+
+
 def test_fit_oracle_exact_line():
     x = np.array([-20.0, -10.0, 0.0, 10.0])
     slope, intercept = least_squares_line(x, 2.0 * x - 10.0)
@@ -341,20 +357,22 @@ def test_sweep_runs_even_points_here_and_odd_points_on_one_worker():
     assert threads[1] == threads[3] != threading.get_ident()
 
 
-@pytest.mark.parametrize("failing,raised,run", [({1, 2}, 1, {0, 1, 2}), ({2}, 2, {0, 1, 2, 3})])
+@pytest.mark.parametrize("failing,raised,run", [({1, 2}, 1, {0, 1, 2}), ({2}, 2, {0, 1, 2})])
 def test_sweep_raises_the_error_of_the_least_failing_point(failing, raised, run):
-    """Each side stops at its own first failure; the loop's error is raised, whatever came first."""
+    """A side stops at its own failure or before a point above the other's; the loop's error
+    is raised, whatever came first."""
     before = threading.active_count()
     ran = set()
     caller_failed = threading.Event()
 
     def point(j):
         ran.add(j)
+        if j == 1:  # held until the caller fails at 2, and then a while, so its failure is seen
+            assert caller_failed.wait(timeout=10)
+            time.sleep(0.1)
         if j in failing:
             if j % 2 == 0:
                 caller_failed.set()
-            else:
-                assert caller_failed.wait(timeout=10)  # the worker fails after the caller
             raise LevelOutOfRange(str(j))
         return j
 
@@ -362,6 +380,67 @@ def test_sweep_raises_the_error_of_the_least_failing_point(failing, raised, run)
         sgmeasure.simulate._sweep(point, 5)
     assert ran == run
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [LevelOutOfRange("0"), KeyboardInterrupt()])
+def test_sweep_failing_at_its_first_point_runs_few_others(error):
+    """The worker stops before its next point, not after its last: at most 3 of 41 points run."""
+    before = threading.active_count()
+    ran = set()
+
+    def point(j):
+        ran.add(j)
+        if j == 0:
+            raise error
+        time.sleep(0.01)
+        return j
+
+    with pytest.raises(type(error)):
+        sgmeasure.simulate._sweep(point, 41)
+    assert 0 in ran and len(ran) <= 3
+    assert threading.active_count() == before
+
+
+def test_sweep_interrupted_from_its_worker_leaves_no_thread():
+    """An interrupt of the caller, wherever it lands, is raised only once the worker has stopped."""
+    before = threading.active_count()
+    ran = set()
+
+    def point(j):
+        ran.add(j)
+        if j == 1:
+            _thread.interrupt_main()
+        time.sleep(0.01)
+        return j
+
+    with pytest.raises(KeyboardInterrupt):
+        sgmeasure.simulate._sweep(point, 41)
+    assert threading.active_count() == before
+    assert len(ran) <= 5
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_sweep_interrupted_while_it_waits_stops_its_worker():
+    """A SIGINT while the caller waits for the worker stops the worker before its next point."""
+    if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
+        pytest.skip("SIGINT does not raise KeyboardInterrupt here")
+    before = threading.active_count()
+    ran = set()
+    caller = threading.main_thread().ident
+
+    def point(j):
+        ran.add(j)
+        if j == 1:  # the caller's even points are done by now: it waits
+            time.sleep(0.05)
+            signal.pthread_kill(caller, signal.SIGINT)
+        if j % 2:
+            time.sleep(0.01)
+        return j
+
+    with pytest.raises(KeyboardInterrupt):
+        sgmeasure.simulate._sweep(point, 41)
+    assert threading.active_count() == before
+    assert {j for j in ran if j % 2} == {1}
 
 
 def test_concurrent_sweeps_under_frequent_thread_switches_keep_their_points():
